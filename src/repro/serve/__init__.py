@@ -4,7 +4,9 @@ Layers (bottom-up):
 
 * :mod:`repro.serve.protocol` — the NDJSON wire frames and strict codec;
 * :mod:`repro.serve.server` — :class:`TrustedServer`: admission control,
-  the bounded single-sequencer dispatch queue, drain/shutdown;
+  tracing, and drain over bounded per-shard sequencer queues
+  (:class:`ShardSequencer`, one dispatcher each) and their durable
+  :class:`ShardRuntime` engines;
 * :mod:`repro.serve.gate` — :class:`ConnectionGate`: bearer-token
   auth, connection caps, and per-client token-bucket rate limits ahead
   of every sequencer;
@@ -18,9 +20,10 @@ Layers (bottom-up):
   serving-vs-offline equivalence verification;
 * :mod:`repro.serve.fleet` — wire-level scraping behind the
   :mod:`repro.obs.aggregate` fleet view;
-* :mod:`repro.serve.shard` — :class:`ShardRouter`: user-id hashing
-  over N shared-nothing shard sequencers, decision-equivalent to the
-  single engine;
+* :mod:`repro.serve.shard` — :class:`ShardRouter`: the same frontend
+  over N shared-nothing shard engines built from a workload (one by
+  default), with WAL crash/restore; decision-equivalent to the single
+  engine;
 * :mod:`repro.serve.wal` — per-shard JSONL write-ahead log and
   snapshots with deterministic replay;
 * :mod:`repro.serve.supervisor` — :class:`WorkerSupervisor`: shard
@@ -75,13 +78,15 @@ from repro.serve.protocol import (
     decode_request,
     encode_frame,
 )
-from repro.serve.server import ClientSession, ServeConfig, TrustedServer
-from repro.serve.shard import (
-    ShardRouter,
+from repro.serve.server import (
+    ClientSession,
+    ServeConfig,
     ShardRuntime,
     ShardSequencer,
+    TrustedServer,
     shard_of,
 )
+from repro.serve.shard import ShardRouter
 from repro.serve.supervisor import WorkerSupervisor, worker_shards
 from repro.serve.transports import (
     LoopbackConnection,

@@ -39,6 +39,7 @@ from repro.core.generalization import ToleranceConstraint
 from repro.core.unlinking import AlwaysUnlink
 from repro.engine.context import AnonymizerEvent
 from repro.engine.pipeline import BatchItem, Engine
+from repro.engine.session import InMemorySessionStore
 from repro.experiments.workloads import make_policy
 from repro.mobility.population import CityConfig, SyntheticCity
 from repro.mod.store import TrajectoryStore
@@ -58,8 +59,9 @@ from repro.serve.protocol import (
     ServiceRequest,
     StatsRequest,
     Welcome,
+    clone_frame,
 )
-from repro.serve.server import ServeConfig, TrustedServer
+from repro.serve.server import ServeConfig, TrustedServer, shard_of
 from repro.serve.transports import (
     LoopbackConnection,
     LoopbackTransport,
@@ -175,11 +177,18 @@ def build_engine(
     workload: ServingWorkload,
     config: WorkloadConfig,
     telemetry: "Telemetry | TelemetryConfig | None" = None,
+    shard_id: int = 0,
+    n_shards: int = 1,
 ) -> Engine:
     """An engine ready to serve ``workload`` (warm store, see module doc).
 
-    Identical construction backs both the online server and the offline
-    replay, so the two runs differ only in how operations arrive.
+    Identical construction backs the online server, every shard of a
+    sharded one, and the offline replay, so the runs differ only in
+    how operations arrive.  Shard ``shard_id`` of ``n_shards`` opens
+    sessions, LBQIDs, and pseudonyms (prefixed ``p<i>.``) only for the
+    users it owns, yet its store still holds EVERY user's history —
+    anonymity sets are store-wide, and this is what keeps per-shard
+    decisions equal to the global offline replay.
     """
     engine = Engine(
         TrajectoryStore(
@@ -193,16 +202,22 @@ def build_engine(
         unlinker=AlwaysUnlink(),
         quiet_period=config.quiet_period,
         telemetry=telemetry,
+        sessions=InMemorySessionStore(
+            pseudonym_prefix=f"p{shard_id}." if n_shards > 1 else "p"
+        ),
     )
     for commuter in sorted(
         workload.city.commuters, key=lambda c: c.user_id
     ):
-        engine.register_lbqid(commuter.user_id, commuter.lbqid())
+        if shard_of(commuter.user_id, n_shards) == shard_id:
+            engine.register_lbqid(commuter.user_id, commuter.lbqid())
     for user_id in workload.user_ids:
-        # Pre-open sessions in sorted order so session creation (and
-        # initial pseudonym issue) is independent of arrival order.
-        engine.session(user_id)
-        engine.sessions.pseudonym(user_id)
+        if shard_of(user_id, n_shards) == shard_id:
+            # Pre-open sessions in sorted order so session creation
+            # (and initial pseudonym issue) is independent of arrival
+            # order.
+            engine.session(user_id)
+            engine.sessions.pseudonym(user_id)
         engine.store.add_points(
             user_id, workload.city.store.history(user_id)
         )
@@ -477,13 +492,7 @@ class _Connection:
         ):
             wire, span = raw._mint_trace(frame.op)
             if wire is not None:
-                # A cheap clone beats dataclasses.replace on this
-                # per-operation path (replace re-runs __init__).
-                clone = object.__new__(type(frame))
-                clone.__dict__.update(frame.__dict__)
-                clone.__dict__["trace"] = wire
-                frame = clone
-                future = raw.post(frame)
+                future = raw.post(clone_frame(frame, trace=wire))
                 if span is not None:
                     future.add_done_callback(
                         lambda f, s=span: ServeClient._finish_span(s, f)

@@ -59,6 +59,23 @@ class Frame:
     op: ClassVar[str] = ""
 
 
+_Fr = TypeVar("_Fr", bound=Frame)
+
+
+def clone_frame(frame: _Fr, **fields: object) -> _Fr:
+    """Copy a frozen frame with ``fields`` replaced.
+
+    Equivalent to ``dataclasses.replace(frame, **fields)`` but ~15x
+    cheaper — the serving paths stamp ids, seqs, and trace contexts
+    once per operation, and ``replace`` re-drives the whole generated
+    ``__init__``.
+    """
+    clone = object.__new__(type(frame))
+    clone.__dict__.update(frame.__dict__)
+    clone.__dict__.update(fields)
+    return clone
+
+
 _F = TypeVar("_F", bound=type)
 
 #: op -> frame class, one registry per direction.
@@ -115,10 +132,11 @@ class LocationUpdate(Frame):
     the sender's causal tree; only meaningful after trace negotiation.
 
     ``seq`` is the shard router's per-shard write-ahead sequence
-    number.  Clients never set it; the router stamps it on frames it
-    forwards to shard workers so a worker restored from its WAL can
-    recognize (and answer from its reply cache) an operation it already
-    applied before a crash.
+    number.  The supervisor stamps it on frames it forwards to shard
+    workers so a worker restored from its WAL can recognize (and
+    answer from its reply cache) an operation it already applied
+    before a crash.  Only a worker honours it; every public frontend
+    ignores a client-set ``seq`` and allocates its own.
     """
 
     id: int
@@ -543,20 +561,21 @@ def decode_reply(line: bytes, max_bytes: int = MAX_FRAME_BYTES) -> Frame:
 
 
 # ---------------------------------------------------------------------
-# fast codec (sharded-stack internal hop)
+# fast codec (in-process firehose)
 # ---------------------------------------------------------------------
 #
 # ``encode_frame``/``_decode`` pay for their strictness:
 # ``dataclasses.asdict`` deep-copies every frame and the decoder walks
 # ``dataclasses.fields`` with a per-field validator — together ~90 µs
 # per frame round trip, several times the engine's own per-request
-# cost.  The shard router forwards every client frame across one more
-# codec boundary (router → shard worker), so that hop uses the
-# hand-rolled fast path below for the five hot frame types and falls
-# back to the strict codec for everything else (control ops, and any
-# input the fast decoder cannot take at face value — the fallback also
-# re-raises the proper :class:`ProtocolError`).  The *public* trust
-# boundary (client ↔ router) keeps the strict codec unchanged.
+# cost.  The in-process firehose (``ShardRouter.serve_line(s)``, which
+# benchmark E18 drives) takes NDJSON lines straight into the shard
+# sequencers, so it uses the hand-rolled fast path below for the five
+# hot frame types and falls back to the strict codec for everything
+# else (control ops, and any input the fast decoder cannot take at
+# face value — the fallback also re-raises the proper
+# :class:`ProtocolError`).  Every socket hop — client ↔ daemon and
+# supervisor ↔ worker alike — keeps the strict codec.
 
 
 #: Memoized ``json.dumps`` for short string fields (services,
@@ -832,13 +851,13 @@ def _decode_fast(
 def decode_request_fast(
     line: bytes, max_bytes: int = MAX_FRAME_BYTES
 ) -> Frame:
-    """Fast-path :func:`decode_request` for the router→worker hop.
+    """Fast-path :func:`decode_request` for the in-process firehose.
 
     Hot frames (``update``/``request``) skip the reflective field walk;
     everything else — including anything malformed — re-enters the
     strict decoder, so error codes and unknown-field rejection are
     unchanged for inputs the fast path does not recognize.  Use only
-    where the peer is trusted (the router and its workers).
+    where the input is trusted (lines the fast encoder produced).
     """
     return _decode_fast(line, REQUEST_TYPES, max_bytes)
 
@@ -846,5 +865,5 @@ def decode_request_fast(
 def decode_reply_fast(
     line: bytes, max_bytes: int = MAX_FRAME_BYTES
 ) -> Frame:
-    """Fast-path :func:`decode_reply` for the worker→router hop."""
+    """Fast-path :func:`decode_reply` for firehose reply lines."""
     return _decode_fast(line, REPLY_TYPES, max_bytes)

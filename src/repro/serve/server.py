@@ -1,16 +1,21 @@
-"""The online Trusted Server: admission control over the staged engine.
+"""The online Trusted Server: one sequencer per shard, one frontend.
 
-:class:`TrustedServer` turns the PR-3 :class:`~repro.engine.pipeline.
-Engine` into a long-running concurrent service.  The concurrency model
-is a *single sequencer*: every admitted operation (location update or
-service request) is queued into one bounded FIFO and executed by one
-dispatcher task, so the engine — which is deliberately synchronous and
-per-user-ordered — never sees concurrent mutation and the served
-decision stream stays equivalent to an offline
-:meth:`~repro.engine.pipeline.Engine.process_batch` replay of the same
-per-user-ordered workload (``tests/serve/test_determinism.py``).
+:class:`TrustedServer` turns the staged
+:class:`~repro.engine.pipeline.Engine` into a long-running concurrent
+service.  Users are partitioned over shards by ``user_id % n_shards``
+(:func:`shard_of`); each shard is a :class:`ShardRuntime` (its engine
+plus durability) drained by one :class:`ShardSequencer` — a bounded
+FIFO and a single dispatcher task — so an engine, which is
+deliberately synchronous and per-user-ordered, never sees concurrent
+mutation, and the served decision stream stays equivalent to an
+offline :meth:`~repro.engine.pipeline.Engine.process_batch` replay of
+the same per-user-ordered workload (``tests/serve/test_determinism.py``).
+``TrustedServer(engine)`` serves one prebuilt engine as the only
+shard; :class:`~repro.serve.shard.ShardRouter` builds N shard engines
+from a workload.  Both share every line of admission, dispatch,
+tracing, and drain below.
 
-Admission control happens *before* the queue:
+Admission control happens *before* a shard's queue:
 
 * a session with ``max_inflight`` operations outstanding is shed
   (``overloaded`` / reason ``inflight``) — one client cannot occupy the
@@ -22,27 +27,32 @@ Admission control happens *before* the queue:
 * a draining server rejects new work with ``draining`` (not a shed:
   the client should reconnect elsewhere, not retry here).
 
-Graceful drain (:meth:`TrustedServer.drain`): stop admitting, let the
-dispatcher flush every queued job, then emit the final
-``serve.drained`` audit event carrying the serving totals and the
-engine's decision tallies.
+Graceful drain (:meth:`TrustedServer.drain`): stop admitting, let every
+dispatcher flush its queue, then emit the final ``serve.drained`` audit
+event carrying the serving totals and the engines' decision tallies.
 
 Observability rides the engine's own telemetry pipeline: queue-depth /
 connection gauges, ``serve.request_ms`` / ``serve.queue_wait_ms``
-histograms, ``serve.shed`` counters — and every decision still flows
-through the ``ts.decision`` event channel, so a
-:class:`~repro.obs.slo.PrivacyMonitor` attached via ``slo_rules``
-audits the online server exactly as it audits offline replays.
+histograms, ``serve.shed`` counters (labelled by ``shard`` when there
+is more than one), and — for sessions that negotiated tracing —
+``serve.admission`` / ``serve.queue_wait`` / ``serve.dispatch`` spans
+plus the ``traces`` op's ring of recent requests.  Every decision
+still flows through the ``ts.decision`` event channel, so a
+:class:`~repro.obs.slo.PrivacyMonitor` attached via ``slo_rules`` (one
+shard only: it audits one store) watches the online server exactly as
+it watches offline replays.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Iterable
+from pathlib import Path
+from typing import Any, Iterable
 
 from repro.engine.pipeline import Engine
 from repro.geometry.point import STPoint
@@ -73,14 +83,24 @@ from repro.serve.protocol import (
     TracesRequest,
     UpdateAck,
     Welcome,
+    clone_frame,
 )
+from repro.serve.wal import (
+    ShardWal,
+    WalConfig,
+    frame_of_record,
+    op_record,
+)
+
+#: The state-mutating frame types the data plane serves.
+SERVABLE = (LocationUpdate, ServiceRequest)
 
 
 @dataclass(frozen=True)
 class ServeConfig:
     """Admission-control and framing limits of one server."""
 
-    #: Bound of the dispatch queue; beyond it requests are shed.
+    #: Bound of each shard's dispatch queue; beyond it requests are shed.
     max_queue_depth: int = 1024
     #: Per-session cap on queued-but-unanswered operations.
     max_inflight: int = 64
@@ -105,7 +125,7 @@ class ServeConfig:
 def render_metrics_reply(
     telemetry: Telemetry, max_frame_bytes: int, frame: MetricsRequest
 ) -> Frame:
-    """The ``metrics`` op, shared by every frontend (server or router)."""
+    """The ``metrics`` op: the registry as Prometheus text."""
     if frame.format != "prometheus":
         return ErrorReply(
             id=frame.id,
@@ -153,7 +173,7 @@ def _fit_body(lines: "list[str]", max_frame_bytes: int) -> str:
 def render_profile_reply(
     telemetry: Telemetry, max_frame_bytes: int, frame: ProfileRequest
 ) -> Frame:
-    """The ``profile`` op, shared by every frontend (server or router)."""
+    """The ``profile`` op: drive or read the sampling profiler."""
     if not telemetry.enabled:
         return ErrorReply(
             id=frame.id,
@@ -280,41 +300,444 @@ class ClientSession:
         self.trace = False
 
 
-def _with_trace(reply: Frame, wire: str) -> Frame:
-    """Clone a frozen reply frame with its ``trace`` field set.
+def shard_of(user_id: int, n_shards: int) -> int:
+    """The shard owning a user — the ShardedSessionStore assignment."""
+    return user_id % n_shards
 
-    Equivalent to ``dataclasses.replace(reply, trace=wire)`` but ~15x
-    cheaper — this runs once per traced operation, and ``replace``
-    re-drives the whole generated ``__init__``.
+
+class ShardRuntime:
+    """One shard's engine, durability, and replay logic.
+
+    With ``wal_dir`` set, owns a :class:`~repro.serve.wal.ShardWal`
+    command log, written *before* each op executes, plus an LRU reply
+    cache keyed by the router-assigned ``seq``, so re-sent operations
+    after a crash are answered without re-executing.  Without a WAL a
+    restart loses all state anyway, so nothing is cached.  ``engine``
+    comes from :func:`repro.serve.loadgen.build_engine`; with
+    ``wal_dir`` set, the log found there is replayed into it before
+    the writer opens.
     """
-    clone = object.__new__(type(reply))
-    clone.__dict__.update(reply.__dict__)
-    clone.__dict__["trace"] = wire
-    return clone
-
-
-class _Job:
-    """One admitted operation waiting in the dispatch queue."""
-
-    __slots__ = ("session", "frame", "future", "enqueued_at", "trace")
 
     def __init__(
         self,
-        session: ClientSession,
+        engine: Engine,
+        shard_id: int = 0,
+        n_shards: int = 1,
+        wal_dir: "str | Path | None" = None,
+        wal_config: WalConfig | None = None,
+        reply_cache_size: int = 1024,
+    ) -> None:
+        if not 0 <= shard_id < n_shards:
+            raise ValueError(
+                f"shard_id {shard_id} out of range for "
+                f"{n_shards} shards"
+            )
+        self.engine = engine
+        self.shard_id = shard_id
+        self.n_shards = n_shards
+        self.owned_users = [
+            user_id
+            for user_id in sorted(engine.store.user_ids())
+            if shard_of(user_id, n_shards) == shard_id
+        ]
+        #: Highest seq applied to the engine; -1 before any op.
+        self.applied_seq = -1
+        #: LRU of ``seq -> reply`` for crash-resend deduplication.
+        self.replies: "OrderedDict[int, Frame]" = OrderedDict()
+        self.reply_cache_size = reply_cache_size
+        self.replayed = 0
+        self.wal: ShardWal | None = None
+        if wal_dir is not None:
+            wal_dir = Path(wal_dir)
+            # Replay precedes the writer: ShardWal seals the previous
+            # incarnation's live segment on open, and recovery must
+            # read that data as it was left.
+            for record in ShardWal.recover(wal_dir):
+                self._replay(record)
+            self.wal = ShardWal(wal_dir, wal_config)
+
+    # -- op execution --------------------------------------------------
+
+    def execute(self, frame: Frame, seq: int | None = None) -> Frame:
+        """Apply one state-mutating frame, WAL-first, seq-deduplicated.
+
+        ``seq`` (or ``frame.seq``) must be the router-assigned shard
+        sequence number; a frame without one gets the next local seq
+        (direct single-process use).  Re-sent seqs at or below
+        ``applied_seq`` answer from the reply cache — the
+        crash-recovery idempotence contract (without a WAL there is no
+        cache, and a re-sent request answers ``stale_seq``).  Passing
+        ``seq`` explicitly spares the serving paths a frame clone per
+        op (:func:`~repro.serve.wal.op_record` stamps the WAL record
+        from the argument, never from the frame).
+        """
+        if seq is None:
+            seq = frame.seq
+        if seq is None:
+            seq = self.applied_seq + 1
+        elif seq <= self.applied_seq:
+            # An update's reply carries no state (it is always
+            # ``UpdateAck(id)``), so duplicates are re-acked without a
+            # cache lookup — the cache holds only decision replies.
+            if type(frame) is LocationUpdate:
+                return UpdateAck(id=frame.id)
+            cached = self.replies.get(seq)
+            if cached is not None:
+                return clone_frame(cached, id=frame.id)
+            return ErrorReply(
+                id=frame.id,
+                code="stale_seq",
+                message=(
+                    f"seq {seq} was applied but its reply has aged "
+                    "out of the cache"
+                ),
+            )
+        if self.wal is not None:
+            self.wal.append(op_record(frame, seq))
+        reply = execute_op(self.engine, frame)
+        self.applied_seq = seq
+        if self.wal is not None:
+            self._cache_reply(seq, reply)
+        return reply
+
+    def _replay(self, record: dict) -> None:
+        """Re-apply one recovered WAL record (no logging, no router)."""
+        frame = frame_of_record(record)
+        reply = execute_op(self.engine, frame)
+        self.applied_seq = record["s"]
+        self._cache_reply(record["s"], reply)
+        self.replayed += 1
+
+    def _cache_reply(self, seq: int, reply: Frame) -> None:
+        if type(reply) is UpdateAck:  # re-synthesized on duplicates
+            return
+        self.replies[seq] = reply
+        if len(self.replies) > self.reply_cache_size:
+            self.replies.popitem(last=False)
+
+    def sync(self) -> None:
+        """Force the WAL to disk (drain/shutdown path)."""
+        if self.wal is not None:
+            self.wal.sync()
+
+    def close(self) -> None:
+        if self.wal is not None:
+            self.wal.close()
+
+    # -- byte-equivalence ----------------------------------------------
+
+    def fingerprint(self) -> str:
+        """Deterministic digest of all mutable shard state.
+
+        Covers sessions (quiet deadlines, per-LBQID monitor partials /
+        observations / anonymity-set caches / step counts), the full
+        pseudonym issue history, every trajectory column, and
+        ``applied_seq``.  Two runtimes that applied the same op
+        sequence — live, or via WAL replay — hash identically; that is
+        the "reconstructs state byte-equivalently" acceptance bar.
+        """
+        digest = hashlib.sha256()
+
+        def feed(obj: object) -> None:
+            digest.update(
+                json.dumps(
+                    obj, separators=(",", ":"), default=repr
+                ).encode("utf-8")
+            )
+
+        feed(["applied_seq", self.applied_seq])
+        sessions = self.engine.sessions
+        for user_id in self.owned_users:
+            session = sessions.get(user_id)
+            if session is None:
+                continue
+            feed([user_id, session.quiet_until])
+            for state in session.lbqids:
+                monitor = state.monitor
+                feed(
+                    [
+                        state.steps,
+                        state.anonymity_ids,
+                        monitor.matched,
+                        monitor.observations,
+                        [
+                            [
+                                p.next_index,
+                                p.timestamps,
+                                p.granule,
+                                p.dead,
+                                sorted(p.payload.items()),
+                            ]
+                            for p in monitor.partials
+                        ],
+                    ]
+                )
+            feed(sessions.pseudonyms_of(user_id))
+        for user_id in sorted(self.engine.store.user_ids()):
+            feed(
+                [
+                    user_id,
+                    [
+                        (p.x, p.y, p.t)
+                        for p in self.engine.store.history(user_id)
+                    ],
+                ]
+            )
+        return digest.hexdigest()
+
+
+class ShardJob:
+    """One admitted operation queued for a shard sequencer."""
+
+    __slots__ = (
+        "session", "frame", "seq", "future", "enqueued_at", "trace",
+    )
+
+    def __init__(
+        self,
+        session: "ClientSession | None",
         frame: Frame,
-        future: "asyncio.Future[Frame]",
+        seq: int,
+        future: "asyncio.Future[Frame] | None",
+        trace: TraceContext | None = None,
     ) -> None:
         self.session = session
         self.frame = frame
+        #: The shard sequence number the op executes (and logs) under.
+        self.seq = seq
         self.future = future
         self.enqueued_at = time.perf_counter()
         #: Wire trace context of a traced request (else None); the
         #: dispatcher emits the queue-wait span from ``enqueued_at``.
-        self.trace: TraceContext | None = None
+        self.trace = trace
+
+
+class ShardSequencer:
+    """Bounded queue + dispatcher of one shard (one per shard)."""
+
+    #: Jobs executed per dispatcher wakeup before yielding the loop —
+    #: batch draining amortizes task wakeups across queued ops.
+    BATCH = 64
+
+    def __init__(
+        self,
+        runtime: ShardRuntime,
+        config: ServeConfig,
+        telemetry: Telemetry,
+        recent_traces: "deque[dict]",
+    ) -> None:
+        self.runtime = runtime
+        self.shard_id = runtime.shard_id
+        self.config = config
+        self.telemetry = telemetry
+        #: Metric labels; a one-shard server has no shard dimension.
+        self.labels: dict[str, Any] = (
+            {"shard": runtime.shard_id} if runtime.n_shards > 1 else {}
+        )
+        #: Completed traced requests (the frontend's ``traces`` ring).
+        self.recent_traces = recent_traces
+        self.jobs: "deque[ShardJob]" = deque()
+        self._wake = asyncio.Event()
+        self._task: "asyncio.Task[None] | None" = None
+        #: Next router-assigned sequence number for this shard.
+        self.next_seq = runtime.applied_seq + 1
+        #: EMA of recent service time, seeding the retry_after hint.
+        self._ema_service_s = 0.001
+        self.accepted = 0
+        self.served = 0
+        self.shed = 0
+        self.rejected = 0
+
+    # -- seq allocation ------------------------------------------------
+
+    def allocate_seq(self) -> int:
+        seq = self.next_seq
+        self.next_seq += 1
+        return seq
+
+    @property
+    def queue_depth(self) -> int:
+        return len(self.jobs)
+
+    @property
+    def retry_after_s(self) -> float:
+        return max(
+            self.config.retry_after_floor_s,
+            len(self.jobs) * self._ema_service_s,
+        )
+
+    # -- lifecycle -----------------------------------------------------
+
+    def start(self) -> None:
+        if self._task is None:
+            self._task = asyncio.create_task(
+                self._dispatch_loop(),
+                name=f"repro-shard-{self.shard_id}",
+            )
+
+    async def stop(self) -> None:
+        if self._task is not None:
+            self._task.cancel()
+            try:
+                await self._task
+            except asyncio.CancelledError:
+                pass
+            self._task = None
+
+    async def drain(self) -> None:
+        """Wait until every queued job has been executed."""
+        while self.jobs:
+            self._wake.set()
+            await asyncio.sleep(0)
+        self.runtime.sync()
+
+    # -- dispatch ------------------------------------------------------
+
+    def push(self, job: ShardJob) -> None:
+        self.jobs.append(job)
+        self.accepted += 1
+        self._wake.set()
+
+    async def _dispatch_loop(self) -> None:
+        jobs = self.jobs
+        while True:
+            await self._wake.wait()
+            self._wake.clear()
+            while jobs:
+                for _ in range(min(self.BATCH, len(jobs))):
+                    job = jobs.popleft()
+                    reply = self._execute_job(job)
+                    if job.session is not None:
+                        job.session.inflight -= 1
+                    if job.future is not None and not job.future.done():
+                        job.future.set_result(reply)
+                self.telemetry.gauge(
+                    "serve.queue_depth", len(jobs), **self.labels
+                )
+                # One batch per loop-slice: other shards' dispatchers
+                # and the transports get the loop between batches.
+                await asyncio.sleep(0)
+
+    def _execute_job(self, job: ShardJob) -> Frame:
+        start = time.perf_counter()
+        frame = job.frame
+        ctx = job.trace
+        try:
+            if ctx is None:
+                reply = self.runtime.execute(frame, job.seq)
+            else:
+                reply = self._execute_traced(job, start)
+        except Exception as exc:  # engine bug: answer, keep serving
+            return ErrorReply(
+                id=getattr(frame, "id", None),
+                code="internal",
+                message=f"{type(exc).__name__}: {exc}",
+            )
+        self.served += 1
+        done = time.perf_counter()
+        service_s = done - start
+        self._ema_service_s += 0.05 * (service_s - self._ema_service_s)
+        wait_ms = (start - job.enqueued_at) * 1000.0
+        total_ms = (done - job.enqueued_at) * 1000.0
+        trace_id = ctx.trace_id if ctx is not None else None
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            kind = "request" if type(frame) is ServiceRequest else "update"
+            telemetry.count("serve.served", kind=kind, **self.labels)
+            telemetry.observe(
+                "serve.queue_wait_ms", wait_ms, trace_id, **self.labels
+            )
+            telemetry.observe(
+                "serve.request_ms", total_ms, trace_id, **self.labels
+            )
+        if ctx is None:
+            return reply
+        self.recent_traces.append(
+            {
+                "trace_id": trace_id,
+                "op": frame.op,
+                "decision": getattr(reply, "decision", None),
+                "queue_ms": wait_ms,
+                "total_ms": total_ms,
+                "shed": False,
+            }
+        )
+        return clone_frame(reply, trace=ctx.to_wire())
+
+    def _execute_traced(self, job: ShardJob, start: float) -> Frame:
+        """Run a traced job under its wire context (see module doc)."""
+        telemetry = self.telemetry
+        ctx = job.trace
+        assert ctx is not None
+        frame = job.frame
+        if not telemetry.tracer.sinks:
+            # No sink: span records are undeliverable — activate the
+            # identity only, so exemplars, ts.decision events, and the
+            # introspection ring still see the trace.
+            token = telemetry.tracer.activate(ctx)
+            try:
+                return self.runtime.execute(frame, job.seq)
+            finally:
+                telemetry.tracer.deactivate(token)
+        telemetry.emit_span(
+            "serve.queue_wait",
+            job.enqueued_at,
+            start,
+            ctx,
+            op=frame.op,
+            wait_ms=(start - job.enqueued_at) * 1000.0,
+        )
+        # Activated (not detached) so the engine's ts.request / stage
+        # spans parent under it via the contextvar chain.
+        with telemetry.span(
+            "serve.dispatch", parent=ctx, op=frame.op
+        ) as dispatch:
+            reply = self.runtime.execute(frame, job.seq)
+            decision = getattr(reply, "decision", None)
+            if decision is not None:
+                dispatch.annotate(decision=decision)
+        return reply
+
+    def serve_direct(self, frame: Frame, seq: int) -> Frame:
+        """The firehose inner loop: no job, no clone, no clocks.
+
+        With telemetry off this is two attribute bumps around the
+        runtime call; with it on, the full instrumented job path runs
+        so the per-shard series stay complete.
+        """
+        self.accepted += 1
+        if self.telemetry.enabled:
+            return self._execute_job(ShardJob(None, frame, seq, None))
+        try:
+            reply = self.runtime.execute(frame, seq)
+        except Exception as exc:  # engine bug: answer, keep serving
+            return ErrorReply(
+                id=getattr(frame, "id", None),
+                code="internal",
+                message=f"{type(exc).__name__}: {exc}",
+            )
+        self.served += 1
+        return reply
 
 
 class TrustedServer:
-    """Serving frontend over one :class:`Engine` (see module doc)."""
+    """The serving frontend over one or more shard sequencers.
+
+    ``TrustedServer(engine)`` serves one prebuilt engine as the only
+    shard; :class:`~repro.serve.shard.ShardRouter` builds its shards
+    from a workload.  Transports
+    (:class:`~repro.serve.transports.TcpTransport`,
+    :class:`~repro.serve.transports.LoopbackTransport`, the HTTP
+    binding) and ``run_loadgen(server=...)`` drive either through
+    ``open_session``/``welcome``/``submit``/``drain``.
+    """
+
+    #: Whether a frame's own ``seq`` is executed as sent.  Only a
+    #: worker behind a supervisor, which stamps every forwarded op,
+    #: trusts it; a public frontend allocates every seq itself, so a
+    #: client cannot replay another user's cached reply or push a
+    #: shard's ``applied_seq`` past its allocator.
+    trusts_seq = False
 
     def __init__(
         self,
@@ -324,105 +747,141 @@ class TrustedServer:
         slo_window_s: float = 2 * 3600.0,
     ) -> None:
         self.engine = engine
-        self.config = config or ServeConfig()
         self.telemetry = engine.telemetry
-        self._queue: "asyncio.Queue[_Job]" = asyncio.Queue(
-            maxsize=self.config.max_queue_depth
-        )
+        self.n_shards = 1
+        self._open(config, [ShardRuntime(engine)], slo_rules, slo_window_s)
+
+    def _open(
+        self,
+        config: ServeConfig | None,
+        runtimes: "list[ShardRuntime]",
+        slo_rules: "Iterable[SloRule | str] | None",
+        slo_window_s: float,
+    ) -> None:
+        """Shared construction (``telemetry``/``n_shards`` already set)."""
+        self.config = config or ServeConfig()
+        #: Ring of recently completed traced requests (``traces`` op).
+        self.recent_traces: deque[dict] = deque(maxlen=64)
+        self.sequencers: dict[int, ShardSequencer] = {
+            runtime.shard_id: self._sequencer(runtime)
+            for runtime in runtimes
+        }
         self._sessions: dict[str, ClientSession] = {}
         self._session_seq = 0
-        self._dispatcher: "asyncio.Task[None] | None" = None
         self._draining = False
         self._closed = False
-        #: EMA of recent service time, seeding the retry_after hint.
-        self._ema_service_s = 0.001
-        # Serving totals (mirrored as serve.* counters when telemetry
-        # is enabled; kept as plain ints so stats work without it).
-        self.accepted = 0
-        self.served = 0
-        self.shed_total = 0
-        self.rejected = 0
+        self._started = False
         self.protocol_errors = 0
         #: Monotonic start time, for the ``health`` op's uptime.
         self.started_at = time.monotonic()
-        #: Ring of recently completed traced requests (``traces`` op).
-        self.recent_traces: deque[dict] = deque(maxlen=64)
         self.privacy_monitor: PrivacyMonitor | None = None
         if slo_rules is not None:
+            if self.n_shards != 1:
+                raise ValueError(
+                    "slo_rules need a one-shard server: the privacy "
+                    "monitor audits a single trajectory store"
+                )
             if not self.telemetry.enabled:
                 raise ValueError(
                     "slo_rules require enabled telemetry; build the "
                     "engine with telemetry=TelemetryConfig(enabled=True)"
                 )
             self.privacy_monitor = PrivacyMonitor(
-                store=engine.store,
+                store=runtimes[0].engine.store,
                 rules=slo_rules,
                 window_s=slo_window_s,
             ).attach(self.telemetry)
 
-    # -- lifecycle -----------------------------------------------------
+    def _sequencer(self, runtime: ShardRuntime) -> ShardSequencer:
+        return ShardSequencer(
+            runtime, self.config, self.telemetry, self.recent_traces
+        )
+
+    # -- aggregate counters --------------------------------------------
+
+    @property
+    def accepted(self) -> int:
+        return sum(s.accepted for s in self.sequencers.values())
+
+    @property
+    def served(self) -> int:
+        return sum(s.served for s in self.sequencers.values())
+
+    @property
+    def shed_total(self) -> int:
+        return sum(s.shed for s in self.sequencers.values())
+
+    @property
+    def rejected(self) -> int:
+        return sum(s.rejected for s in self.sequencers.values())
+
+    @property
+    def queue_depth(self) -> int:
+        return sum(s.queue_depth for s in self.sequencers.values())
 
     @property
     def draining(self) -> bool:
         return self._draining
 
+    # -- lifecycle -----------------------------------------------------
+
     async def start(self) -> "TrustedServer":
-        """Spawn the dispatcher; idempotent."""
+        """Spawn the dispatchers; idempotent."""
         if self._closed:
             raise RuntimeError("server is closed")
-        if self._dispatcher is None:
-            self._dispatcher = asyncio.create_task(
-                self._dispatch_loop(), name="repro-serve-dispatcher"
-            )
+        for sequencer in self.sequencers.values():
+            sequencer.start()
+        self._started = True
         return self
 
     async def drain(self) -> DrainReply:
-        """Stop admitting, flush the queue, emit the final audit."""
+        """Stop admitting, flush every queue, emit the final audit."""
         first = not self._draining
         self._draining = True
-        await self._queue.join()
+        for sequencer in self.sequencers.values():
+            await sequencer.drain()
         reply = DrainReply(
             id=0,
             served=self.served,
             shed=self.shed_total,
             rejected=self.rejected,
-            pending=self._queue.qsize(),
+            pending=self.queue_depth,
         )
         if first:
             if self.privacy_monitor is not None:
                 self.privacy_monitor.evaluate()
-            telemetry = self.telemetry
-            if telemetry.enabled:
-                telemetry.gauge("serve.queue_depth", 0)
-                telemetry.event(
+            if self.telemetry.enabled:
+                decisions: dict[str, int] = {}
+                for sequencer in self.sequencers.values():
+                    counts = sequencer.runtime.engine.decision_counts()
+                    for decision, count in counts.items():
+                        if count:
+                            decisions[decision.value] = (
+                                decisions.get(decision.value, 0) + count
+                            )
+                self.telemetry.event(
                     "serve.drained",
                     served=self.served,
                     shed=self.shed_total,
                     rejected=self.rejected,
                     protocol_errors=self.protocol_errors,
-                    decisions={
-                        decision.value: count
-                        for decision, count in (
-                            self.engine.decision_counts().items()
-                        )
-                        if count
+                    decisions=decisions,
+                    shards={
+                        str(shard_id): sequencer.served
+                        for shard_id, sequencer in self.sequencers.items()
                     },
                 )
         return reply
 
     async def close(self) -> None:
-        """Drain, then stop the dispatcher.  Idempotent."""
+        """Drain, then stop the dispatchers.  Idempotent."""
         if self._closed:
             return
         await self.drain()
         self._closed = True
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-            self._dispatcher = None
+        for sequencer in self.sequencers.values():
+            await sequencer.stop()
+            sequencer.runtime.close()
 
     # -- sessions ------------------------------------------------------
 
@@ -477,33 +936,19 @@ class TrustedServer:
         admission control and shedding behave identically with and
         without sockets.
         """
-        if isinstance(frame, Hello):
-            return self.welcome(session, frame)
-        if isinstance(frame, StatsRequest):
-            return self._stats_reply(frame.id)
-        if isinstance(frame, MetricsRequest):
-            return self._metrics_reply(frame)
-        if isinstance(frame, HealthRequest):
-            return self._health_reply(frame)
-        if isinstance(frame, TracesRequest):
-            return self._traces_reply(frame)
-        if isinstance(frame, ProfileRequest):
-            return self._profile_reply(frame)
-        if isinstance(frame, DrainRequest):
-            reply = await self.drain()
-            return DrainReply(
-                id=frame.id,
-                served=reply.served,
-                shed=reply.shed,
-                rejected=reply.rejected,
-                pending=reply.pending,
-            )
-        if not isinstance(frame, (LocationUpdate, ServiceRequest)):
-            self.note_protocol_error()
+        if not isinstance(frame, SERVABLE):
+            return await self._control(session, frame)
+        sequencer = self.sequencers.get(
+            shard_of(frame.user_id, self.n_shards)
+        )
+        if sequencer is None:
             return ErrorReply(
-                id=getattr(frame, "id", None),
-                code="unknown_op",
-                message=f"frame {frame.op!r} is not servable",
+                id=frame.id,
+                code="wrong_shard",
+                message=(
+                    f"user {frame.user_id} does not hash to a shard "
+                    "served by this worker"
+                ),
             )
         ctx: TraceContext | None = None
         if session.trace and frame.trace is not None:
@@ -520,94 +965,72 @@ class TrustedServer:
         record = ctx is not None and self.telemetry.tracer.sinks
         if record:
             admit_start = time.perf_counter()
-        reply_or_job = self._admit(session, frame)
+        refusal = self._refusal(session, sequencer, frame)
+        if refusal is None:
+            seq = frame.seq if self.trusts_seq else None
+            if seq is None:
+                seq = sequencer.allocate_seq()
+            future: "asyncio.Future[Frame]" = (
+                asyncio.get_running_loop().create_future()
+            )
+            session.inflight += 1
+            session.accepted += 1
+            sequencer.push(ShardJob(session, frame, seq, future, ctx))
         if record:
             assert ctx is not None
-            if isinstance(reply_or_job, ErrorReply):
-                self.telemetry.emit_span(
-                    "serve.admission",
-                    admit_start,
-                    time.perf_counter(),
-                    ctx,
-                    op=frame.op,
-                    outcome=reply_or_job.code,
-                )
-            else:
-                self.telemetry.emit_span(
-                    "serve.admission",
-                    admit_start,
-                    time.perf_counter(),
-                    ctx,
-                    op=frame.op,
-                    outcome="admitted",
-                    queue_depth=self._queue.qsize(),
-                )
-        if isinstance(reply_or_job, ErrorReply):
-            if ctx is not None:
-                self.recent_traces.append(
-                    {
-                        "trace_id": ctx.trace_id,
-                        "op": frame.op,
-                        "decision": None,
-                        "queue_ms": 0.0,
-                        "total_ms": 0.0,
-                        "shed": reply_or_job.is_shed,
-                    }
-                )
-                return _with_trace(reply_or_job, ctx.to_wire())
-            return reply_or_job
-        job = reply_or_job
-        if ctx is not None:
-            # The queue-wait span is emitted by the dispatcher from
-            # ``enqueued_at`` — no open Span object crosses the tasks.
-            job.trace = ctx
-        return await job.future
+            self.telemetry.emit_span(
+                "serve.admission",
+                admit_start,
+                time.perf_counter(),
+                ctx,
+                op=frame.op,
+                outcome="admitted" if refusal is None else refusal.code,
+                queue_depth=sequencer.queue_depth,
+            )
+        if refusal is None:
+            return await future
+        if ctx is None:
+            return refusal
+        self.recent_traces.append(
+            {
+                "trace_id": ctx.trace_id,
+                "op": frame.op,
+                "decision": None,
+                "queue_ms": 0.0,
+                "total_ms": 0.0,
+                "shed": refusal.is_shed,
+            }
+        )
+        return clone_frame(refusal, trace=ctx.to_wire())
 
-    def _admit(
+    def _refusal(
         self,
         session: ClientSession,
+        sequencer: ShardSequencer,
         frame: "LocationUpdate | ServiceRequest",
-    ) -> "_Job | ErrorReply":
-        telemetry = self.telemetry
+    ) -> ErrorReply | None:
+        """Why ``frame`` cannot be queued now; None admits it."""
         if self._draining or self._closed:
-            self.rejected += 1
-            telemetry.count("serve.rejected", reason="draining")
+            sequencer.rejected += 1
+            self.telemetry.count(
+                "serve.rejected", reason="draining", **sequencer.labels
+            )
             return ErrorReply(
                 id=frame.id,
                 code="draining",
                 message="server is draining; no new work admitted",
             )
         if session.inflight >= self.config.max_inflight:
-            return self._shed(session, frame, reason="inflight")
-        future: "asyncio.Future[Frame]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        job = _Job(session, frame, future)
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
-            return self._shed(session, frame, reason="queue")
-        session.inflight += 1
-        session.accepted += 1
-        self.accepted += 1
-        if telemetry.enabled:
-            telemetry.gauge("serve.queue_depth", self._queue.qsize())
-        return job
-
-    def _shed(
-        self,
-        session: ClientSession,
-        frame: "LocationUpdate | ServiceRequest",
-        reason: str,
-    ) -> ErrorReply:
-        """Load-shed one operation: explicit backpressure, not failure."""
+            reason = "inflight"
+        elif sequencer.queue_depth >= self.config.max_queue_depth:
+            reason = "queue"
+        else:
+            return None
+        # Load shedding: explicit backpressure, not failure.
         session.shed += 1
-        self.shed_total += 1
-        self.telemetry.count("serve.shed", reason=reason)
-        retry_after = max(
-            self.config.retry_after_floor_s,
-            self._queue.qsize() * self._ema_service_s,
-        )
+        sequencer.shed += 1
+        self.telemetry.count("serve.shed", reason=reason, **sequencer.labels)
+        retry_after = sequencer.retry_after_s
         return ErrorReply(
             id=frame.id,
             code="overloaded",
@@ -615,24 +1038,50 @@ class TrustedServer:
             retry_after=retry_after,
         )
 
-    def _stats_reply(self, reply_id: int) -> StatsReply:
-        return StatsReply(
-            id=reply_id,
-            accepted=self.accepted,
-            served=self.served,
-            shed=self.shed_total,
-            rejected=self.rejected,
-            protocol_errors=self.protocol_errors,
-            queue_depth=self._queue.qsize(),
-            sessions=len(self._sessions),
-        )
+    # -- control and introspection ops ---------------------------------
 
-    # -- introspection ops ---------------------------------------------
-
-    def _metrics_reply(self, frame: MetricsRequest) -> Frame:
-        """Render the registry for the ``metrics`` op (scrape point)."""
-        return render_metrics_reply(
-            self.telemetry, self.config.max_frame_bytes, frame
+    async def _control(self, session: ClientSession, frame: Frame) -> Frame:
+        """Every op that is not a state-mutating update or request."""
+        if isinstance(frame, Hello):
+            return self.welcome(session, frame)
+        if isinstance(frame, StatsRequest):
+            return StatsReply(
+                id=frame.id,
+                accepted=self.accepted,
+                served=self.served,
+                shed=self.shed_total,
+                rejected=self.rejected,
+                protocol_errors=self.protocol_errors,
+                queue_depth=self.queue_depth,
+                sessions=len(self._sessions),
+            )
+        if isinstance(frame, MetricsRequest):
+            return render_metrics_reply(
+                self.telemetry, self.config.max_frame_bytes, frame
+            )
+        if isinstance(frame, HealthRequest):
+            return self._health_reply(frame)
+        if isinstance(frame, TracesRequest):
+            limit = max(0, min(frame.limit, len(self.recent_traces)))
+            entries = list(self.recent_traces)[-limit:][::-1] if limit else []
+            return TracesReply(
+                id=frame.id,
+                body=json.dumps(entries, separators=(",", ":")),
+            )
+        if isinstance(frame, ProfileRequest):
+            # The profiler targets this event-loop thread — the one the
+            # dispatchers (and therefore every engine call) run on.
+            return render_profile_reply(
+                self.telemetry, self.config.max_frame_bytes, frame
+            )
+        if isinstance(frame, DrainRequest):
+            reply = await self.drain()
+            return clone_frame(reply, id=frame.id)
+        self.note_protocol_error()
+        return ErrorReply(
+            id=getattr(frame, "id", None),
+            code="unknown_op",
+            message=f"frame {frame.op!r} is not servable",
         )
 
     def _health_reply(self, frame: HealthRequest) -> HealthReply:
@@ -659,7 +1108,7 @@ class TrustedServer:
             id=frame.id,
             status=status_text,
             uptime_s=time.monotonic() - self.started_at,
-            queue_depth=self._queue.qsize(),
+            queue_depth=self.queue_depth,
             sessions=len(self._sessions),
             served=self.served,
             shed=self.shed_total,
@@ -667,127 +1116,12 @@ class TrustedServer:
             breaches=breaches,
         )
 
-    def _traces_reply(self, frame: TracesRequest) -> TracesReply:
-        """Recently completed traces, most recent first."""
-        limit = max(0, min(frame.limit, len(self.recent_traces)))
-        entries = list(self.recent_traces)[-limit:][::-1] if limit else []
-        return TracesReply(
-            id=frame.id,
-            body=json.dumps(entries, separators=(",", ":")),
-        )
-
-    def _profile_reply(self, frame: ProfileRequest) -> Frame:
-        """Drive the sampling profiler (``profile`` op).
-
-        The profiler targets this event-loop thread — the one the
-        dispatcher (and therefore every engine call) runs on — so
-        samples land on real request stacks.
-        """
-        return render_profile_reply(
-            self.telemetry, self.config.max_frame_bytes, frame
-        )
-
-    async def _dispatch_loop(self) -> None:
-        """The single sequencer draining the admission queue."""
-        while True:
-            job = await self._queue.get()
-            try:
-                reply = self._execute(job)
-            except Exception as exc:  # engine bug: answer, keep serving
-                reply = ErrorReply(
-                    id=getattr(job.frame, "id", None),
-                    code="internal",
-                    message=f"{type(exc).__name__}: {exc}",
-                )
-            job.session.inflight -= 1
-            if not job.future.done():
-                job.future.set_result(reply)
-            self._queue.task_done()
-            if self.telemetry.enabled:
-                self.telemetry.gauge(
-                    "serve.queue_depth", self._queue.qsize()
-                )
-
-    def _execute(self, job: _Job) -> Frame:
-        """Run one queued operation through the engine (synchronous)."""
-        start = time.perf_counter()
-        wait_ms = (start - job.enqueued_at) * 1000.0
-        frame = job.frame
-        reply: Frame
-        if job.trace is not None:
-            telemetry = self.telemetry
-            if telemetry.tracer.sinks:
-                telemetry.emit_span(
-                    "serve.queue_wait",
-                    job.enqueued_at,
-                    start,
-                    job.trace,
-                    op=frame.op,
-                    wait_ms=wait_ms,
-                )
-                # Activated (not detached) so the engine's ts.request /
-                # stage spans parent under it via the contextvar chain.
-                with telemetry.span(
-                    "serve.dispatch", parent=job.trace, op=frame.op
-                ) as dispatch:
-                    reply = self._serve(frame)
-                    decision = getattr(reply, "decision", None)
-                    if decision is not None:
-                        dispatch.annotate(decision=decision)
-            else:
-                # No sink: span records are undeliverable — activate
-                # the identity only, so exemplars, ts.decision events,
-                # and the introspection ring still see the trace.
-                token = telemetry.tracer.activate(job.trace)
-                try:
-                    reply = self._serve(frame)
-                finally:
-                    telemetry.tracer.deactivate(token)
-            reply = _with_trace(reply, job.trace.to_wire())
-        else:
-            reply = self._serve(frame)
-        self.served += 1
-        service_s = time.perf_counter() - start
-        self._ema_service_s += 0.05 * (service_s - self._ema_service_s)
-        trace_id = job.trace.trace_id if job.trace is not None else None
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            kind = "request" if isinstance(frame, ServiceRequest) else (
-                "update"
-            )
-            telemetry.count("serve.served", kind=kind)
-            telemetry.observe(
-                "serve.queue_wait_ms", wait_ms, trace_id=trace_id
-            )
-            telemetry.observe(
-                "serve.request_ms",
-                wait_ms + service_s * 1000.0,
-                trace_id=trace_id,
-            )
-        if trace_id is not None:
-            self.recent_traces.append(
-                {
-                    "trace_id": trace_id,
-                    "op": frame.op,
-                    "decision": getattr(reply, "decision", None),
-                    "queue_ms": wait_ms,
-                    "total_ms": wait_ms + service_s * 1000.0,
-                    "shed": False,
-                }
-            )
-        return reply
-
-    def _serve(self, frame: Frame) -> Frame:
-        """The engine call behind one admitted frame."""
-        return execute_op(self.engine, frame)
-
 
 def execute_op(engine: Engine, frame: Frame) -> Frame:
     """Run one state-mutating frame through an engine; build its reply.
 
-    The single reply-construction path shared by the single-sequencer
-    server and every shard worker, so a decision crosses the wire
-    identically no matter which frontend served it.
+    The single reply-construction path shared by live serving and WAL
+    replay, so a decision crosses the wire identically either way.
     """
     # Replies are built by installing a complete ``__dict__`` on a bare
     # instance — the frames are frozen dataclasses without slots or

@@ -5,532 +5,81 @@ ShardedSessionStore`'s partitioning argument: users are assigned to
 shards by ``user_id % n_shards``, every shard owns a **shared-nothing**
 engine (its own :class:`~repro.engine.session.InMemorySessionStore`
 with the ``p<i>.`` pseudonym prefix, its own
-:class:`~repro.mod.store.TrajectoryStore`), and a
-:class:`ShardRouter` forwards each frame to the owning shard's
-sequencer.  Three pieces:
-
-* :class:`ShardRuntime` — constructs one shard's engine and owns its
-  durability (a :class:`~repro.serve.wal.ShardWal` command log,
-  written *before* each op executes, plus an LRU reply cache keyed by
-  the router-assigned ``seq`` so re-sent operations after a crash are
-  answered without re-executing);
-* :class:`ShardSequencer` — the per-shard bounded queue and dispatcher
-  task (the moral equivalent of :class:`TrustedServer`'s single
-  sequencer, one per shard), draining admitted jobs in batches;
-* :class:`ShardRouter` — duck-types the :class:`TrustedServer`
-  transport surface (``open_session``/``welcome``/``submit``/``drain``
-  …), so :class:`~repro.serve.transports.TcpTransport`,
-  :class:`~repro.serve.transports.LoopbackTransport`, and
-  ``run_loadgen(server=...)`` work unchanged on top of it.
+:class:`~repro.mod.store.TrajectoryStore`), and :class:`ShardRouter`
+forwards each frame to the owning shard's sequencer.  The router *is*
+the :class:`~repro.serve.server.TrustedServer` frontend — admission,
+tracing, drain, and every op are shared — built from a workload
+instead of one prebuilt engine, plus what only a sharded deployment
+needs: per-shard write-ahead logs, crash/restore, and a worker's shard
+subset.  One shard is the daemon's default shape.
 
 **Decision equivalence.**  Every shard's trajectory store is warmed
-with the *full* city history (the same warm-store construction as
-:func:`repro.serve.loadgen.build_engine`), while sessions and LBQID
-monitors exist only for owned users.  Algorithm 1's anonymity-set
-selection reads the store (identical everywhere) and the requester's
-own session (owned by exactly one shard), so per-user decision streams
-are identical to the single-engine offline replay — ``loadgen
---verify`` passes against a sharded frontend with zero changes, and
-the per-shard determinism test pins it.
+with the *full* city history (:func:`repro.serve.loadgen.build_engine`
+with the shard's id), while sessions and LBQID monitors exist only for
+owned users.  Algorithm 1's anonymity-set selection reads the store
+(identical everywhere) and the requester's own session (owned by
+exactly one shard), so per-user decision streams are identical to the
+single-engine offline replay — ``loadgen --verify`` passes against a
+sharded frontend with zero changes, and the determinism tests pin it.
 
 **Durability.**  The WAL records op *commands* in dispatch order;
 recovery rebuilds the warm engine from the seeded workload config and
 replays the log, reconstructing sessions, pseudonyms, and trajectory
-columns byte-equivalently (:meth:`ShardRuntime.fingerprint`).  The
-router stamps each forwarded frame with a per-shard monotonic ``seq``;
-a worker restored mid-stream answers already-applied seqs from its
-reply cache, so a supervisor can re-send everything unacknowledged
-after a SIGKILL without double-applying.
+columns byte-equivalently
+(:meth:`~repro.serve.server.ShardRuntime.fingerprint`).  The router
+stamps each forwarded op with a per-shard monotonic ``seq``; a worker
+restored mid-stream answers already-applied seqs from its reply cache,
+so a supervisor can re-send everything unacknowledged after a SIGKILL
+without double-applying.
 
-The hot router→shard hop uses the fast frame codec
-(:func:`~repro.serve.protocol.encode_frame_fast`); the public client
-boundary keeps the strict one.
+The supervisor→worker hop is an ordinary client connection (strict
+codec both ways).  The fast frame codec
+(:func:`~repro.serve.protocol.encode_frame_fast`) serves only the
+in-process firehose below (:meth:`ShardRouter.serve_line`/
+:meth:`ShardRouter.serve_lines`), which benchmark E18 drives.
 """
 
 from __future__ import annotations
 
-import asyncio
-import hashlib
-import json
-import time
-from collections import OrderedDict, deque
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.core.unlinking import AlwaysUnlink
-from repro.engine.pipeline import Engine
-from repro.engine.session import InMemorySessionStore
-from repro.experiments.workloads import make_policy
-from repro.mod.store import TrajectoryStore
 from repro.obs.config import Telemetry, TelemetryConfig, resolve_telemetry
-from repro.serve.loadgen import ServingWorkload, WorkloadConfig
+from repro.obs.slo import SloRule
+from repro.serve.loadgen import (
+    ServingWorkload,
+    WorkloadConfig,
+    build_engine,
+)
 from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    DrainReply,
-    DrainRequest,
     ErrorReply,
     Frame,
-    HealthReply,
-    HealthRequest,
-    Hello,
-    LocationUpdate,
-    MetricsRequest,
-    ProfileRequest,
     ProtocolError,
-    ServiceRequest,
-    StatsReply,
-    StatsRequest,
-    TracesReply,
-    TracesRequest,
-    UpdateAck,
-    Welcome,
     decode_request_fast,
     encode_frame_fast,
 )
 from repro.serve.server import (
-    ClientSession,
+    SERVABLE,
     ServeConfig,
-    execute_op,
-    render_metrics_reply,
-    render_profile_reply,
+    ShardJob,
+    ShardRuntime,
+    ShardSequencer,
+    TrustedServer,
 )
-from repro.serve.wal import (
-    ShardWal,
-    WalConfig,
-    frame_of_record,
-    op_record,
-)
+from repro.serve.wal import WalConfig
 
 
-#: The state-mutating frame types the data plane serves.
-_SERVABLE = (LocationUpdate, ServiceRequest)
-
-
-def shard_of(user_id: int, n_shards: int) -> int:
-    """The shard owning a user — the ShardedSessionStore assignment."""
-    return user_id % n_shards
-
-
-def _clone_with(frame: Frame, **fields: object) -> Frame:
-    """Cheap field-override clone of a frozen frame (no __init__)."""
-    clone = object.__new__(type(frame))
-    clone.__dict__.update(frame.__dict__)
-    clone.__dict__.update(fields)
-    return clone
-
-
-class ShardRuntime:
-    """One shard's engine, durability, and replay logic (module doc)."""
-
-    def __init__(
-        self,
-        workload: ServingWorkload,
-        config: WorkloadConfig,
-        shard_id: int,
-        n_shards: int,
-        telemetry: "Telemetry | TelemetryConfig | None" = None,
-        wal_dir: "str | Path | None" = None,
-        wal_config: WalConfig | None = None,
-        audit: str = "full",
-        reply_cache_size: int = 1024,
-    ) -> None:
-        if not 0 <= shard_id < n_shards:
-            raise ValueError(
-                f"shard_id {shard_id} out of range for "
-                f"{n_shards} shards"
-            )
-        self.shard_id = shard_id
-        self.n_shards = n_shards
-        self.workload_config = config
-        self.owned_users = [
-            user_id
-            for user_id in workload.user_ids
-            if shard_of(user_id, n_shards) == shard_id
-        ]
-        self.engine = self._build_engine(
-            workload, config, telemetry, audit
-        )
-        #: Highest seq applied to the engine; -1 before any op.
-        self.applied_seq = -1
-        #: LRU of ``seq -> reply`` for crash-resend deduplication.
-        self.replies: "OrderedDict[int, Frame]" = OrderedDict()
-        self.reply_cache_size = reply_cache_size
-        self.replayed = 0
-        self.wal: ShardWal | None = None
-        if wal_dir is not None:
-            wal_dir = Path(wal_dir)
-            # Replay precedes the writer: ShardWal seals the previous
-            # incarnation's live segment on open, and recovery must
-            # read that data as it was left.
-            for record in ShardWal.recover(wal_dir):
-                self._replay(record)
-            self.wal = ShardWal(wal_dir, wal_config)
-
-    def _build_engine(
-        self,
-        workload: ServingWorkload,
-        config: WorkloadConfig,
-        telemetry: "Telemetry | TelemetryConfig | None",
-        audit: str,
-    ) -> Engine:
-        """The shard engine: full warm store, owned-user sessions.
-
-        Mirrors :func:`repro.serve.loadgen.build_engine` except that
-        sessions/LBQIDs/pseudonyms are created only for owned users
-        (in sorted order, so per-user initial pseudonym issue is
-        arrival-independent) and the pseudonym prefix is ``p<i>.``.
-        """
-        owned = set(self.owned_users)
-        engine = Engine(
-            TrajectoryStore(
-                index_cell_size=config.index_cell_size,
-                telemetry=telemetry,
-                backend=config.backend,
-            ),
-            policy=make_policy(
-                config.k,
-                tolerance=config.tolerance(),
-                service="poi",
-            ),
-            unlinker=AlwaysUnlink(),
-            quiet_period=config.quiet_period,
-            telemetry=telemetry,
-            sessions=InMemorySessionStore(
-                pseudonym_prefix=f"p{self.shard_id}."
-            ),
-            audit=audit,
-        )
-        for commuter in sorted(
-            workload.city.commuters, key=lambda c: c.user_id
-        ):
-            if commuter.user_id in owned:
-                engine.register_lbqid(
-                    commuter.user_id, commuter.lbqid()
-                )
-        for user_id in self.owned_users:
-            engine.session(user_id)
-            engine.sessions.pseudonym(user_id)
-        # The warm store holds EVERY user's history — anonymity sets
-        # are store-wide, and this is what keeps per-shard decisions
-        # equal to the global offline replay.
-        for user_id in workload.user_ids:
-            engine.store.add_points(
-                user_id, workload.city.store.history(user_id)
-            )
-        return engine
-
-    # -- op execution --------------------------------------------------
-
-    def execute(self, frame: Frame, seq: int | None = None) -> Frame:
-        """Apply one state-mutating frame, WAL-first, seq-deduplicated.
-
-        ``seq`` (or ``frame.seq``) must be the router-assigned shard
-        sequence number; a frame without one gets the next local seq
-        (direct single-process use).  Re-sent seqs at or below
-        ``applied_seq`` answer from the reply cache — the
-        crash-recovery idempotence contract.  Passing ``seq``
-        explicitly spares the firehose path a frame clone per op
-        (:func:`~repro.serve.wal.op_record` stamps the WAL record from
-        the argument, never from the frame).
-        """
-        if seq is None:
-            seq = frame.seq
-        if seq is None:
-            seq = self.applied_seq + 1
-        elif seq <= self.applied_seq:
-            # An update's reply carries no state (it is always
-            # ``UpdateAck(id)``), so duplicates are re-acked without a
-            # cache lookup — the cache holds only decision replies.
-            if type(frame) is LocationUpdate:
-                return UpdateAck(id=frame.id)
-            cached = self.replies.get(seq)
-            if cached is not None:
-                return _clone_with(cached, id=frame.id)
-            return ErrorReply(
-                id=frame.id,
-                code="stale_seq",
-                message=(
-                    f"seq {seq} was applied but its reply has aged "
-                    "out of the cache"
-                ),
-            )
-        if self.wal is not None:
-            self.wal.append(op_record(frame, seq))
-        reply = execute_op(self.engine, frame)
-        self.applied_seq = seq
-        self._cache_reply(seq, reply)
-        return reply
-
-    def _replay(self, record: dict) -> None:
-        """Re-apply one recovered WAL record (no logging, no router)."""
-        frame = frame_of_record(record)
-        reply = execute_op(self.engine, frame)
-        self.applied_seq = record["s"]
-        self._cache_reply(record["s"], reply)
-        self.replayed += 1
-
-    def _cache_reply(self, seq: int, reply: Frame) -> None:
-        if type(reply) is UpdateAck:  # re-synthesized on duplicates
-            return
-        self.replies[seq] = reply
-        if len(self.replies) > self.reply_cache_size:
-            self.replies.popitem(last=False)
-
-    def sync(self) -> None:
-        """Force the WAL to disk (drain/shutdown path)."""
-        if self.wal is not None:
-            self.wal.sync()
-
-    def close(self) -> None:
-        if self.wal is not None:
-            self.wal.close()
-
-    # -- byte-equivalence ----------------------------------------------
-
-    def fingerprint(self) -> str:
-        """Deterministic digest of all mutable shard state.
-
-        Covers sessions (quiet deadlines, per-LBQID monitor partials /
-        observations / anonymity-set caches / step counts), the full
-        pseudonym issue history, every trajectory column, and
-        ``applied_seq``.  Two runtimes that applied the same op
-        sequence — live, or via WAL replay — hash identically; that is
-        the "reconstructs state byte-equivalently" acceptance bar.
-        """
-        digest = hashlib.sha256()
-
-        def feed(obj: object) -> None:
-            digest.update(
-                json.dumps(
-                    obj, separators=(",", ":"), default=repr
-                ).encode("utf-8")
-            )
-
-        feed(["applied_seq", self.applied_seq])
-        sessions = self.engine.sessions
-        for user_id in self.owned_users:
-            session = sessions.get(user_id)
-            if session is None:
-                continue
-            feed([user_id, session.quiet_until])
-            for state in session.lbqids:
-                monitor = state.monitor
-                feed(
-                    [
-                        state.steps,
-                        state.anonymity_ids,
-                        monitor.matched,
-                        monitor.observations,
-                        [
-                            [
-                                p.next_index,
-                                p.timestamps,
-                                p.granule,
-                                p.dead,
-                                sorted(p.payload.items()),
-                            ]
-                            for p in monitor.partials
-                        ],
-                    ]
-                )
-            feed(sessions.pseudonyms_of(user_id))
-        for user_id in sorted(self.engine.store.user_ids()):
-            feed(
-                [
-                    user_id,
-                    [
-                        (p.x, p.y, p.t)
-                        for p in self.engine.store.history(user_id)
-                    ],
-                ]
-            )
-        return digest.hexdigest()
-
-
-class _ShardJob:
-    """One admitted operation queued for a shard sequencer."""
-
-    __slots__ = ("session", "frame", "future", "enqueued_at")
-
-    def __init__(
-        self,
-        session: "ClientSession | None",
-        frame: Frame,
-        future: "asyncio.Future[Frame] | None",
-    ) -> None:
-        self.session = session
-        self.frame = frame
-        self.future = future
-        self.enqueued_at = time.perf_counter()
-
-
-class ShardSequencer:
-    """Bounded queue + dispatcher of one shard (one per shard)."""
-
-    #: Jobs executed per dispatcher wakeup before yielding the loop —
-    #: batch draining amortizes task wakeups across queued ops.
-    BATCH = 64
-
-    def __init__(
-        self,
-        runtime: ShardRuntime,
-        config: ServeConfig,
-        telemetry: Telemetry,
-    ) -> None:
-        self.runtime = runtime
-        self.shard_id = runtime.shard_id
-        self.config = config
-        self.telemetry = telemetry
-        self.jobs: "deque[_ShardJob]" = deque()
-        self._wake = asyncio.Event()
-        self._task: "asyncio.Task[None] | None" = None
-        #: Next router-assigned sequence number for this shard.
-        self.next_seq = runtime.applied_seq + 1
-        self._ema_service_s = 0.001
-        self.accepted = 0
-        self.served = 0
-        self.shed = 0
-        self.rejected = 0
-
-    # -- seq allocation ------------------------------------------------
-
-    def allocate_seq(self) -> int:
-        seq = self.next_seq
-        self.next_seq += 1
-        return seq
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self.jobs)
-
-    @property
-    def retry_after_s(self) -> float:
-        return max(
-            self.config.retry_after_floor_s,
-            len(self.jobs) * self._ema_service_s,
-        )
-
-    # -- lifecycle -----------------------------------------------------
-
-    def start(self) -> None:
-        if self._task is None:
-            self._task = asyncio.create_task(
-                self._dispatch_loop(),
-                name=f"repro-shard-{self.shard_id}",
-            )
-
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-
-    async def drain(self) -> None:
-        """Wait until every queued job has been executed."""
-        while self.jobs:
-            self._wake.set()
-            await asyncio.sleep(0)
-        self.runtime.sync()
-
-    # -- dispatch ------------------------------------------------------
-
-    def push(self, job: _ShardJob) -> None:
-        self.jobs.append(job)
-        self.accepted += 1
-        self._wake.set()
-
-    async def _dispatch_loop(self) -> None:
-        while True:
-            await self._wake.wait()
-            self._wake.clear()
-            while self.jobs:
-                for _ in range(min(self.BATCH, len(self.jobs))):
-                    job = self.jobs.popleft()
-                    reply = self._execute_job(job)
-                    if job.session is not None:
-                        job.session.inflight -= 1
-                    if job.future is not None and not job.future.done():
-                        job.future.set_result(reply)
-                # One batch per loop-slice: other shards' dispatchers
-                # and the transports get the loop between batches.
-                await asyncio.sleep(0)
-
-    def _execute_job(self, job: _ShardJob) -> Frame:
-        start = time.perf_counter()
-        try:
-            reply = self.runtime.execute(job.frame)
-        except Exception as exc:  # engine bug: answer, keep serving
-            return ErrorReply(
-                id=getattr(job.frame, "id", None),
-                code="internal",
-                message=f"{type(exc).__name__}: {exc}",
-            )
-        self.served += 1
-        service_s = time.perf_counter() - start
-        self._ema_service_s += 0.05 * (service_s - self._ema_service_s)
-        telemetry = self.telemetry
-        if telemetry.enabled:
-            kind = (
-                "request"
-                if isinstance(job.frame, ServiceRequest)
-                else "update"
-            )
-            telemetry.count(
-                "serve.served", kind=kind, shard=self.shard_id
-            )
-            telemetry.observe(
-                "serve.request_ms",
-                (time.perf_counter() - job.enqueued_at) * 1000.0,
-                shard=self.shard_id,
-            )
-        return reply
-
-    def execute_now(self, frame: Frame) -> Frame:
-        """Synchronous execute for the firehose path (queue is idle)."""
-        self.accepted += 1
-        return self._execute_job(_ShardJob(None, frame, None))
-
-    def serve_direct(self, frame: Frame, seq: int) -> Frame:
-        """The firehose inner loop: no job, no clone, no clocks.
-
-        With telemetry off this is two attribute bumps around the
-        runtime call; with it on, the full instrumented job path runs
-        so the ``shard``-labelled series stay complete.
-        """
-        if self.telemetry.enabled:
-            if frame.seq is None:
-                frame = _clone_with(frame, seq=seq)
-            self.accepted += 1
-            return self._execute_job(_ShardJob(None, frame, None))
-        self.accepted += 1
-        try:
-            reply = self.runtime.execute(frame, seq)
-        except Exception as exc:  # engine bug: answer, keep serving
-            return ErrorReply(
-                id=getattr(frame, "id", None),
-                code="internal",
-                message=f"{type(exc).__name__}: {exc}",
-            )
-        self.served += 1
-        return reply
-
-
-class ShardRouter:
+class ShardRouter(TrustedServer):
     """User-id-hashing frontend over N shard sequencers (module doc).
-
-    Duck-types the :class:`TrustedServer` transport surface; pass one
-    to :class:`~repro.serve.transports.TcpTransport`,
-    :class:`~repro.serve.transports.LoopbackTransport`, or
-    ``run_loadgen(server=...)``.
 
     ``shard_ids`` restricts this router to a subset of the global
     shard space (a *worker* in the multi-process deployment: ``M``
     shards spread over ``W`` workers, worker ``w`` serving the shards
     ``{i : i mod W == w}``).  Frames for unowned shards are answered
-    with ``wrong_shard``.
+    with ``wrong_shard``.  Only a worker executes a frame's ``seq`` as
+    sent (its supervisor stamps every op; see
+    :attr:`~repro.serve.server.TrustedServer.trusts_seq`).
+    ``slo_rules`` need ``n_shards == 1``.
     """
 
     def __init__(
@@ -543,76 +92,51 @@ class ShardRouter:
         data_dir: "str | Path | None" = None,
         wal_config: WalConfig | None = None,
         shard_ids: "Sequence[int] | None" = None,
-        audit: str = "full",
+        slo_rules: "Iterable[SloRule | str] | None" = None,
+        slo_window_s: float = 2 * 3600.0,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.n_shards = n_shards
-        self.config = config or ServeConfig()
         self.telemetry = resolve_telemetry(telemetry)
         self.workload = workload
         self.workload_config = workload_config
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.wal_config = wal_config
-        self._audit = audit
-        self.shard_ids = (
-            list(shard_ids)
-            if shard_ids is not None
-            else list(range(n_shards))
+        self.trusts_seq = shard_ids is not None
+        #: ``next_seq`` of killed shards, carried over to their restore.
+        self._killed_next_seq: dict[int, int] = {}
+        self._open(
+            config,
+            [
+                self._runtime(shard_id)
+                for shard_id in (
+                    shard_ids if shard_ids is not None else range(n_shards)
+                )
+            ],
+            slo_rules,
+            slo_window_s,
         )
-        self.sequencers: dict[int, ShardSequencer] = {}
-        for shard_id in self.shard_ids:
-            self.sequencers[shard_id] = self._build_sequencer(shard_id)
-        self._sessions: dict[str, ClientSession] = {}
-        self._session_seq = 0
-        self._draining = False
-        self._closed = False
-        self._started = False
-        self.protocol_errors = 0
-        self.started_at = time.monotonic()
 
-    def _build_sequencer(self, shard_id: int) -> ShardSequencer:
-        runtime = ShardRuntime(
-            self.workload,
-            self.workload_config,
+    def _runtime(self, shard_id: int) -> ShardRuntime:
+        """A fresh shard runtime, replaying its WAL if there is one."""
+        return ShardRuntime(
+            build_engine(
+                self.workload,
+                self.workload_config,
+                self.telemetry,
+                shard_id=shard_id,
+                n_shards=self.n_shards,
+            ),
             shard_id,
             self.n_shards,
-            telemetry=self.telemetry,
             wal_dir=(
                 self.data_dir / f"shard-{shard_id:03d}"
                 if self.data_dir is not None
                 else None
             ),
             wal_config=self.wal_config,
-            audit=self._audit,
         )
-        return ShardSequencer(runtime, self.config, self.telemetry)
-
-    # -- aggregate counters --------------------------------------------
-
-    @property
-    def accepted(self) -> int:
-        return sum(s.accepted for s in self.sequencers.values())
-
-    @property
-    def served(self) -> int:
-        return sum(s.served for s in self.sequencers.values())
-
-    @property
-    def shed_total(self) -> int:
-        return sum(s.shed for s in self.sequencers.values())
-
-    @property
-    def rejected(self) -> int:
-        return sum(s.rejected for s in self.sequencers.values())
-
-    @property
-    def queue_depth(self) -> int:
-        return sum(s.queue_depth for s in self.sequencers.values())
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     def applied_seqs(self) -> dict[int, int]:
         """Per-shard highest applied seq (supervisor handshake)."""
@@ -621,54 +145,9 @@ class ShardRouter:
             for shard_id, sequencer in self.sequencers.items()
         }
 
-    # -- lifecycle -----------------------------------------------------
-
-    async def start(self) -> "ShardRouter":
-        if self._closed:
-            raise RuntimeError("router is closed")
-        for sequencer in self.sequencers.values():
-            sequencer.start()
-        self._started = True
-        return self
-
-    async def drain(self) -> DrainReply:
-        first = not self._draining
-        self._draining = True
-        for sequencer in self.sequencers.values():
-            await sequencer.drain()
-        reply = DrainReply(
-            id=0,
-            served=self.served,
-            shed=self.shed_total,
-            rejected=self.rejected,
-            pending=self.queue_depth,
-        )
-        if first and self.telemetry.enabled:
-            self.telemetry.event(
-                "serve.drained",
-                served=self.served,
-                shed=self.shed_total,
-                rejected=self.rejected,
-                protocol_errors=self.protocol_errors,
-                shards={
-                    str(shard_id): sequencer.served
-                    for shard_id, sequencer in self.sequencers.items()
-                },
-            )
-        return reply
-
-    async def close(self) -> None:
-        if self._closed:
-            return
-        await self.drain()
-        self._closed = True
-        for sequencer in self.sequencers.values():
-            await sequencer.stop()
-            sequencer.runtime.close()
-
     # -- crash simulation / restore ------------------------------------
 
-    def kill_shard(self, shard_id: int) -> "list[_ShardJob]":
+    def kill_shard(self, shard_id: int) -> "list[ShardJob]":
         """Abruptly drop one shard, as a SIGKILL would (tests).
 
         The runtime and its in-memory state are discarded without any
@@ -687,190 +166,29 @@ class ShardRouter:
         runtime = sequencer.runtime
         if runtime.wal is not None:
             runtime.wal.close()
-        self._killed_next_seq = getattr(self, "_killed_next_seq", {})
         self._killed_next_seq[shard_id] = sequencer.next_seq
         return pending
 
     def restore_shard(
-        self, shard_id: int, pending: "Iterable[_ShardJob]" = ()
+        self, shard_id: int, pending: "Iterable[ShardJob]" = ()
     ) -> ShardSequencer:
         """Rebuild a killed shard from its WAL and re-send pending ops.
 
-        Re-sent frames keep their original seqs: ops the WAL caught
+        Re-sent jobs keep their original seqs: ops the WAL caught
         before the kill are answered from the replayed reply cache,
         the rest execute for the first time — no decision is lost or
         double-applied.
         """
-        sequencer = self._build_sequencer(shard_id)
-        killed = getattr(self, "_killed_next_seq", {}).pop(shard_id, None)
+        sequencer = self._sequencer(self._runtime(shard_id))
+        killed = self._killed_next_seq.pop(shard_id, None)
         if killed is not None:
             sequencer.next_seq = max(sequencer.next_seq, killed)
         self.sequencers[shard_id] = sequencer
         if self._started:
             sequencer.start()
-
-        def _job_seq(job: "_ShardJob") -> int:
-            seq = getattr(job.frame, "seq", None)
-            return seq if seq is not None else 0
-
-        for job in sorted(pending, key=_job_seq):
+        for job in sorted(pending, key=lambda job: job.seq):
             sequencer.push(job)
         return sequencer
-
-    # -- session surface (transports) ----------------------------------
-
-    def open_session(self, client: str = "client") -> ClientSession:
-        self._session_seq += 1
-        session = ClientSession(f"s{self._session_seq}", client)
-        self._sessions[session.session_id] = session
-        self.telemetry.gauge("serve.connections", len(self._sessions))
-        return session
-
-    def close_session(self, session: ClientSession) -> None:
-        self._sessions.pop(session.session_id, None)
-        self.telemetry.gauge("serve.connections", len(self._sessions))
-
-    def welcome(self, session: ClientSession, hello: Hello) -> Frame:
-        if hello.version != PROTOCOL_VERSION:
-            return ErrorReply(
-                id=None,
-                code="bad_version",
-                message=(
-                    f"protocol version {hello.version} not supported; "
-                    f"server speaks {PROTOCOL_VERSION}"
-                ),
-            )
-        session.client = hello.client
-        session.trace = bool(hello.trace and self.telemetry.enabled)
-        return Welcome(
-            version=PROTOCOL_VERSION,
-            server=f"{self.config.server_name}-router",
-            session=session.session_id,
-            max_inflight=self.config.max_inflight,
-            max_queue_depth=self.config.max_queue_depth,
-            trace=session.trace,
-        )
-
-    def note_protocol_error(self) -> None:
-        self.protocol_errors += 1
-        self.telemetry.count("serve.protocol_errors")
-
-    # -- the op surface ------------------------------------------------
-
-    async def submit(self, session: ClientSession, frame: Frame) -> Frame:
-        """Admit one decoded frame; resolves to its reply frame."""
-        if isinstance(frame, Hello):
-            return self.welcome(session, frame)
-        if isinstance(frame, StatsRequest):
-            return StatsReply(
-                id=frame.id,
-                accepted=self.accepted,
-                served=self.served,
-                shed=self.shed_total,
-                rejected=self.rejected,
-                protocol_errors=self.protocol_errors,
-                queue_depth=self.queue_depth,
-                sessions=len(self._sessions),
-            )
-        if isinstance(frame, MetricsRequest):
-            return render_metrics_reply(
-                self.telemetry, self.config.max_frame_bytes, frame
-            )
-        if isinstance(frame, HealthRequest):
-            return HealthReply(
-                id=frame.id,
-                status=(
-                    "draining"
-                    if self._draining or self._closed
-                    else "ok"
-                ),
-                uptime_s=time.monotonic() - self.started_at,
-                queue_depth=self.queue_depth,
-                sessions=len(self._sessions),
-                served=self.served,
-                shed=self.shed_total,
-                slo_ok=True,
-                breaches=0,
-            )
-        if isinstance(frame, TracesRequest):
-            return TracesReply(id=frame.id, body="[]")
-        if isinstance(frame, ProfileRequest):
-            return render_profile_reply(
-                self.telemetry, self.config.max_frame_bytes, frame
-            )
-        if isinstance(frame, DrainRequest):
-            reply = await self.drain()
-            return DrainReply(
-                id=frame.id,
-                served=reply.served,
-                shed=reply.shed,
-                rejected=reply.rejected,
-                pending=reply.pending,
-            )
-        if not isinstance(frame, (LocationUpdate, ServiceRequest)):
-            self.note_protocol_error()
-            return ErrorReply(
-                id=getattr(frame, "id", None),
-                code="unknown_op",
-                message=f"frame {frame.op!r} is not servable",
-            )
-        sequencer = self.sequencers.get(
-            shard_of(frame.user_id, self.n_shards)
-        )
-        if sequencer is None:
-            return ErrorReply(
-                id=frame.id,
-                code="wrong_shard",
-                message=(
-                    f"user {frame.user_id} does not hash to a shard "
-                    "served by this worker"
-                ),
-            )
-        if self._draining or self._closed:
-            sequencer.rejected += 1
-            self.telemetry.count(
-                "serve.rejected",
-                reason="draining",
-                shard=sequencer.shard_id,
-            )
-            return ErrorReply(
-                id=frame.id,
-                code="draining",
-                message="server is draining; no new work admitted",
-            )
-        if session.inflight >= self.config.max_inflight:
-            return self._shed(session, sequencer, frame, "inflight")
-        if sequencer.queue_depth >= self.config.max_queue_depth:
-            return self._shed(session, sequencer, frame, "queue")
-        if frame.seq is None:
-            frame = _clone_with(frame, seq=sequencer.allocate_seq())
-        future: "asyncio.Future[Frame]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        session.inflight += 1
-        session.accepted += 1
-        sequencer.push(_ShardJob(session, frame, future))
-        return await future
-
-    def _shed(
-        self,
-        session: ClientSession,
-        sequencer: ShardSequencer,
-        frame: "LocationUpdate | ServiceRequest",
-        reason: str,
-    ) -> ErrorReply:
-        session.shed += 1
-        sequencer.shed += 1
-        self.telemetry.count(
-            "serve.shed", reason=reason, shard=sequencer.shard_id
-        )
-        retry_after = sequencer.retry_after_s
-        return ErrorReply(
-            id=frame.id,
-            code="overloaded",
-            message=f"shed ({reason}); retry after {retry_after:.3f}s",
-            retry_after=retry_after,
-        )
 
     # -- firehose path -------------------------------------------------
 
@@ -881,8 +199,8 @@ class ShardRouter:
         (falling back to the strict one for proper error codes), route
         and execute via :meth:`serve_frame`, encode the reply.  The
         capacity benchmark's sharded arm drives this, so its per-op
-        cost includes codec work at both boundaries — same as the
-        single-sequencer arm's loopback.
+        cost includes codec work at both boundaries — like the
+        capacity arm's TCP clients.
         """
         try:
             frame = decode_request_fast(line, self.config.max_frame_bytes)
@@ -912,7 +230,8 @@ class ShardRouter:
         limit = self.config.max_frame_bytes
         sequencers = self.sequencers
         n_shards = self.n_shards
-        servable = _SERVABLE
+        servable = SERVABLE
+        trusts_seq = self.trusts_seq
         instrumented = any(
             sequencer.telemetry.enabled
             for sequencer in sequencers.values()
@@ -932,7 +251,7 @@ class ShardRouter:
             if sequencer is None:
                 append(encode(self.serve_frame(frame), limit))
                 continue
-            seq = frame.seq
+            seq = frame.seq if trusts_seq else None
             if seq is None:
                 seq = sequencer.next_seq
                 sequencer.next_seq = seq + 1
@@ -963,7 +282,7 @@ class ShardRouter:
         engine call as :meth:`submit`, without the event-loop future
         machinery (the caller *is* the sequencer).
         """
-        if type(frame) not in _SERVABLE:
+        if type(frame) not in SERVABLE:
             return ErrorReply(
                 id=getattr(frame, "id", None),
                 code="unknown_op",
@@ -981,7 +300,7 @@ class ShardRouter:
                     "served by this worker"
                 ),
             )
-        seq = frame.seq
+        seq = frame.seq if self.trusts_seq else None
         if seq is None:
             seq = sequencer.allocate_seq()
         return sequencer.serve_direct(frame, seq)

@@ -4,9 +4,9 @@ One worker process per ``--workers`` slot, each running a
 :class:`~repro.serve.shard.ShardRouter` restricted to the shard subset
 ``{i : i mod W == w}`` with per-shard WALs under
 ``data_dir/shard-<i>``.  The parent :class:`WorkerSupervisor`
-duck-types the same transport surface as :class:`TrustedServer` and
-:class:`ShardRouter`, so clients connect to one address and never see
-the fleet behind it.
+duck-types the transport surface of
+:class:`~repro.serve.server.TrustedServer`, so clients connect to one
+address and never see the fleet behind it.
 
 **The crash-safety contract** (the reason this module exists at all):
 
@@ -62,9 +62,9 @@ from repro.serve.protocol import (
     TracesReply,
     TracesRequest,
     Welcome,
+    clone_frame,
 )
-from repro.serve.server import ClientSession, ServeConfig
-from repro.serve.shard import shard_of
+from repro.serve.server import ClientSession, ServeConfig, shard_of
 
 #: How long to wait for a worker's announcement line before giving up.
 ANNOUNCE_TIMEOUT_S = 60.0
@@ -104,13 +104,6 @@ class _Pending:
         self.future = future
         #: The id the client sent, restored onto the reply.
         self.client_id = client_id
-
-
-def _clone_with(frame: Frame, **fields: object) -> Frame:
-    clone = object.__new__(type(frame))
-    clone.__dict__.update(frame.__dict__)
-    clone.__dict__.update(fields)
-    return clone
 
 
 class _Worker:
@@ -362,7 +355,7 @@ class WorkerSupervisor:
         self.pending[shard].pop(seq, None)
         if not entry.future.done():
             entry.future.set_result(
-                _clone_with(reply, id=entry.client_id)
+                clone_frame(reply, id=entry.client_id)
             )
 
     # -- session surface -----------------------------------------------
@@ -434,9 +427,9 @@ class WorkerSupervisor:
                 )
             out_id = self._allocate_out_id()
             reply = await worker.client.post(
-                _clone_with(frame, id=out_id)
+                clone_frame(frame, id=out_id)
             )
-            return _clone_with(reply, id=frame.id)
+            return clone_frame(reply, id=frame.id)
         if isinstance(frame, TracesRequest):
             return TracesReply(id=frame.id, body="[]")
         if not isinstance(frame, (LocationUpdate, ServiceRequest)):
@@ -467,7 +460,7 @@ class WorkerSupervisor:
         seq = self.next_seq[shard]
         self.next_seq[shard] = seq + 1
         out_id = self._allocate_out_id()
-        stamped = _clone_with(frame, id=out_id, seq=seq)
+        stamped = clone_frame(frame, id=out_id, seq=seq)
         entry = _Pending(
             stamped,
             asyncio.get_running_loop().create_future(),

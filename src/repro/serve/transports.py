@@ -6,7 +6,7 @@ Two implementations of the same connection contract:
   listener, one handler task per connection, per-message worker tasks
   so a single connection can pipeline many outstanding operations
   (responses correlate by ``id``, so ordering on the wire is free to
-  differ from submission order — except that the server's FIFO queue
+  differ from submission order — except that each shard's FIFO queue
   preserves it for well-ordered clients);
 * :class:`LoopbackTransport` — the same protocol with no sockets: every
   frame still round-trips through :func:`encode_frame` /
@@ -49,6 +49,7 @@ from repro.serve.protocol import (
     ProtocolError,
     ServiceRequest,
     Welcome,
+    clone_frame,
     decode_reply,
     decode_request,
     encode_frame,
@@ -157,10 +158,7 @@ class LoopbackConnection:
                 # No sink: the root record is undeliverable — mint the
                 # wire identity only (same fast path as ServeClient).
                 wire = tracer.new_wire()
-            clone = object.__new__(type(frame))
-            clone.__dict__.update(frame.__dict__)
-            clone.__dict__["trace"] = wire
-            frame = clone
+            frame = clone_frame(frame, trace=wire)
         max_bytes = self._server.config.max_frame_bytes
         try:
             decoded = decode_request(

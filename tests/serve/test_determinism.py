@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.serve.loadgen import (
     LoadgenConfig,
-    build_engine,
     decision_key,
     offline_replay,
     run_loadgen,
@@ -26,11 +27,13 @@ from repro.serve.protocol import (
     LocationUpdate,
     ServiceRequest,
 )
-from repro.serve.server import ServeConfig, TrustedServer
+from repro.serve.server import ServeConfig
 from repro.serve.shard import ShardRouter
 from repro.serve.transports import LoopbackTransport
 
 WIDE_OPEN = ServeConfig(max_queue_depth=100_000, max_inflight=100_000)
+#: The daemon's default shape (one shard) and a sharded one.
+SHARD_COUNTS = pytest.mark.parametrize("n_shards", [1, 4])
 
 
 def frames_for(items, next_id):
@@ -60,9 +63,25 @@ def frames_for(items, next_id):
     return frames
 
 
+def _partition(workload, n_clients):
+    users = workload.user_ids
+    owner = {u: rank % n_clients for rank, u in enumerate(users)}
+    partitions = {i: [] for i in range(n_clients)}
+    for item in workload.timeline:
+        partitions[owner[item.user_id]].append(item)
+    return partitions
+
+
+@SHARD_COUNTS
 def test_eight_concurrent_loopback_clients_match_offline(
-    workload, workload_config
+    workload, workload_config, n_shards
 ):
+    """Per-user decision equality under 8 interleaved clients.
+
+    On four shards users hash to shared-nothing shard engines, yet
+    every user's decision stream still equals the offline batch
+    replay — the warm-store argument holds shard by shard.
+    """
     offline = {}
     for event in offline_replay(workload, workload_config):
         offline.setdefault(event.request.user_id, []).append(
@@ -80,17 +99,13 @@ def test_eight_concurrent_loopback_clients_match_offline(
         return await asyncio.gather(*futures)
 
     async def run():
-        engine = build_engine(workload, workload_config)
-        server = await TrustedServer(engine, WIDE_OPEN).start()
+        server = ShardRouter(
+            workload, workload_config, n_shards=n_shards, config=WIDE_OPEN
+        )
+        await server.start()
         transport = LoopbackTransport(server)
-        users = workload.user_ids
-        conns = [
-            transport.connect(f"det-{i}") for i in range(8)
-        ]
-        partitions = {i: [] for i in range(8)}
-        owner = {u: rank % 8 for rank, u in enumerate(users)}
-        for item in workload.timeline:
-            partitions[owner[item.user_id]].append(item)
+        conns = [transport.connect(f"det-{i}") for i in range(8)]
+        partitions = _partition(workload, 8)
         counters = iter(range(1, 10**6)).__next__
         results = await asyncio.gather(
             *(
@@ -115,7 +130,7 @@ def test_eight_concurrent_loopback_clients_match_offline(
     assert set(served) == set(offline)
     for user_id in offline:
         assert served[user_id] == offline[user_id], (
-            f"user {user_id} diverged under concurrent serving"
+            f"user {user_id} diverged under {n_shards}-shard serving"
         )
 
 
@@ -138,75 +153,6 @@ def test_loadgen_loopback_verifies(workload_config):
     assert report.verified is True and report.mismatches == 0
     assert report.shed == 0
     assert report.decisions == 80
-
-
-def _partition(workload, n_clients):
-    users = workload.user_ids
-    owner = {u: rank % n_clients for rank, u in enumerate(users)}
-    partitions = {i: [] for i in range(n_clients)}
-    for item in workload.timeline:
-        partitions[owner[item.user_id]].append(item)
-    return partitions
-
-
-def test_eight_clients_sharded_router_match_offline(
-    workload, workload_config
-):
-    """Per-shard decision equality under 8 interleaved clients.
-
-    Same property as the single-engine test, served by a 4-shard
-    router: users hash to shared-nothing shard engines, yet every
-    user's decision stream still equals the offline batch replay —
-    the warm-store argument holds shard by shard.
-    """
-    offline = {}
-    for event in offline_replay(workload, workload_config):
-        offline.setdefault(event.request.user_id, []).append(
-            decision_key(event)
-        )
-
-    async def client_run(conn, items, counter):
-        futures = []
-        for index, frame in enumerate(frames_for(items, counter)):
-            futures.append(conn.post(frame))
-            if index % 3 == 0:
-                await asyncio.sleep(0)
-        return await asyncio.gather(*futures)
-
-    async def run():
-        router = ShardRouter(
-            workload, workload_config, n_shards=4, config=WIDE_OPEN
-        )
-        await router.start()
-        transport = LoopbackTransport(router)
-        conns = [transport.connect(f"det-{i}") for i in range(8)]
-        partitions = _partition(workload, 8)
-        counters = iter(range(1, 10**6)).__next__
-        results = await asyncio.gather(
-            *(
-                client_run(conns[i], partitions[i], counters)
-                for i in range(8)
-            )
-        )
-        served = {}
-        for i, replies in enumerate(results):
-            for item, reply in zip(partitions[i], replies):
-                if item.is_request:
-                    assert isinstance(reply, DecisionReply), reply
-                    served.setdefault(item.user_id, []).append(
-                        decision_key(reply)
-                    )
-        await router.close()
-        for conn in conns:
-            conn.close()
-        return served
-
-    served = asyncio.run(run())
-    assert set(served) == set(offline)
-    for user_id in offline:
-        assert served[user_id] == offline[user_id], (
-            f"user {user_id} diverged under sharded serving"
-        )
 
 
 def test_eight_clients_survive_shard_kill_and_wal_restore(
@@ -304,12 +250,15 @@ def test_eight_clients_survive_shard_kill_and_wal_restore(
         )
 
 
-def test_two_runs_identical(workload, workload_config):
+@SHARD_COUNTS
+def test_two_runs_identical(workload, workload_config, n_shards):
     """Same concurrency, two runs: decision streams are identical."""
 
     async def one_run():
-        engine = build_engine(workload, workload_config)
-        server = await TrustedServer(engine, WIDE_OPEN).start()
+        server = ShardRouter(
+            workload, workload_config, n_shards=n_shards, config=WIDE_OPEN
+        )
+        await server.start()
         conn = LoopbackTransport(server).connect("rep")
         counter = iter(range(1, 10**6)).__next__
         futures = [

@@ -117,6 +117,10 @@ class TestErrors:
             unknown = await conn.send(
                 ProfileRequest(id=6, action="flame")
             )
+            # Stop the capture started above: a sampler thread left
+            # running walks this thread's frames for the rest of the
+            # session, which CPython 3.11 can crash on.
+            await conn.send(ProfileRequest(id=7, action="stop"))
             await server.close()
             return stop_idle, peek_idle, bad_interval, double, unknown
 

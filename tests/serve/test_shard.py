@@ -6,7 +6,7 @@ import asyncio
 
 import pytest
 
-from repro.serve.loadgen import SERVICE, decision_key
+from repro.serve.loadgen import SERVICE, build_engine, decision_key
 from repro.serve.protocol import (
     DecisionReply,
     DrainRequest,
@@ -19,16 +19,27 @@ from repro.serve.protocol import (
     StatsRequest,
     UpdateAck,
     Welcome,
+    clone_frame,
     decode_reply_fast,
 )
-from repro.serve.server import ServeConfig
-from repro.serve.shard import (
-    ShardRouter,
+from repro.serve.server import (
+    ServeConfig,
     ShardRuntime,
+    TrustedServer,
     shard_of,
 )
+from repro.serve.shard import ShardRouter
+from repro.serve.transports import LoopbackTransport
 
 WIDE_OPEN = ServeConfig(max_queue_depth=100_000, max_inflight=100_000)
+
+
+def shard_runtime(workload, workload_config, shard_id, n_shards, **kwargs):
+    """Shard ``shard_id`` of ``n_shards`` over its own warm engine."""
+    engine = build_engine(
+        workload, workload_config, shard_id=shard_id, n_shards=n_shards
+    )
+    return ShardRuntime(engine, shard_id, n_shards, **kwargs)
 
 
 def frames_for(timeline):
@@ -72,19 +83,19 @@ class TestShardOf:
 class TestShardRuntime:
     def test_owned_users_partition(self, workload, workload_config):
         runtimes = [
-            ShardRuntime(workload, workload_config, s, 4)
+            shard_runtime(workload, workload_config, s, 4)
             for s in range(4)
         ]
         owned = [u for r in runtimes for u in r.owned_users]
         assert sorted(owned) == workload.user_ids
 
     def test_pseudonym_prefix_per_shard(self, workload, workload_config):
-        runtime = ShardRuntime(workload, workload_config, 2, 4)
+        runtime = shard_runtime(workload, workload_config, 2, 4)
         user = runtime.owned_users[0]
         assert runtime.engine.sessions.pseudonym(user).startswith("p2.")
 
     def test_store_warm_with_all_users(self, workload, workload_config):
-        runtime = ShardRuntime(workload, workload_config, 1, 4)
+        runtime = shard_runtime(workload, workload_config, 1, 4)
         assert sorted(runtime.engine.store.user_ids()) == (
             workload.user_ids
         )
@@ -92,7 +103,7 @@ class TestShardRuntime:
     def test_direct_execute_assigns_local_seqs(
         self, workload, workload_config
     ):
-        runtime = ShardRuntime(workload, workload_config, 0, 1)
+        runtime = shard_runtime(workload, workload_config, 0, 1)
         item = workload.timeline[0]
         frame = LocationUpdate(
             id=1, user_id=item.user_id, x=item.location.x,
@@ -104,9 +115,13 @@ class TestShardRuntime:
         assert runtime.applied_seq == 1
 
     def test_duplicate_seq_answered_from_cache(
-        self, workload, workload_config
+        self, workload, workload_config, tmp_path
     ):
-        runtime = ShardRuntime(workload, workload_config, 0, 1)
+        # The reply cache only exists alongside a WAL: without one, a
+        # restart loses the state the cache would answer for.
+        runtime = shard_runtime(
+            workload, workload_config, 0, 1, wal_dir=tmp_path
+        )
         request = next(
             item for item in workload.timeline if item.is_request
         )
@@ -134,7 +149,7 @@ class TestShardRuntime:
     def test_wal_replay_reconstructs_fingerprint(
         self, workload, workload_config, tmp_path
     ):
-        live = ShardRuntime(
+        live = shard_runtime(
             workload, workload_config, 0, 2, wal_dir=tmp_path
         )
         for frame in frames_for(workload.timeline[:120]):
@@ -142,7 +157,7 @@ class TestShardRuntime:
                 live.execute(frame)
         fingerprint = live.fingerprint()
         live.close()
-        restored = ShardRuntime(
+        restored = shard_runtime(
             workload, workload_config, 0, 2, wal_dir=tmp_path
         )
         assert restored.replayed > 0
@@ -207,7 +222,7 @@ class TestShardRouter:
             session = router.open_session("t")
             welcome = await router.submit(session, Hello(client="t"))
             assert isinstance(welcome, Welcome)
-            assert welcome.server.endswith("-router")
+            assert welcome.server == WIDE_OPEN.server_name
             health = await router.submit(session, HealthRequest(id=2))
             assert health.status == "ok"
             metrics = await router.submit(
@@ -299,6 +314,67 @@ class TestShardRouter:
         )
         assert isinstance(reply, ErrorReply)
         assert router.protocol_errors == 1
+
+    @pytest.mark.parametrize("shape", ["engine", 1, 4])
+    def test_public_frontend_ignores_client_seq(
+        self, workload, workload_config, shape
+    ):
+        """A client's ``seq`` neither replays a reply nor stalls a shard.
+
+        Only a worker behind a supervisor executes frame seqs as sent.
+        On ``TrustedServer(engine)`` and on a router without a shard
+        subset (the daemon's default one-shard shape, ``--shards 4``), a
+        request claiming ``seq=0`` after another user's request, and an
+        update claiming a huge seq, are served like unsequenced ops.
+        """
+        frames = frames_for(workload.timeline[:80])
+        requests = [
+            index
+            for index, frame in enumerate(frames)
+            if isinstance(frame, ServiceRequest)
+        ]
+        first = requests[0]
+        replay = next(
+            index
+            for index in requests
+            if frames[index].user_id != frames[first].user_id
+        )
+        jump = next(
+            index
+            for index in range(replay + 1, len(frames))
+            if isinstance(frames[index], LocationUpdate)
+        )
+        tampered = list(frames)
+        tampered[replay] = clone_frame(frames[replay], seq=0)
+        tampered[jump] = clone_frame(frames[jump], seq=10**9)
+
+        def fresh_server():
+            if shape == "engine":
+                return TrustedServer(
+                    build_engine(workload, workload_config), WIDE_OPEN
+                )
+            return ShardRouter(
+                workload, workload_config, n_shards=shape, config=WIDE_OPEN
+            )
+
+        async def serve(sent):
+            server = await fresh_server().start()
+            conn = LoopbackTransport(server).connect("t")
+            replies = [await conn.send(frame) for frame in sent]
+            fingerprints = [
+                sequencer.runtime.fingerprint()
+                for sequencer in server.sequencers.values()
+            ]
+            await server.close()
+            return replies, fingerprints
+
+        replies, fingerprints = asyncio.run(serve(tampered))
+        expected, expected_fingerprints = asyncio.run(serve(frames))
+        assert isinstance(replies[replay], DecisionReply)
+        assert replies[replay].pseudonym != replies[first].pseudonym
+        assert replies == expected
+        # Same applied seqs and state: the huge seq moved nothing.
+        assert fingerprints == expected_fingerprints
 
     def test_n_shards_validated(self, workload, workload_config):
         with pytest.raises(ValueError):

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import asyncio
+import importlib.util
 import json
 import os
 import signal
 from pathlib import Path
+
+import pytest
 
 from repro.serve.loadgen import LoadgenConfig, WorkloadConfig, run_loadgen
 from repro.serve.server import ServeConfig
@@ -18,6 +21,37 @@ from repro.serve.supervisor import (
 
 DAEMON = Path(__file__).resolve().parents[2] / "tools" / "serve_daemon.py"
 WIDE_OPEN = ServeConfig(max_queue_depth=100_000, max_inflight=100_000)
+
+
+def load_daemon():
+    spec = importlib.util.spec_from_file_location("serve_daemon", DAEMON)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDaemonArgs:
+    def test_shard_count_defaults(self):
+        daemon = load_daemon()
+        assert daemon.parse_args([]).shards == 1
+        supervised = daemon.parse_args(
+            ["--workers", "2", "--data-dir", "d"]
+        )
+        assert supervised.shards == 2
+        with pytest.raises(SystemExit):
+            daemon.parse_args(["--shards", "0"])
+
+    def test_slo_needs_one_in_process_shard(self):
+        daemon = load_daemon()
+        rule = ["--slo", "unlink_rate <= 1e9 /min"]
+        assert daemon.parse_args(rule).slo == [rule[1]]
+        assert daemon.parse_args(["--shards", "1", *rule]).slo
+        for shape in (
+            ["--shards", "4"],
+            ["--workers", "2", "--data-dir", "d"],
+        ):
+            with pytest.raises(SystemExit):
+                daemon.parse_args([*shape, *rule])
 
 
 class TestShardAssignment:
@@ -35,8 +69,6 @@ class TestShardAssignment:
         assert info["applied"] == {"0": -1, "2": 41}
 
     def test_supervisor_validates_shape(self, tmp_path):
-        import pytest
-
         with pytest.raises(ValueError, match="workers"):
             WorkerSupervisor(0, 4, tmp_path)
         with pytest.raises(ValueError, match="shards"):

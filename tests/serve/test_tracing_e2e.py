@@ -5,7 +5,8 @@ One TCP request must reconstruct to a single causal tree — client send
 JSONL sink by ``trace_id`` alone; interleaved loopback clients (and a
 drain racing in-flight work) must never produce orphan spans; and span
 trees from any JSONL sink must reconstruct acyclically (a hypothesis
-property over arbitrary nesting shapes).
+property over arbitrary nesting shapes).  The serving cases run on one
+shard (the daemon's default shape) and on four.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,12 +22,14 @@ from repro.obs.config import TelemetryConfig
 from repro.obs.sinks import read_jsonl
 from repro.obs.tracing import Tracer
 from repro.serve.client import ServeClient
-from repro.serve.loadgen import build_engine
 from repro.serve.protocol import DecisionReply, ErrorReply
-from repro.serve.server import ServeConfig, TrustedServer
+from repro.serve.shard import ShardRouter
 from repro.serve.transports import LoopbackTransport, TcpTransport
 
 from tests.serve.test_server import request_frames, update_frame
+
+
+SHARD_COUNTS = pytest.mark.parametrize("n_shards", [1, 4])
 
 
 def span_events(events):
@@ -54,23 +58,25 @@ def assert_tree_complete(spans):
             )
 
 
+@SHARD_COUNTS
 def test_single_tcp_request_is_one_causal_tree(
-    workload, workload_config, tmp_path
+    workload, workload_config, tmp_path, n_shards
 ):
     """The acceptance criterion: client → … → reply, one trace_id."""
     jsonl = tmp_path / "trace.jsonl"
-    engine = build_engine(
+    server = ShardRouter(
         workload,
         workload_config,
-        TelemetryConfig(enabled=True, jsonl_path=str(jsonl)),
+        n_shards=n_shards,
+        telemetry=TelemetryConfig(enabled=True, jsonl_path=str(jsonl)),
     )
 
     async def run():
-        server = await TrustedServer(engine).start()
+        await server.start()
         transport = TcpTransport(server)
         host, port = await transport.start()
         client = await ServeClient.connect(
-            host, port, telemetry=engine.telemetry, trace=True
+            host, port, telemetry=server.telemetry, trace=True
         )
         assert client.trace_enabled
         (frame,) = request_frames(workload, 1)
@@ -86,7 +92,7 @@ def test_single_tcp_request_is_one_causal_tree(
     assert isinstance(reply, DecisionReply)
     assert reply.trace is not None
     trace_id = reply.trace.split("-")[0]
-    engine.telemetry.close()
+    server.telemetry.close()
 
     trees = by_trace(read_jsonl(str(jsonl)))
     assert list(trees) == [trace_id]
@@ -120,18 +126,20 @@ def test_single_tcp_request_is_one_causal_tree(
     assert decisions and decisions[0]["trace_id"] == trace_id
 
 
+@SHARD_COUNTS
 def test_interleaved_loopback_clients_no_orphans(
-    workload, workload_config
+    workload, workload_config, n_shards
 ):
     """8 traced clients, interleaved pipelined sends, drain mid-flight."""
-    engine = build_engine(
+    server = ShardRouter(
         workload,
         workload_config,
-        TelemetryConfig(enabled=True, ring_buffer=16384),
+        n_shards=n_shards,
+        telemetry=TelemetryConfig(enabled=True, ring_buffer=16384),
     )
 
     async def run():
-        server = await TrustedServer(engine).start()
+        await server.start()
         transport = LoopbackTransport(server)
         conns = [
             transport.connect(client=f"c{i}", trace=True)
@@ -162,7 +170,7 @@ def test_interleaved_loopback_clients_no_orphans(
         return replies
 
     replies = asyncio.run(run())
-    ring = engine.telemetry.ring()
+    ring = server.telemetry.ring()
     assert ring is not None
     trees = by_trace(list(ring.events))
     assert trees, "traced run recorded no trace trees"
@@ -197,25 +205,31 @@ def test_interleaved_loopback_clients_no_orphans(
             assert "serve.admission" in names
 
 
-def test_untraced_session_pays_no_tracing(workload, workload_config):
+@SHARD_COUNTS
+def test_untraced_session_pays_no_tracing(
+    workload, workload_config, n_shards
+):
     """No negotiation → no spans, no trace echoes, no recent_traces."""
-    engine = build_engine(
-        workload, workload_config, TelemetryConfig(enabled=True)
+    server = ShardRouter(
+        workload,
+        workload_config,
+        n_shards=n_shards,
+        telemetry=TelemetryConfig(enabled=True),
     )
 
     async def run():
-        server = await TrustedServer(engine).start()
+        await server.start()
         conn = LoopbackTransport(server).connect()  # trace=False
         (frame,) = request_frames(workload, 1)
         reply = await conn.send(frame)
         await server.close()
-        return server, reply
+        return reply
 
-    server, reply = asyncio.run(run())
+    reply = asyncio.run(run())
     assert isinstance(reply, DecisionReply)
     assert reply.trace is None
     assert len(server.recent_traces) == 0
-    assert engine.telemetry.tracer.finished == (
+    assert server.telemetry.tracer.finished == (
         # Only the engine's own local ts.request span fired.
         1
     )

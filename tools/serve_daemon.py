@@ -1,18 +1,14 @@
 #!/usr/bin/env python3
 """Run the Trusted Server as a long-running TCP daemon.
 
-Three deployment shapes, smallest first:
+Two deployment shapes, one sequencer path (a
+:class:`~repro.serve.shard.ShardRouter` over per-shard sequencers):
 
-* **single** (default) — one :class:`TrustedServer` over one engine,
-  exactly the seed behavior::
+* **in-process** (default) — a router over ``--shards M`` shared-nothing
+  shard engines in this process, one by default; add ``--data-dir``
+  for per-shard write-ahead logs::
 
       PYTHONPATH=src python tools/serve_daemon.py --port 7411
-
-* **sharded, one process** (``--shards M``) — a
-  :class:`~repro.serve.shard.ShardRouter` over M shared-nothing shard
-  engines in this process; add ``--data-dir`` for per-shard
-  write-ahead logs::
-
       PYTHONPATH=src python tools/serve_daemon.py --shards 4 \
           --data-dir /var/lib/repro
 
@@ -28,8 +24,9 @@ Three deployment shapes, smallest first:
 uses; workers announce ``{"repro_worker": w, "port": p, "applied":
 {shard: seq}}`` as one JSON line on stdout when ready.
 
-Every shape serves the same NDJSON protocol and drains gracefully on
-SIGINT/SIGTERM or a client ``drain`` op.
+Both shapes serve the same NDJSON protocol and drain gracefully on
+SIGINT/SIGTERM or a client ``drain`` op.  ``--slo`` privacy rules
+need the one-shard in-process shape: the monitor audits one store.
 
 Hardening flags apply to every shape and compose freely:
 ``--tls-cert/--tls-key`` serve TLS (generate a dev pair with
@@ -61,10 +58,9 @@ from repro.serve.gate import (  # noqa: E402
 from repro.serve.http import HttpTransport  # noqa: E402
 from repro.serve.loadgen import (  # noqa: E402
     WorkloadConfig,
-    build_engine,
     build_workload,
 )
-from repro.serve.server import ServeConfig, TrustedServer  # noqa: E402
+from repro.serve.server import ServeConfig  # noqa: E402
 from repro.serve.shard import ShardRouter  # noqa: E402
 from repro.serve.supervisor import (  # noqa: E402
     WorkerSupervisor,
@@ -106,11 +102,10 @@ def parse_args(argv: "list[str] | None" = None) -> argparse.Namespace:
     parser.add_argument(
         "--shards",
         type=int,
-        default=0,
+        default=None,
         help=(
             "partition users over this many shard engines "
-            "(default: 0 = single unsharded engine; with --workers, "
-            "defaults to the worker count)"
+            "(default: 1; with --workers, the worker count)"
         ),
     )
     parser.add_argument(
@@ -139,7 +134,7 @@ def parse_args(argv: "list[str] | None" = None) -> argparse.Namespace:
         action="append",
         default=None,
         metavar="RULE",
-        help="attach a privacy SLO rule (repeatable; unsharded only)",
+        help="attach a privacy SLO rule (repeatable; one shard only)",
     )
     parser.add_argument(
         "--trace-sample-rate",
@@ -234,18 +229,23 @@ def parse_args(argv: "list[str] | None" = None) -> argparse.Namespace:
         ),
     )
     args = parser.parse_args(argv)
-    if args.workers and not args.shards:
-        args.shards = args.workers
+    if args.shards is None:
+        args.shards = args.workers or 1
+    if args.shards < 1:
+        parser.error("--shards must be >= 1")
+    if args.slo and (args.workers or args.shards > 1):
+        parser.error(
+            "--slo needs one in-process shard (no --workers, "
+            "--shards 1): the privacy monitor audits one store"
+        )
     if args.workers and args.data_dir is None:
         parser.error("--workers requires --data-dir")
     if (args.tls_cert is None) != (args.tls_key is None):
         parser.error("--tls-cert and --tls-key go together")
     if args.worker_index is not None and (
-        not args.workers or not args.shards or args.data_dir is None
+        not args.workers or args.data_dir is None
     ):
-        parser.error(
-            "--worker-index requires --workers, --shards and --data-dir"
-        )
+        parser.error("--worker-index requires --workers and --data-dir")
     return args
 
 
@@ -359,36 +359,10 @@ def _frontend_banner(
     return " ".join(parts)
 
 
-async def serve_single(args: argparse.Namespace) -> int:
-    """The seed shape: one engine, one sequencer."""
-    workload_config = _workload_config(args)
-    workload = build_workload(workload_config)
-    engine = build_engine(
-        workload, workload_config, _telemetry_config(args)
-    )
-    server = TrustedServer(
-        engine, _serve_config(args), slo_rules=args.slo
-    )
-    transports = await _start_frontends(args, server)
-    print(_frontend_banner(args, transports), flush=True)
-    await _wait_for_stop()
-    print("repro-ts draining", flush=True)
-    reply = await server.drain()
-    for transport in transports:
-        await transport.stop()
-    await server.close()
-    print(
-        f"repro-ts drained: served={reply.served} shed={reply.shed} "
-        f"rejected={reply.rejected}",
-        flush=True,
-    )
-    return 0
-
-
 async def serve_sharded(
     args: argparse.Namespace, worker_index: "int | None" = None
 ) -> int:
-    """In-process sharded router; doubles as the worker entry point."""
+    """The in-process router; doubles as the worker entry point."""
     workload_config = _workload_config(args)
     workload = build_workload(workload_config)
     shard_ids = None
@@ -407,6 +381,7 @@ async def serve_sharded(
         data_dir=args.data_dir,
         wal_config=WalConfig(fsync=args.wal_fsync),
         shard_ids=shard_ids,
+        slo_rules=args.slo,
     )
     await router.start()
     transports = await _start_frontends(args, router)
@@ -422,6 +397,8 @@ async def serve_sharded(
     else:
         print(_frontend_banner(args, transports), flush=True)
     await _wait_for_stop()
+    if worker_index is None:
+        print("repro-ts draining", flush=True)
     reply = await router.drain()
     for transport in transports:
         await transport.stop()
@@ -478,9 +455,7 @@ def main(argv: "list[str] | None" = None) -> int:
         return asyncio.run(serve_sharded(args, args.worker_index))
     if args.workers:
         return asyncio.run(serve_supervised(args))
-    if args.shards:
-        return asyncio.run(serve_sharded(args))
-    return asyncio.run(serve_single(args))
+    return asyncio.run(serve_sharded(args))
 
 
 if __name__ == "__main__":
