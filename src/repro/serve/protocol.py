@@ -10,7 +10,9 @@ strict — this is the trust boundary of a long-running daemon:
   ``bad_json`` / ``bad_frame`` (``NaN``/``Infinity`` literals are
   rejected — they would not survive a strict peer);
 * missing, mistyped, or *unknown* fields raise ``bad_field``; unknown
-  ``op`` values raise ``unknown_op``.
+  ``op`` values raise ``unknown_op``;
+* error messages echo at most :data:`ECHO_CHARS` characters of client
+  text, so the reply to a frame under the size cap fits under it too.
 
 Every failure is a :class:`ProtocolError`, never a stray exception —
 the connection handler turns it into an :class:`ErrorReply` and keeps
@@ -25,6 +27,13 @@ carrying ``version``; the server answers :class:`Welcome` or a
 Requests and replies use disjoint registries
 (:func:`decode_request` / :func:`decode_reply`), so a confused peer
 echoing a reply at the server is a protocol error, not a dispatch bug.
+
+This is the only codec: every hop — client ↔ daemon, supervisor ↔
+worker, HTTP bodies, the loopback transport — crosses it.  It stays
+fast by doing its reflection once: :func:`_frame` builds each frame
+class's field table at registration, the decoder walks that table, and
+the encoder serializes the instance ``__dict__`` with a prebuilt JSON
+encoder instead of a ``dataclasses.asdict`` deep copy.
 """
 
 from __future__ import annotations
@@ -53,10 +62,20 @@ class ProtocolError(Exception):
         self.message = message
 
 
+#: ``(name, validator, default)`` of one frame field; ``default`` is
+#: ``dataclasses.MISSING`` for a required field.
+_Field = tuple[str, Callable[[object, str], object], object]
+
+
 class Frame:
-    """Base class of all wire frames; ``op`` is set by :func:`_frame`."""
+    """Base class of all wire frames.
+
+    :func:`_frame` sets ``op`` and ``_schema``, the decoder's field
+    table in declaration order.
+    """
 
     op: ClassVar[str] = ""
+    _schema: ClassVar[tuple[_Field, ...]] = ()
 
 
 _Fr = TypeVar("_Fr", bound=Frame)
@@ -76,6 +95,95 @@ def clone_frame(frame: _Fr, **fields: object) -> _Fr:
     return clone
 
 
+# ---------------------------------------------------------------------
+# field validators
+# ---------------------------------------------------------------------
+
+
+def _reject_constant(value: str) -> float:
+    raise ProtocolError(
+        "bad_json", f"non-finite JSON number {value!r} is not allowed"
+    )
+
+
+def _check_int(value: object, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(
+            "bad_field", f"field {name!r} must be an integer"
+        )
+    return value
+
+
+def _check_float(value: object, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(
+            "bad_field", f"field {name!r} must be a number"
+        )
+    return float(value)
+
+
+def _check_str(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise ProtocolError(
+            "bad_field", f"field {name!r} must be a string"
+        )
+    return value
+
+
+def _check_bool(value: object, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ProtocolError(
+            "bad_field", f"field {name!r} must be a boolean"
+        )
+    return value
+
+
+def _check_box(value: object, name: str) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or len(value) != 6:
+        raise ProtocolError(
+            "bad_field", f"field {name!r} must be a 6-number box"
+        )
+    return tuple(_check_float(item, name) for item in value)
+
+
+def _optional(
+    check: Callable[[object, str], object],
+) -> Callable[[object, str], object]:
+    def checked(value: object, name: str) -> object:
+        if value is None:
+            return None
+        return check(value, name)
+
+    return checked
+
+
+#: Validator per annotation string (modules use PEP 563 annotations, so
+#: ``dataclasses.fields(...)[i].type`` is the literal source text).
+_VALIDATORS: dict[str, Callable[[object, str], object]] = {
+    "int": _check_int,
+    "float": _check_float,
+    "str": _check_str,
+    "bool": _check_bool,
+    "int | None": _optional(_check_int),
+    "float | None": _optional(_check_float),
+    "str | None": _optional(_check_str),
+    "tuple[float, ...] | None": _optional(_check_box),
+}
+
+
+#: Longest prefix of client-supplied text an error message echoes: a
+#: frame under the size cap must never earn a reply over it (``json``
+#: escapes each non-ASCII character to up to 12 bytes).
+ECHO_CHARS = 200
+
+
+def clip_echo(text: str) -> str:
+    """``text`` cut to :data:`ECHO_CHARS` characters for an error echo."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return text[:ECHO_CHARS] + "..."
+
+
 _F = TypeVar("_F", bound=type)
 
 #: op -> frame class, one registry per direction.
@@ -84,8 +192,23 @@ REPLY_TYPES: dict[str, type] = {}
 
 
 def _frame(op: str, registry: dict[str, type]) -> Callable[[_F], _F]:
+    """Register a frame dataclass under ``op`` and build its schema.
+
+    The decoder walks ``cls._schema`` instead of reflecting over
+    ``dataclasses.fields`` on every frame, and installs the validated
+    values as the instance ``__dict__`` — frames are frozen dataclasses
+    without slots, ``__post_init__``, or default factories, so that is
+    field-for-field what the generated ``__init__`` would store.
+    """
+
     def register(cls: _F) -> _F:
+        schema = []
+        for field in dataclasses.fields(cls):
+            schema.append(
+                (field.name, _VALIDATORS[str(field.type)], field.default)
+            )
         cls.op = op  # type: ignore[attr-defined]
+        cls._schema = tuple(schema)  # type: ignore[attr-defined]
         registry[op] = cls
         return cls
 
@@ -415,85 +538,23 @@ class ProfileReply(Frame):
 # codec
 # ---------------------------------------------------------------------
 
-
-def _reject_constant(value: str) -> float:
-    raise ProtocolError(
-        "bad_json", f"non-finite JSON number {value!r} is not allowed"
-    )
-
-
-def _check_int(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ProtocolError(
-            "bad_field", f"field {name!r} must be an integer"
-        )
-    return value
-
-
-def _check_float(value: object, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(
-            "bad_field", f"field {name!r} must be a number"
-        )
-    return float(value)
-
-
-def _check_str(value: object, name: str) -> str:
-    if not isinstance(value, str):
-        raise ProtocolError(
-            "bad_field", f"field {name!r} must be a string"
-        )
-    return value
-
-
-def _check_bool(value: object, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ProtocolError(
-            "bad_field", f"field {name!r} must be a boolean"
-        )
-    return value
-
-
-def _check_box(value: object, name: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or len(value) != 6:
-        raise ProtocolError(
-            "bad_field", f"field {name!r} must be a 6-number box"
-        )
-    return tuple(_check_float(item, name) for item in value)
-
-
-def _optional(
-    check: Callable[[object, str], object],
-) -> Callable[[object, str], object]:
-    def checked(value: object, name: str) -> object:
-        if value is None:
-            return None
-        return check(value, name)
-
-    return checked
-
-
-#: Validator per annotation string (modules use PEP 563 annotations, so
-#: ``dataclasses.fields(...)[i].type`` is the literal source text).
-_VALIDATORS: dict[str, Callable[[object, str], object]] = {
-    "int": _check_int,
-    "float": _check_float,
-    "str": _check_str,
-    "bool": _check_bool,
-    "int | None": _optional(_check_int),
-    "float | None": _optional(_check_float),
-    "str | None": _optional(_check_str),
-    "tuple[float, ...] | None": _optional(_check_box),
-}
+#: Built once: ``json.dumps``/``json.loads`` with non-default options
+#: construct a fresh encoder/decoder on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def encode_frame(frame: Frame, max_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Serialize one frame to its wire line (JSON + newline)."""
-    payload: dict[str, object] = {"op": frame.op}
-    payload.update(dataclasses.asdict(frame))  # type: ignore[call-overload]
-    data = json.dumps(
-        payload, separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
+    """Serialize one frame to its wire line (JSON + newline).
+
+    The payload is ``op`` followed by the fields in declaration order.
+    Frame fields are flat scalars and tuples, so the instance
+    ``__dict__`` serializes exactly as a ``dataclasses.asdict`` deep
+    copy would.
+    """
+    data = _ENCODER.encode({"op": frame.op, **frame.__dict__}).encode(
+        "utf-8"
+    )
     if len(data) + 1 > max_bytes:
         raise ProtocolError(
             "frame_too_large",
@@ -513,7 +574,14 @@ def _decode(
             f"{max_bytes}-byte limit",
         )
     try:
-        payload = json.loads(line, parse_constant=_reject_constant)
+        # What ``json.loads`` does with bytes, minus its per-call
+        # decoder construction.
+        text = (
+            line.decode(json.detect_encoding(line), "surrogatepass")
+            if isinstance(line, (bytes, bytearray))
+            else line
+        )
+        payload = _DECODER.decode(text)
     except ProtocolError:
         raise
     except (ValueError, UnicodeDecodeError) as exc:
@@ -525,27 +593,30 @@ def _decode(
     op = payload.pop("op", None)
     if not isinstance(op, str):
         raise ProtocolError("bad_frame", "frame is missing its 'op'")
-    cls = registry.get(op)
+    cls: "type[Frame] | None" = registry.get(op)
     if cls is None:
-        raise ProtocolError("unknown_op", f"unknown op {op!r}")
-    kwargs: dict[str, object] = {}
-    for field in dataclasses.fields(cls):
-        if field.name in payload:
-            validate = _VALIDATORS[str(field.type)]
-            kwargs[field.name] = validate(
-                payload.pop(field.name), field.name
-            )
-        elif field.default is dataclasses.MISSING:
+        raise ProtocolError("unknown_op", f"unknown op {clip_echo(op)!r}")
+    values: dict[str, object] = {}
+    missing = dataclasses.MISSING
+    for name, validate, default in cls._schema:
+        value = payload.pop(name, missing)
+        if value is not missing:
+            values[name] = validate(value, name)
+        elif default is missing:
             raise ProtocolError(
                 "bad_field",
-                f"op {op!r} is missing required field {field.name!r}",
+                f"op {op!r} is missing required field {name!r}",
             )
+        else:
+            values[name] = default
     if payload:
-        unknown = ", ".join(sorted(payload))
+        unknown = clip_echo(", ".join(sorted(payload)))
         raise ProtocolError(
             "bad_field", f"op {op!r} got unknown fields: {unknown}"
         )
-    return cls(**kwargs)
+    frame = object.__new__(cls)
+    frame.__dict__.update(values)
+    return frame
 
 
 def decode_request(
@@ -558,312 +629,3 @@ def decode_request(
 def decode_reply(line: bytes, max_bytes: int = MAX_FRAME_BYTES) -> Frame:
     """Decode one server→client line; raises :class:`ProtocolError`."""
     return _decode(line, REPLY_TYPES, max_bytes)
-
-
-# ---------------------------------------------------------------------
-# fast codec (in-process firehose)
-# ---------------------------------------------------------------------
-#
-# ``encode_frame``/``_decode`` pay for their strictness:
-# ``dataclasses.asdict`` deep-copies every frame and the decoder walks
-# ``dataclasses.fields`` with a per-field validator — together ~90 µs
-# per frame round trip, several times the engine's own per-request
-# cost.  The in-process firehose (``ShardRouter.serve_line(s)``, which
-# benchmark E18 drives) takes NDJSON lines straight into the shard
-# sequencers, so it uses the hand-rolled fast path below for the five
-# hot frame types and falls back to the strict codec for everything
-# else (control ops, and any input the fast decoder cannot take at
-# face value — the fallback also re-raises the proper
-# :class:`ProtocolError`).  Every socket hop — client ↔ daemon and
-# supervisor ↔ worker alike — keeps the strict codec.
-
-
-#: Memoized ``json.dumps`` for short string fields (services,
-#: pseudonyms, decisions, LBQID names draw from small vocabularies, so
-#: the quoting/escaping work is the same few strings over and over).
-_JSTR_CACHE: dict[str, str] = {}
-
-
-def _jstr(value: str) -> str:
-    quoted = _JSTR_CACHE.get(value)
-    if quoted is None:
-        if len(_JSTR_CACHE) > 4096:
-            _JSTR_CACHE.clear()
-        quoted = _JSTR_CACHE[value] = json.dumps(value)
-    return quoted
-
-
-def _fast_encode_update(f: LocationUpdate) -> str:
-    head = (
-        f'{{"op":"update","id":{f.id},"user_id":{f.user_id},'
-        f'"x":{f.x!r},"y":{f.y!r},"t":{f.t!r}'
-    )
-    if f.trace is not None:
-        head += f',"trace":"{f.trace}"'
-    if f.seq is not None:
-        head += f',"seq":{f.seq}'
-    return head + "}"
-
-
-def _fast_encode_request(f: ServiceRequest) -> str:
-    head = (
-        f'{{"op":"request","id":{f.id},"user_id":{f.user_id},'
-        f'"x":{f.x!r},"y":{f.y!r},"t":{f.t!r},'
-        f'"service":{_jstr(f.service)}'
-    )
-    if f.trace is not None:
-        head += f',"trace":"{f.trace}"'
-    if f.seq is not None:
-        head += f',"seq":{f.seq}'
-    return head + "}"
-
-
-def _fast_encode_ack(f: UpdateAck) -> str:
-    if f.trace is None:
-        return f'{{"op":"ack","id":{f.id}}}'
-    return f'{{"op":"ack","id":{f.id},"trace":"{f.trace}"}}'
-
-
-def _fast_encode_decision(f: DecisionReply) -> str:
-    context = (
-        "null" if f.context is None
-        else "[" + ",".join(repr(v) for v in f.context) + "]"
-    )
-    return (
-        f'{{"op":"decision","id":{f.id},"msgid":{f.msgid},'
-        f'"pseudonym":{_jstr(f.pseudonym)},'
-        f'"decision":{_jstr(f.decision)},'
-        f'"forwarded":{"true" if f.forwarded else "false"},'
-        f'"context":{context},'
-        f'"lbqid":{"null" if f.lbqid is None else _jstr(f.lbqid)},'
-        f'"step":{"null" if f.step is None else f.step},'
-        f'"required_k":'
-        f'{"null" if f.required_k is None else f.required_k},'
-        f'"rotated":{"true" if f.rotated else "false"},'
-        f'"trace":{"null" if f.trace is None else _jstr(f.trace)}}}'
-    )
-
-
-def _fast_encode_error(f: ErrorReply) -> str:
-    return (
-        f'{{"op":"error","id":{"null" if f.id is None else f.id},'
-        f'"code":{json.dumps(f.code)},'
-        f'"message":{json.dumps(f.message)},'
-        f'"retry_after":'
-        f'{"null" if f.retry_after is None else repr(f.retry_after)},'
-        f'"trace":{json.dumps(f.trace)}}}'
-    )
-
-
-_FAST_ENCODERS: dict[type, Callable[[Frame], str]] = {
-    LocationUpdate: _fast_encode_update,  # type: ignore[dict-item]
-    ServiceRequest: _fast_encode_request,  # type: ignore[dict-item]
-    UpdateAck: _fast_encode_ack,  # type: ignore[dict-item]
-    DecisionReply: _fast_encode_decision,  # type: ignore[dict-item]
-    ErrorReply: _fast_encode_error,  # type: ignore[dict-item]
-}
-
-
-def encode_frame_fast(
-    frame: Frame, max_bytes: int = MAX_FRAME_BYTES
-) -> bytes:
-    """:func:`encode_frame` without the ``asdict`` deep copy.
-
-    Identical wire bytes modulo JSON field order (the strict decoder
-    accepts either); only for frames produced by this process — the
-    hand-rolled serializers assume finite numbers, which everything in
-    the engine guarantees by construction.
-    """
-    encoder = _FAST_ENCODERS.get(type(frame))
-    if encoder is None:
-        return encode_frame(frame, max_bytes)
-    data = encoder(frame).encode("utf-8")
-    if len(data) + 1 > max_bytes:
-        raise ProtocolError(
-            "frame_too_large",
-            f"frame of {len(data) + 1} bytes exceeds the "
-            f"{max_bytes}-byte limit",
-        )
-    return data + b"\n"
-
-
-#: Canonical prefixes emitted by the fast encoders above — the
-#: positional decoder recognizes exactly these shapes.
-_CANON_UPDATE = b'{"op":"update","id":'
-_CANON_REQUEST = b'{"op":"request","id":'
-
-
-def _decode_positional(line: bytes) -> "Frame | None":
-    """Positionally parse a line the fast *encoders* produced.
-
-    The router→worker hop re-encodes every hot frame with
-    :func:`_fast_encode_update` / :func:`_fast_encode_request`, whose
-    field order and spelling are fixed — so the common case (no trace,
-    no seq, escape-free service name) parses with byte splits instead
-    of a JSON scanner.  Returns ``None`` for anything else (optional
-    fields present, unexpected shape, non-canonical spelling); callers
-    fall through to the JSON path, so this is purely an accelerator
-    and never changes what decodes successfully.
-    """
-    try:
-        if line.startswith(_CANON_UPDATE):
-            parts = line[20 : line.rindex(b"}")].split(b',"')
-            if len(parts) != 5:
-                return None
-            frame = object.__new__(LocationUpdate)
-            object.__setattr__(
-                frame,
-                "__dict__",
-                {
-                    "id": int(parts[0]),
-                    "user_id": int(parts[1][9:]),
-                    "x": float(parts[2][3:]),
-                    "y": float(parts[3][3:]),
-                    "t": float(parts[4][3:]),
-                    "trace": None,
-                    "seq": None,
-                },
-            )
-            return frame
-        if line.startswith(_CANON_REQUEST):
-            parts = line[21 : line.rindex(b"}")].split(b',"')
-            if len(parts) != 6 or not parts[5].startswith(
-                b'service":"'
-            ):
-                return None
-            service = parts[5][10:]
-            if (
-                not service.endswith(b'"')
-                or b'"' in service[:-1]
-                or b"\\" in service
-            ):
-                return None
-            frame = object.__new__(ServiceRequest)
-            object.__setattr__(
-                frame,
-                "__dict__",
-                {
-                    "id": int(parts[0]),
-                    "user_id": int(parts[1][9:]),
-                    "x": float(parts[2][3:]),
-                    "y": float(parts[3][3:]),
-                    "t": float(parts[4][3:]),
-                    "service": service[:-1].decode("utf-8"),
-                    "trace": None,
-                    "seq": None,
-                },
-            )
-            return frame
-    except ValueError:
-        return None
-    return None
-
-
-def _decode_fast(
-    line: bytes, registry: Mapping[str, type], max_bytes: int
-) -> Frame:
-    if len(line) > max_bytes:
-        raise ProtocolError(
-            "frame_too_large",
-            f"frame of {len(line)} bytes exceeds the "
-            f"{max_bytes}-byte limit",
-        )
-    if registry is REQUEST_TYPES and type(line) is bytes:
-        frame = _decode_positional(line)
-        if frame is not None:
-            return frame
-    try:
-        # bytes input would route json.loads through its pure-python
-        # encoding sniffer; one C-level decode avoids that per frame.
-        payload = json.loads(
-            line.decode("utf-8")
-            if isinstance(line, (bytes, bytearray))
-            else line
-        )
-        op = payload["op"] if registry is REQUEST_TYPES else None
-        # The hot frames are built by installing a complete ``__dict__``
-        # on a bare instance — a frozen dataclass without slots stores
-        # its fields there, and one ``object.__setattr__`` of the whole
-        # dict skips the per-field frozen-``__setattr__`` dance of the
-        # generated ``__init__`` (frames carry no ``__post_init__``
-        # validation to lose; plain ``frame.__dict__ = ...`` would
-        # itself trip the frozen guard).
-        if op == "update":
-            frame = object.__new__(LocationUpdate)
-            object.__setattr__(
-                frame,
-                "__dict__",
-                {
-                    "id": payload["id"],
-                    "user_id": payload["user_id"],
-                    "x": payload["x"],
-                    "y": payload["y"],
-                    "t": payload["t"],
-                    "trace": payload.get("trace"),
-                    "seq": payload.get("seq"),
-                },
-            )
-            return frame
-        if op == "request":
-            frame = object.__new__(ServiceRequest)
-            object.__setattr__(
-                frame,
-                "__dict__",
-                {
-                    "id": payload["id"],
-                    "user_id": payload["user_id"],
-                    "x": payload["x"],
-                    "y": payload["y"],
-                    "t": payload["t"],
-                    "service": payload.get("service", "default"),
-                    "trace": payload.get("trace"),
-                    "seq": payload.get("seq"),
-                },
-            )
-            return frame
-        op = payload["op"] if registry is REPLY_TYPES else None
-        if op == "decision":
-            context = payload.get("context")
-            return DecisionReply(
-                id=payload["id"],
-                msgid=payload["msgid"],
-                pseudonym=payload["pseudonym"],
-                decision=payload["decision"],
-                forwarded=payload["forwarded"],
-                context=None if context is None else tuple(context),
-                lbqid=payload.get("lbqid"),
-                step=payload.get("step"),
-                required_k=payload.get("required_k"),
-                rotated=payload.get("rotated", False),
-                trace=payload.get("trace"),
-            )
-        if op == "ack":
-            return UpdateAck(
-                id=payload["id"], trace=payload.get("trace")
-            )
-    except ProtocolError:
-        raise
-    except Exception:
-        pass  # malformed or surprising: strict path for the real error
-    return _decode(line, registry, max_bytes)
-
-
-def decode_request_fast(
-    line: bytes, max_bytes: int = MAX_FRAME_BYTES
-) -> Frame:
-    """Fast-path :func:`decode_request` for the in-process firehose.
-
-    Hot frames (``update``/``request``) skip the reflective field walk;
-    everything else — including anything malformed — re-enters the
-    strict decoder, so error codes and unknown-field rejection are
-    unchanged for inputs the fast path does not recognize.  Use only
-    where the input is trusted (lines the fast encoder produced).
-    """
-    return _decode_fast(line, REQUEST_TYPES, max_bytes)
-
-
-def decode_reply_fast(
-    line: bytes, max_bytes: int = MAX_FRAME_BYTES
-) -> Frame:
-    """Fast-path :func:`decode_reply` for firehose reply lines."""
-    return _decode_fast(line, REPLY_TYPES, max_bytes)

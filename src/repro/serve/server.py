@@ -83,6 +83,7 @@ from repro.serve.protocol import (
     TracesRequest,
     UpdateAck,
     Welcome,
+    clip_echo,
     clone_frame,
 )
 from repro.serve.wal import (
@@ -93,7 +94,7 @@ from repro.serve.wal import (
 )
 
 #: The state-mutating frame types the data plane serves.
-SERVABLE = (LocationUpdate, ServiceRequest)
+_SERVABLE = (LocationUpdate, ServiceRequest)
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def render_metrics_reply(
             id=frame.id,
             code="bad_field",
             message=(
-                f"unknown metrics format {frame.format!r}; "
+                f"unknown metrics format {clip_echo(frame.format)!r}; "
                 "this server speaks 'prometheus'"
             ),
         )
@@ -270,7 +271,7 @@ def render_profile_reply(
         id=frame.id,
         code="bad_field",
         message=(
-            f"unknown profile action {frame.action!r}; expected "
+            f"unknown profile action {clip_echo(frame.action)!r}; expected "
             "start|stop|status|collapsed|stages"
         ),
     )
@@ -495,10 +496,10 @@ class ShardJob:
 
     def __init__(
         self,
-        session: "ClientSession | None",
+        session: ClientSession,
         frame: Frame,
         seq: int,
-        future: "asyncio.Future[Frame] | None",
+        future: "asyncio.Future[Frame]",
         trace: TraceContext | None = None,
     ) -> None:
         self.session = session
@@ -607,9 +608,8 @@ class ShardSequencer:
                 for _ in range(min(self.BATCH, len(jobs))):
                     job = jobs.popleft()
                     reply = self._execute_job(job)
-                    if job.session is not None:
-                        job.session.inflight -= 1
-                    if job.future is not None and not job.future.done():
+                    job.session.inflight -= 1
+                    if not job.future.done():
                         job.future.set_result(reply)
                 self.telemetry.gauge(
                     "serve.queue_depth", len(jobs), **self.labels
@@ -696,27 +696,6 @@ class ShardSequencer:
             decision = getattr(reply, "decision", None)
             if decision is not None:
                 dispatch.annotate(decision=decision)
-        return reply
-
-    def serve_direct(self, frame: Frame, seq: int) -> Frame:
-        """The firehose inner loop: no job, no clone, no clocks.
-
-        With telemetry off this is two attribute bumps around the
-        runtime call; with it on, the full instrumented job path runs
-        so the per-shard series stay complete.
-        """
-        self.accepted += 1
-        if self.telemetry.enabled:
-            return self._execute_job(ShardJob(None, frame, seq, None))
-        try:
-            reply = self.runtime.execute(frame, seq)
-        except Exception as exc:  # engine bug: answer, keep serving
-            return ErrorReply(
-                id=getattr(frame, "id", None),
-                code="internal",
-                message=f"{type(exc).__name__}: {exc}",
-            )
-        self.served += 1
         return reply
 
 
@@ -936,7 +915,7 @@ class TrustedServer:
         admission control and shedding behave identically with and
         without sockets.
         """
-        if not isinstance(frame, SERVABLE):
+        if not isinstance(frame, _SERVABLE):
             return await self._control(session, frame)
         sequencer = self.sequencers.get(
             shard_of(frame.user_id, self.n_shards)
@@ -957,7 +936,9 @@ class TrustedServer:
             except ValueError as exc:
                 self.note_protocol_error()
                 return ErrorReply(
-                    id=frame.id, code="bad_field", message=str(exc)
+                    id=frame.id,
+                    code="bad_field",
+                    message=clip_echo(str(exc)),
                 )
         # Admission spans only exist when a sink can receive them; the
         # trace identity itself (exemplars, introspection, the reply

@@ -32,11 +32,10 @@ restored mid-stream answers already-applied seqs from its reply cache,
 so a supervisor can re-send everything unacknowledged after a SIGKILL
 without double-applying.
 
-The supervisor→worker hop is an ordinary client connection (strict
-codec both ways).  The fast frame codec
-(:func:`~repro.serve.protocol.encode_frame_fast`) serves only the
-in-process firehose below (:meth:`ShardRouter.serve_line`/
-:meth:`ShardRouter.serve_lines`), which benchmark E18 drives.
+Every frame enters a shard through
+:meth:`~repro.serve.server.TrustedServer.submit` and the shard's
+sequencer, from any transport; the supervisor→worker hop is an
+ordinary client connection over the one wire codec.
 """
 
 from __future__ import annotations
@@ -51,15 +50,7 @@ from repro.serve.loadgen import (
     WorkloadConfig,
     build_engine,
 )
-from repro.serve.protocol import (
-    ErrorReply,
-    Frame,
-    ProtocolError,
-    decode_request_fast,
-    encode_frame_fast,
-)
 from repro.serve.server import (
-    SERVABLE,
     ServeConfig,
     ShardJob,
     ShardRuntime,
@@ -189,118 +180,3 @@ class ShardRouter(TrustedServer):
         for job in sorted(pending, key=lambda job: job.seq):
             sequencer.push(job)
         return sequencer
-
-    # -- firehose path -------------------------------------------------
-
-    def serve_line(self, line: bytes) -> bytes:
-        """Route one NDJSON op line synchronously; returns the reply line.
-
-        The wire-inclusive fast path: decode with the fast codec
-        (falling back to the strict one for proper error codes), route
-        and execute via :meth:`serve_frame`, encode the reply.  The
-        capacity benchmark's sharded arm drives this, so its per-op
-        cost includes codec work at both boundaries — like the
-        capacity arm's TCP clients.
-        """
-        try:
-            frame = decode_request_fast(line, self.config.max_frame_bytes)
-        except ProtocolError as exc:
-            self.note_protocol_error()
-            return encode_frame_fast(
-                ErrorReply(id=None, code=exc.code, message=str(exc)),
-                self.config.max_frame_bytes,
-            )
-        reply = self.serve_frame(frame)
-        return encode_frame_fast(reply, self.config.max_frame_bytes)
-
-    def serve_lines(self, lines: Iterable[bytes]) -> list[bytes]:
-        """Route a batch of NDJSON op lines; one reply line per input.
-
-        Per-element semantics are identical to :meth:`serve_line`; the
-        batch form hoists the loop invariants (codec functions, frame
-        limit, shard table) and inlines the telemetry-off
-        :meth:`ShardSequencer.serve_direct` body, which the per-call
-        form pays for on every op.  Anything off the hot path — strict
-        decode errors, telemetry on, non-servable frames, unknown
-        shards — falls back to the per-call methods so the error codes
-        and instrumented series stay byte-identical.
-        """
-        decode = decode_request_fast
-        encode = encode_frame_fast
-        limit = self.config.max_frame_bytes
-        sequencers = self.sequencers
-        n_shards = self.n_shards
-        servable = SERVABLE
-        trusts_seq = self.trusts_seq
-        instrumented = any(
-            sequencer.telemetry.enabled
-            for sequencer in sequencers.values()
-        )
-        replies: list[bytes] = []
-        append = replies.append
-        for line in lines:
-            try:
-                frame = decode(line, limit)
-            except ProtocolError:
-                append(self.serve_line(line))
-                continue
-            if instrumented or type(frame) not in servable:
-                append(encode(self.serve_frame(frame), limit))
-                continue
-            sequencer = sequencers.get(frame.user_id % n_shards)
-            if sequencer is None:
-                append(encode(self.serve_frame(frame), limit))
-                continue
-            seq = frame.seq if trusts_seq else None
-            if seq is None:
-                seq = sequencer.next_seq
-                sequencer.next_seq = seq + 1
-            sequencer.accepted += 1
-            try:
-                reply = sequencer.runtime.execute(frame, seq)
-            except Exception as exc:  # engine bug: answer, keep going
-                append(
-                    encode(
-                        ErrorReply(
-                            id=getattr(frame, "id", None),
-                            code="internal",
-                            message=f"{type(exc).__name__}: {exc}",
-                        ),
-                        limit,
-                    )
-                )
-                continue
-            sequencer.served += 1
-            append(encode(reply, limit))
-        return replies
-
-    def serve_frame(self, frame: Frame) -> Frame:
-        """Route and execute one state-mutating frame synchronously.
-
-        The zero-queue fast path of the capacity benchmark and the
-        WAL-replay driver: same routing, seq stamping, WAL append, and
-        engine call as :meth:`submit`, without the event-loop future
-        machinery (the caller *is* the sequencer).
-        """
-        if type(frame) not in SERVABLE:
-            return ErrorReply(
-                id=getattr(frame, "id", None),
-                code="unknown_op",
-                message=f"frame {frame.op!r} is not servable",
-            )
-        sequencer = self.sequencers.get(
-            frame.user_id % self.n_shards
-        )
-        if sequencer is None:
-            return ErrorReply(
-                id=frame.id,
-                code="wrong_shard",
-                message=(
-                    f"user {frame.user_id} does not hash to a shard "
-                    "served by this worker"
-                ),
-            )
-        seq = frame.seq if self.trusts_seq else None
-        if seq is None:
-            seq = sequencer.allocate_seq()
-        return sequencer.serve_direct(frame, seq)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.serve.client import ServeClientError
 from repro.serve.gate import ConnectionGate, GateConfig
-from repro.serve.http import HttpServeClient, HttpTransport
+from repro.serve.http import HttpServeClient, HttpTransport, _read_response
 from repro.serve.protocol import (
     DecisionReply,
     ErrorReply,
@@ -19,6 +19,7 @@ from repro.serve.protocol import (
     encode_frame,
 )
 from repro.serve.server import TrustedServer
+from tests.serve.test_tcp import LONG_TEXT_FRAMES, long_text_line
 
 TOKEN = "http-test-token"
 
@@ -293,6 +294,40 @@ def test_http_gate_ticket_released_on_disconnect(engine):
             await asyncio.sleep(0.01)
         second = await HttpServeClient.connect(host, port, token=TOKEN)
         await second.close()
+        await transport.stop()
+        await server.close()
+
+    asyncio.run(run())
+
+
+@pytest.mark.parametrize("case", sorted(LONG_TEXT_FRAMES))
+def test_http_long_client_text_is_answered_and_connection_survives(
+    telemetry_engine, case
+):
+    """An error echoing client text fits the frame cap, and the
+    keep-alive connection serves the next POST."""
+    payload, code = LONG_TEXT_FRAMES[case]
+
+    async def run():
+        server = TrustedServer(telemetry_engine)
+        transport = HttpTransport(server)
+        host, port = await transport.start()
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(
+            _post(encode_frame(Hello(trace=True)) + long_text_line(payload))
+        )
+        await writer.drain()
+        status, body = await _read_response(reader, 1 << 20)
+        assert status == 200
+        welcome, reply = (decode_reply(ln + b"\n") for ln in body.splitlines())
+        assert welcome.op == "welcome"
+        assert isinstance(reply, ErrorReply) and reply.code == code
+        writer.write(_post(encode_frame(StatsRequest(id=2))))
+        await writer.drain()
+        status, body = await _read_response(reader, 1 << 20)
+        assert status == 200
+        assert decode_reply(body).id == 2
+        writer.close()
         await transport.stop()
         await server.close()
 

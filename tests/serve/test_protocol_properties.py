@@ -1,22 +1,29 @@
 """Property-based tests of the wire codec.
 
-Two invariants a long-running daemon lives or dies by:
+Invariants a long-running daemon lives or dies by:
 
 * **round-trip identity** — every encodable frame decodes back to an
   equal frame (the wire loses nothing);
+* **canonical bytes** — :func:`encode_frame` writes exactly what
+  ``json.dumps`` of ``op`` plus ``dataclasses.asdict`` would, for
+  built and decoded frames alike;
 * **total strictness** — whatever bytes arrive (random garbage,
   truncated frames, shape-shifted JSON), the decoder either returns a
   frame or raises :class:`ProtocolError`.  No other exception type may
   escape, because the connection handlers turn exactly that type into
-  an error reply and anything else would take the daemon down.
+  an error reply and anything else would take the daemon down;
+* **answerable rejections** — the error reply to any rejected frame
+  under the size cap fits under the cap too, however much client text
+  its message echoes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.serve.protocol import (
     DecisionReply,
@@ -24,6 +31,7 @@ from repro.serve.protocol import (
     DrainRequest,
     ErrorReply,
     Frame,
+    MAX_FRAME_BYTES,
     Hello,
     LocationUpdate,
     ProtocolError,
@@ -126,6 +134,28 @@ def test_reply_round_trip_identity(frame: Frame):
     assert decode_reply(encode_frame(frame)) == frame
 
 
+def reference_encoding(frame: Frame) -> bytes:
+    payload = {"op": frame.op, **dataclasses.asdict(frame)}
+    return (
+        json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
+        + b"\n"
+    )
+
+
+@given(request_frames)
+def test_request_encoding_is_canonical(frame: Frame):
+    line = encode_frame(frame)
+    assert line == reference_encoding(frame)
+    assert encode_frame(decode_request(line)) == line
+
+
+@given(reply_frames)
+def test_reply_encoding_is_canonical(frame: Frame):
+    line = encode_frame(frame)
+    assert line == reference_encoding(frame)
+    assert encode_frame(decode_reply(line)) == line
+
+
 @given(request_frames | reply_frames, st.data())
 def test_truncated_frames_raise_protocol_error(frame: Frame, data):
     """Any cut into the JSON body must fail loudly, never misparse."""
@@ -177,3 +207,38 @@ def test_shapeshifted_json_never_escapes_protocol_error(payload, op):
     except ProtocolError:
         return
     assert isinstance(result, Frame)
+
+
+#: 40 kB of UTF-8 that ``json`` escapes to 120 kB: echoed whole, it
+#: would push an error reply over the 64 KiB cap.
+LONG_OP = json.dumps({"op": "\u00e9" * 20000}, ensure_ascii=False)
+MANY_UNKNOWN_FIELDS = json.dumps(
+    {"op": "stats", "id": 1, **{f"\u00e9{i}": 0 for i in range(4000)}},
+    ensure_ascii=False,
+)
+ops = st.sampled_from(["hello", "update", "request", "stats", "error"])
+
+
+@settings(max_examples=300)
+@example(line=LONG_OP.encode() + b"\n")
+@example(line=MANY_UNKNOWN_FIELDS.encode() + b"\n")
+@given(
+    line=st.binary(max_size=200)
+    | st.builds(
+        lambda payload, op: json.dumps(
+            {**payload, "op": op}, ensure_ascii=False
+        ).encode()
+        + b"\n",
+        st.dictionaries(st.text(max_size=300), json_values, max_size=6),
+        ops | st.text(max_size=600),
+    )
+)
+def test_rejection_reply_fits_the_frame_cap(line: bytes):
+    """A rejected frame under the cap always earns a sendable reply."""
+    assert len(line) <= MAX_FRAME_BYTES
+    for decode in (decode_request, decode_reply):
+        try:
+            decode(line)
+        except ProtocolError as exc:
+            reply = ErrorReply(id=None, code=exc.code, message=exc.message)
+            assert len(encode_frame(reply)) <= MAX_FRAME_BYTES

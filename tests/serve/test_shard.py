@@ -20,7 +20,6 @@ from repro.serve.protocol import (
     UpdateAck,
     Welcome,
     clone_frame,
-    decode_reply_fast,
 )
 from repro.serve.server import (
     ServeConfig,
@@ -280,40 +279,6 @@ class TestShardRouter:
         assert isinstance(shed, ErrorReply)
         assert shed.code == "overloaded"
         assert shed.retry_after is not None and shed.retry_after > 0
-
-    def test_serve_line_firehose(self, workload, workload_config):
-        from repro.serve.protocol import encode_frame_fast
-
-        router = ShardRouter(
-            workload, workload_config, n_shards=4, config=WIDE_OPEN
-        )
-        decisions = 0
-        for frame in frames_for(workload.timeline[:200]):
-            line = encode_frame_fast(
-                frame, router.config.max_frame_bytes
-            )
-            reply = decode_reply_fast(
-                router.serve_line(line),
-                router.config.max_frame_bytes,
-            )
-            assert not isinstance(reply, ErrorReply), reply
-            if isinstance(reply, DecisionReply):
-                decisions += 1
-        assert decisions > 0
-        assert router.served == 200
-
-    def test_serve_line_bad_input_counts_protocol_error(
-        self, workload, workload_config
-    ):
-        router = ShardRouter(
-            workload, workload_config, n_shards=1, config=WIDE_OPEN
-        )
-        reply = decode_reply_fast(
-            router.serve_line(b'{"op": "nonsense"}\n'),
-            router.config.max_frame_bytes,
-        )
-        assert isinstance(reply, ErrorReply)
-        assert router.protocol_errors == 1
 
     @pytest.mark.parametrize("shape", ["engine", 1, 4])
     def test_public_frontend_ignores_client_seq(

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import json
+
+import pytest
 
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.protocol import (
@@ -147,6 +150,64 @@ def test_garbage_line_answers_and_recovers(engine):
         stats = decode_reply(await reader.readline())
         assert isinstance(stats, StatsReply)
         assert stats.protocol_errors == 1
+        writer.close()
+        await transport.stop()
+        await server.close()
+
+    asyncio.run(run())
+
+
+#: 40 kB of UTF-8 under the 64 KiB cap; ``json`` escapes it to 120 kB,
+#: so an error message echoing it whole would not fit a reply frame.
+LONG_TEXT = "\u00e9" * 20000
+
+#: Frames whose error reply echoes client text, with the reply's code.
+LONG_TEXT_FRAMES = {
+    "unknown_op": ({"op": LONG_TEXT}, "unknown_op"),
+    "unknown_field": ({"op": "stats", "id": 1, LONG_TEXT: 1}, "bad_field"),
+    "metrics_format": (
+        {"op": "metrics", "id": 1, "format": LONG_TEXT},
+        "bad_field",
+    ),
+    "profile_action": (
+        {"op": "profile", "id": 1, "action": LONG_TEXT},
+        "bad_field",
+    ),
+    "trace_context": (
+        {
+            "op": "update", "id": 1, "user_id": 1,
+            "x": 0.0, "y": 0.0, "t": 0.0, "trace": LONG_TEXT,
+        },
+        "bad_field",
+    ),
+}
+
+
+def long_text_line(payload: dict) -> bytes:
+    return json.dumps(payload, ensure_ascii=False).encode() + b"\n"
+
+
+@pytest.mark.parametrize("case", sorted(LONG_TEXT_FRAMES))
+def test_long_client_text_is_answered_and_connection_survives(
+    telemetry_engine, case
+):
+    """An error echoing client text fits the frame cap (see protocol)."""
+    payload, code = LONG_TEXT_FRAMES[case]
+
+    async def run():
+        server, transport, host, port = await _serving(telemetry_engine)
+        reader, writer = await asyncio.open_connection(host, port)
+        writer.write(encode_frame(Hello(trace=True)))
+        await writer.drain()
+        assert decode_reply(await reader.readline()).op == "welcome"
+        writer.write(long_text_line(payload))
+        writer.write(encode_frame(StatsRequest(id=2)))
+        await writer.drain()
+        reply = decode_reply(await reader.readline())
+        assert isinstance(reply, ErrorReply), reply
+        assert reply.code == code
+        stats = decode_reply(await reader.readline())
+        assert isinstance(stats, StatsReply) and stats.id == 2
         writer.close()
         await transport.stop()
         await server.close()
