@@ -1,8 +1,7 @@
-"""E15 — ablations of the reproduction's own design choices.
+"""E15 — ablation of the reproduction's own design choice.
 
-DESIGN.md introduces two tunables the paper does not fix, and this
-bench measures both so their defaults are evidence-based rather than
-folklore:
+DESIGN.md introduces a tunable the paper does not fix, and this bench
+measures it so its default is evidence-based rather than folklore:
 
 * **time scale** — Algorithm 1 needs a combined spatio-temporal
   distance; we convert seconds to meters at a reference speed
@@ -11,27 +10,18 @@ folklore:
   positions no longer correlate with anyone's presence; too large and
   only exactly-synchronous samples qualify, starving the selection.
   The sweep reports generalization failure rate and box shape across
-  four orders of magnitude.
-* **grid cell size** — the moving-object index (E9) trades ring-search
-  fan-out against per-cell scan length.  The sweep runs Algorithm 1
-  line-5 queries at three cell sizes over the same 100k-point store and
-  reads the per-query latency from the obs layer's ``store.query_ms``
-  histogram instead of timing by hand.
+  four orders of magnitude.  Each run reassigns the store's
+  ``time_scale`` after the simulation built it; the store is the
+  scale's only owner, so every query reads the new value.
 """
-
-import numpy as np
 
 from repro.core.unlinking import AlwaysUnlink
 from repro.experiments.harness import Table
 from repro.experiments.workloads import make_policy
-from repro.geometry.point import STPoint
 from repro.metrics.qos import qos_summary
-from repro.mod.store import TrajectoryStore
-from repro.obs import TelemetryConfig
 from repro.ts.simulation import LBSSimulation
 
 TIME_SCALES = (0.015, 0.15, 1.5, 15.0)
-CELL_SIZES = (125.0, 500.0, 2000.0)
 
 
 def run_e15a(city):
@@ -65,53 +55,6 @@ def run_e15a(city):
     return rows
 
 
-def _uniform_store(cell_size, n_points=100_000):
-    rng = np.random.default_rng(17)
-    # This ablation measures the *grid index*, so the python backend
-    # is pinned — the suite-wide REPRO_STORE_BACKEND matrix would
-    # otherwise reroute the queries through the columnar path.
-    store = TrajectoryStore(
-        index_cell_size=cell_size,
-        telemetry=TelemetryConfig(enabled=True),
-        backend="python",
-    )
-    n_users = n_points // 500
-    for user_id in range(n_users):
-        times = np.sort(rng.uniform(0.0, 14 * 86_400.0, size=500))
-        xs = rng.uniform(0.0, 4000.0, size=500)
-        ys = rng.uniform(0.0, 4000.0, size=500)
-        store.add_points(
-            user_id,
-            [
-                STPoint(float(x), float(y), float(t))
-                for x, y, t in zip(xs, ys, times)
-            ],
-        )
-    return store
-
-
-def run_e15b():
-    rng = np.random.default_rng(5)
-    targets = [
-        STPoint(
-            float(rng.uniform(0, 4000)),
-            float(rng.uniform(0, 4000)),
-            float(rng.uniform(0, 14 * 86_400.0)),
-        )
-        for _ in range(30)
-    ]
-    rows = []
-    for cell_size in CELL_SIZES:
-        store = _uniform_store(cell_size)
-        for target in targets:
-            store.nearest_users(target, 10)
-        summary = store.telemetry.snapshot().histogram_summary(
-            "store.query_ms", query="nearest_users", method="grid"
-        )
-        rows.append((cell_size, summary.mean))
-    return rows
-
-
 def test_e15a_time_scale(benchmark, bench_city, bench_export):
     rows = benchmark.pedantic(
         run_e15a, args=(bench_city,), rounds=1, iterations=1
@@ -141,29 +84,3 @@ def test_e15a_time_scale(benchmark, bench_city, bench_export):
     # Over-weighting time starves the spatial neighbourhood: failures
     # rise relative to the default.
     assert by_scale[15.0][1] >= by_scale[1.5][1]
-
-
-def test_e15b_cell_size(benchmark, bench_export):
-    rows = benchmark.pedantic(run_e15b, rounds=1, iterations=1)
-    table = Table(
-        "E15b: grid-index cell size (100k points, k=10, 30 queries)",
-        ["cell size m", "ms per query"],
-    )
-    for row in rows:
-        table.add_row(row)
-    table.print()
-    # Per-query latency is machine-dependent: informational only.
-    bench_export(
-        "e15b",
-        {"cell_sizes": float(len(CELL_SIZES))},
-        workload={"cell_sizes": list(CELL_SIZES)},
-        latency={
-            f"cell={size:g}": {"query_ms": ms} for size, ms in rows
-        },
-    )
-
-    # All three settings answer in interactive time; the default (500 m)
-    # is not the worst of the sweep.
-    times = {row[0]: row[1] for row in rows}
-    assert all(ms < 50.0 for ms in times.values())
-    assert times[500.0] <= max(times.values())

@@ -7,10 +7,7 @@ Server (``repro.serve``):
   served per-user decision streams must match the offline
   ``Engine.process_batch`` replay exactly, and nothing may be shed.
   The decision tallies land in the gated metrics (they are seeded and
-  deterministic).  The pass runs twice, once per trajectory-store
-  backend (``python`` pinned, then ``numpy``): both must verify and
-  their decision tallies must be identical — the columnar hot path is
-  decision-equivalent end to end, through the wire;
+  deterministic);
 * **traced** — the steady workload again with end-to-end trace
   propagation negotiated (wire contexts, exemplars, introspection; the
   no-sink span fast path): interleaved untraced/traced passes, gated
@@ -43,7 +40,6 @@ pass/fail indicators.
 """
 
 import asyncio
-import dataclasses
 import gc
 import time
 
@@ -156,29 +152,7 @@ def _overhead_trials(rounds: int = 5):
 
 
 def run_e17():
-    # The steady pair pins the store backend per arm so the comparison
-    # survives the CI backend matrix (where $REPRO_STORE_BACKEND would
-    # otherwise flip both arms to the same backend).
-    steady = asyncio.run(
-        run_loadgen(
-            _steady_config(
-                verify=True,
-                workload=dataclasses.replace(
-                    SERVING_WORKLOAD, backend="python"
-                ),
-            )
-        )
-    )
-    steady_numpy = asyncio.run(
-        run_loadgen(
-            _steady_config(
-                verify=True,
-                workload=dataclasses.replace(
-                    SERVING_WORKLOAD, backend="numpy"
-                ),
-            )
-        )
-    )
+    steady = asyncio.run(run_loadgen(_steady_config(verify=True)))
     best, ratios = _overhead_trials()
     if max(ratios["traced"], ratios["profiled"]) > OVERHEAD_BUDGET:
         # The true arm costs sit well inside the budget, but one bad
@@ -235,7 +209,6 @@ def run_e17():
         )
     return (
         steady,
-        steady_numpy,
         untraced,
         traced,
         profiled,
@@ -248,7 +221,6 @@ def run_e17():
 def test_e17_serving(benchmark, bench_export):
     (
         steady,
-        steady_numpy,
         untraced,
         traced,
         profiled,
@@ -275,7 +247,6 @@ def test_e17_serving(benchmark, bench_export):
     )
     for name, report in (
         ("steady", steady),
-        ("steady-numpy", steady_numpy),
         ("untraced", untraced),
         ("traced", traced),
         ("profiled", profiled),
@@ -319,15 +290,6 @@ def test_e17_serving(benchmark, bench_export):
         "profiled_clean": (
             1.0 if (profiled.ok and profiled.shed == 0) else 0.0
         ),
-        "steady_numpy_verified": (
-            1.0 if steady_numpy.verified else 0.0
-        ),
-        "steady_numpy_mismatches": float(steady_numpy.mismatches),
-        "steady_numpy_decisions_match": (
-            1.0
-            if steady_numpy.decision_counts == steady.decision_counts
-            else 0.0
-        ),
     }
     for decision, count in sorted(steady.decision_counts.items()):
         metrics[f"steady_decisions_{decision}"] = float(count)
@@ -338,15 +300,8 @@ def test_e17_serving(benchmark, bench_export):
             "p99": steady.latency_ms.get("p99", 0.0),
             "p99_9": steady.latency_ms.get("p99_9", 0.0),
         },
-        "serve.steady_numpy_latency_ms": {
-            "p50": steady_numpy.latency_ms.get("p50", 0.0),
-            "p95": steady_numpy.latency_ms.get("p95", 0.0),
-            "p99": steady_numpy.latency_ms.get("p99", 0.0),
-            "p99_9": steady_numpy.latency_ms.get("p99_9", 0.0),
-        },
         "serve.throughput_rps": {
             "steady": steady.throughput_rps,
-            "steady_numpy": steady_numpy.throughput_rps,
             "untraced_best": untraced.throughput_rps,
             "traced_best": traced.throughput_rps,
             "profiled_best": profiled.throughput_rps,
@@ -403,13 +358,6 @@ def test_e17_serving(benchmark, bench_export):
     # offline decision stream.
     assert steady.verified is True and steady.mismatches == 0
     assert steady.shed == 0 and steady.ok
-    # The columnar backend serves the *same* decision stream: its own
-    # offline replay verifies, and its tallies match the python arm's
-    # tally for tally — decision equivalence holds through the wire.
-    assert steady_numpy.verified is True
-    assert steady_numpy.mismatches == 0
-    assert steady_numpy.shed == 0 and steady_numpy.ok
-    assert steady_numpy.decision_counts == steady.decision_counts
     # The acceptance bar: at least 1k sustained decisions per second.
     assert capacity.throughput_rps >= 1000.0, capacity.to_dict()
     # Tracing must stay cheap: a traced pass may consume at most

@@ -5,20 +5,15 @@ consuming step is the one at line 5 … the worst case complexity of this
 step is O(k·n) where n is the number of location points in the TS.
 Optimizations may be inspired by the work on indexing moving objects."
 
-Three measurements (the *backend dimension*):
+Two measurements on one store per size n:
 
-* the brute-force line-5 selection (scan every user's PHL) at growing
-  store sizes n — its cost should scale roughly linearly in n;
-* the same queries against the uniform grid index — roughly flat in n,
-  giving a growing speed-up;
-* the same queries against the columnar numpy backend
-  (``TrajectoryStore(backend="numpy")``) — decision-equivalent to
-  brute (same tuples, same tie-breaks) but answered with vectorized
-  array ops; gated at ≥ 5× over brute at the largest n.
-
-The python arms pin ``backend="python"`` explicitly so the comparison
-stays meaningful when the whole suite runs under
-``REPRO_STORE_BACKEND=numpy``.
+* the paper's brute-force line-5 selection
+  (:meth:`TrajectoryStore.nearest_users_brute`, a scan of every user's
+  PHL) — its cost should scale roughly linearly in n;
+* the store's own :meth:`TrajectoryStore.nearest_users`, answered by
+  its columnar view — decision-equivalent to brute (same tuples, same
+  tie-breaks) but computed with vectorized array ops; gated at ≥ 5×
+  over brute at the largest n.
 
 This is the one experiment where the *timing* is the result, so the
 stores run with telemetry enabled and the reported ms/query are the
@@ -53,21 +48,11 @@ NUMPY_SPEEDUP_FLOOR = 5.0
 REQUESTER = 10_000_000
 
 
-def _build_stores(n_points):
-    """Brute, grid-indexed, and columnar stores over identical data."""
+def _build_store(n_points):
+    """A store of ``n_points`` uniform samples over the area and span."""
     rng = np.random.default_rng(n_points)
     n_users = max(20, n_points // 500)
-    brute = TrajectoryStore(
-        telemetry=TelemetryConfig(enabled=True), backend="python"
-    )
-    indexed = TrajectoryStore(
-        index_cell_size=500.0,
-        telemetry=TelemetryConfig(enabled=True),
-        backend="python",
-    )
-    columnar = TrajectoryStore(
-        telemetry=TelemetryConfig(enabled=True), backend="numpy"
-    )
+    store = TrajectoryStore(telemetry=TelemetryConfig(enabled=True))
     per_user = n_points // n_users
     for user_id in range(n_users):
         times = np.sort(rng.uniform(0.0, SPAN, size=per_user))
@@ -77,10 +62,8 @@ def _build_stores(n_points):
             STPoint(float(x), float(y), float(t))
             for x, y, t in zip(xs, ys, times)
         ]
-        brute.add_points(user_id, points)
-        indexed.add_points(user_id, points)
-        columnar.add_points(user_id, points)
-    return brute, indexed, columnar
+        store.add_points(user_id, points)
+    return store
 
 
 def _query_points(seed):
@@ -148,33 +131,25 @@ def _stage_breakdown(store):
 def run_e9():
     rows = []
     targets = _query_points(seed=3)
-    indexed = None
+    store = None
     for n_points in STORE_SIZES:
-        brute, indexed, columnar = _build_stores(n_points)
+        store = _build_store(n_points)
+        expected = [store.nearest_users_brute(t, K) for t in targets]
+        assert [store.nearest_users(t, K) for t in targets] == expected
 
-        for target in targets:
-            brute.nearest_users_brute(target, K)
-        for target in targets:
-            indexed.nearest_users(target, K)
-        for target in targets:
-            columnar.nearest_users(target, K)
-
-        brute_ms = _mean_query_ms(brute, "brute")
-        grid_ms = _mean_query_ms(indexed, "grid")
-        numpy_ms = _mean_query_ms(columnar, "numpy")
+        brute_ms = _mean_query_ms(store, "brute")
+        numpy_ms = _mean_query_ms(store, "numpy")
         rows.append(
             (
                 n_points,
                 K,
                 brute_ms,
-                grid_ms,
-                brute_ms / grid_ms if grid_ms > 0 else float("inf"),
                 numpy_ms,
                 brute_ms / numpy_ms if numpy_ms > 0 else float("inf"),
             )
         )
-    # Stage breakdown over the largest indexed store (informational).
-    breakdown = _stage_breakdown(indexed)
+    # Stage breakdown over the largest store (informational).
+    breakdown = _stage_breakdown(store)
     return rows, breakdown
 
 
@@ -187,8 +162,6 @@ def test_e9_scaling(benchmark, bench_export):
             "points in TS (n)",
             "k",
             "brute ms/query",
-            "grid ms/query",
-            "grid speedup",
             "numpy ms/query",
             "numpy speedup",
         ],
@@ -198,7 +171,7 @@ def test_e9_scaling(benchmark, bench_export):
     table.print()
 
     stage_table = Table(
-        f"E9b: engine.stage_ms breakdown, n={STORE_SIZES[-1]} (grid)",
+        f"E9b: engine.stage_ms breakdown, n={STORE_SIZES[-1]}",
         ["stage", "requests", "mean ms", "p95 ms", "max ms"],
     )
     for stage, summary in breakdown.items():
@@ -219,20 +192,10 @@ def test_e9_scaling(benchmark, bench_export):
     latency = {
         f"n={n}": {
             "brute_ms": brute,
-            "grid_ms": grid,
-            "grid_speedup": grid_speedup,
             "numpy_ms": numpy_ms,
             "numpy_speedup": numpy_speedup,
         }
-        for (
-            n,
-            _k,
-            brute,
-            grid,
-            grid_speedup,
-            numpy_ms,
-            numpy_speedup,
-        ) in rows
+        for n, _k, brute, numpy_ms, numpy_speedup in rows
     }
     latency["stage_ms"] = {
         stage: summary.mean for stage, summary in breakdown.items()
@@ -242,7 +205,7 @@ def test_e9_scaling(benchmark, bench_export):
         {"k": float(K), "queries": float(QUERIES)},
         workload={
             "store_sizes": list(STORE_SIZES),
-            "backends": ["python", "python+grid", "numpy"],
+            "methods": ["brute", "numpy"],
         },
         latency=latency,
     )
@@ -250,11 +213,8 @@ def test_e9_scaling(benchmark, bench_export):
     # Brute force grows with n …
     brute_times = [row[2] for row in rows]
     assert brute_times[-1] > brute_times[0] * 2
-    # … the index is faster at scale, increasingly so …
-    assert rows[-1][4] > rows[0][4]
-    assert rows[-1][4] > 2.0
-    # … and the columnar backend clears the acceptance bar.
-    assert rows[-1][6] >= NUMPY_SPEEDUP_FLOOR, (
-        f"numpy speedup {rows[-1][6]:.2f}x below "
+    # … and the columnar view clears the acceptance bar.
+    assert rows[-1][4] >= NUMPY_SPEEDUP_FLOOR, (
+        f"numpy speedup {rows[-1][4]:.2f}x below "
         f"{NUMPY_SPEEDUP_FLOOR}x at n={rows[-1][0]}"
     )

@@ -74,7 +74,7 @@ from repro.engine import (
     ShardedSessionStore,
 )
 from repro.mining import mine_commute_lbqid
-from repro.mod import GridIndex, TrajectoryStore
+from repro.mod import TrajectoryStore
 from repro.obs import Telemetry, TelemetryConfig
 
 __version__ = "1.0.0"
@@ -124,7 +124,6 @@ __all__ = [
     "BoxRandomizer",
     "mine_commute_lbqid",
     "TrajectoryStore",
-    "GridIndex",
     "Telemetry",
     "TelemetryConfig",
     "__version__",

@@ -28,14 +28,16 @@ class PersonalHistory:
     Points may be appended in any order; the history keeps itself sorted
     by timestamp so time-window scans stay logarithmic.
 
-    .. note:: :class:`repro.mod.columnar.ColumnarHistory` is a
-       columnar drop-in replacement pinned decision-equivalent to this
-       class (identical results including distance tie-breaks and
-       equal-timestamp insertion order).  Any semantic change here —
-       in particular to :meth:`add`'s ``bisect_right`` placement or
+    .. note:: The store's cross-user queries run on
+       :class:`repro.mod.columnar.ColumnarView`, pinned
+       decision-equivalent to scans over these lists (identical
+       results including equal-timestamp insertion order, and ties
+       broken by :meth:`closest_point_to`'s visit order, which the
+       store replays).  Any semantic change here — in particular to
+       :meth:`add`'s ``bisect_right`` placement or
        :meth:`closest_point_to`'s visit order and pruning — must be
-       mirrored there; ``tests/mod/test_columnar_properties.py``
-       enforces the equivalence.
+       mirrored there; ``tests/mod/test_store_properties.py`` enforces
+       the equivalence.
     """
 
     def __init__(

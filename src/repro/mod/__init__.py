@@ -8,40 +8,25 @@ subpackage provides it:
 * :class:`~repro.mod.store.TrajectoryStore` — all users' PHLs, with the
   queries Algorithm 1 needs: per-user closest point and k-nearest users
   around a spatio-temporal point;
-* :class:`~repro.mod.grid_index.GridIndex` — a uniform spatio-temporal
-  grid accelerating those queries (the paper notes "optimizations may be
-  inspired by the work on indexing moving objects"; benchmark E9 measures
-  the speed-up over the paper's brute-force O(k·n) bound);
+* :class:`~repro.mod.columnar.ColumnarView` — the store's one
+  cross-user index (the paper notes "optimizations may be inspired by
+  the work on indexing moving objects"): every sample in numpy
+  columns, decision-equivalent to scanning every PHL list (benchmark
+  E9 measures the speed-up over the paper's brute-force O(k·n) bound);
 * :mod:`repro.mod.interpolation` — linear position interpolation between
   samples;
-* :mod:`repro.mod.queries` — spatio-temporal range queries over the store;
-* :mod:`repro.mod.columnar` — the structure-of-arrays numpy backend
-  behind ``TrajectoryStore(backend="numpy")``, decision-equivalent to
-  the python scans but answering the hot queries with batched array
-  ops (benchmark E9's ``backend`` dimension measures the gap).
+* :mod:`repro.mod.queries` — spatio-temporal range queries over the store.
 """
 
-from repro.mod.columnar import (
-    BACKEND_ENV,
-    BACKENDS,
-    ColumnarHistory,
-    ColumnarView,
-    resolve_backend,
-)
-from repro.mod.grid_index import GridIndex
+from repro.mod.columnar import ColumnarView
 from repro.mod.interpolation import position_at
 from repro.mod.queries import count_users_in_box, users_in_box
 from repro.mod.store import TrajectoryStore
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKENDS",
-    "ColumnarHistory",
     "ColumnarView",
-    "GridIndex",
     "TrajectoryStore",
     "count_users_in_box",
     "position_at",
-    "resolve_backend",
     "users_in_box",
 ]

@@ -1,19 +1,22 @@
-"""Columnar (structure-of-arrays) backend for the trajectory store.
+"""The trajectory store's cross-user index: one columnar view.
 
-The python backend answers every Algorithm 1 query by walking
-``PersonalHistory`` point lists.  This module stores the same PHLs as
-parallel ``x``/``y``/``t`` float64 columns — one set per user
-(:class:`ColumnarHistory`) plus one global concatenated view with a
-user-slot column (:class:`ColumnarView`) — so the hot queries become
-batched numpy array ops instead of python loops.
+Every user's PHL lives in a :class:`~repro.core.phl.PersonalHistory`
+point list, where the per-user queries (Algorithm 1 line 2) run.  The
+queries that span *all* users — line 5's k nearest trajectories, the
+users visiting an ST-box, and Definition 7 over the whole population —
+run here instead: :class:`ColumnarView` holds every stored sample as
+parallel ``x``/``y``/``t`` float64 columns plus a user-slot column, so
+each of those queries is a handful of batched numpy array ops instead
+of a python loop over every history.
 
 Decision equivalence
 --------------------
 
-The columnar paths return **exactly** what the python backend returns
-— same tuples, same ordering, same tie-breaks.  The argument has two
-halves: vectorized distances *select*, and the scalar formula
-*reports*.
+The view's answers are **exactly** the reference scans' answers
+(:meth:`~repro.mod.store.TrajectoryStore.nearest_users_brute` and the
+``PersonalHistory`` scans) — same tuples, same ordering, same
+tie-breaks.  The argument has two halves: vectorized distances
+*select*, and the scalar formula *reports*.
 
 * Selection is sound because of two IEEE-754 facts (round-to-nearest,
   which numpy and CPython both use): ``fl(sqrt(fl(dt*dt))) == |dt|`` —
@@ -30,341 +33,65 @@ halves: vectorized distances *select*, and the scalar formula
   *which* samples win, and every distance actually handed back to a
   caller is recomputed with ``st_distance`` on the winning sample.
   Exact distance *ties* still resolve identically under both formulas:
-  ties the python scan can observe come from coincident or mirrored
+  ties the reference scan can observe come from coincident or mirrored
   geometry, where ``pow`` and multiply agree operand-for-operand,
   while distinct-geometry near-ties within one ulp cannot arise from
   the query envelope the suite pins.
 
-Ties are then broken exactly as the python code does: within one PHL,
-``closest_point_to`` prefers the sample the python scan would have
-visited first (outward from the temporal insertion point, later side
-first); across users, ``nearest_users`` orders by ``(distance,
-user_id)`` exactly like ``heapq.nsmallest`` over the brute tuples.
+Across users, ``nearest_users`` orders by ``(distance, user_id)``
+exactly like ``heapq.nsmallest`` over the brute tuples; a user whose
+minimum is achieved by more than one sample is handed back to the
+store, which replays that user's ``closest_point_to`` so the list
+scan's visit order breaks the tie.
 
-Both column stores grow by capacity doubling, so ``add_point`` /
-``add_points`` never copy the whole history per ingest.  The global
-view keeps a time-sorted main segment plus a small unsorted tail and
-re-sorts (stable, so equal timestamps keep ingest order) only when the
-tail overflows — amortized ``O(log n)`` per append.
+The view owns no distance scale: every distance query takes the
+store's ``time_scale`` as an argument, so a store whose scale is
+reassigned after ingest answers with the new scale.
+
+Ingest is a python list append; buffered samples reach the columns
+on the next query, one slice write per column.  The columns grow by
+capacity doubling, so ingest never copies the whole store per point.
+The view keeps a time-sorted main segment plus a small unsorted tail
+and merges (stable, so equal timestamps keep ingest order) only when
+the tail overflows — amortized ``O(log n)`` per sample.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from typing import Iterable, Iterator, Sequence, overload
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.phl import PersonalHistory
-from repro.geometry.distance import DEFAULT_TIME_SCALE, st_distance
 from repro.geometry.point import STPoint
 from repro.geometry.region import STBox
-
-#: Environment variable read when ``TrajectoryStore(backend=None)``.
-BACKEND_ENV = "REPRO_STORE_BACKEND"
-
-#: The recognized ``TrajectoryStore`` backends.
-BACKENDS = ("python", "numpy")
-
-_MIN_CAPACITY = 16
 
 #: Smallest expanding-search radius; only reached when the seed
 #: distance is exactly 0.0 (a stored sample coincides with the query).
 _MIN_RADIUS = 1e-9
 
 
-def resolve_backend(backend: str | None) -> str:
-    """Resolve a backend name: explicit arg, else env, else python."""
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or "python"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown trajectory-store backend {backend!r}; "
-            f"expected one of {BACKENDS}"
-        )
-    return backend
-
-
-class ColumnarHistory(PersonalHistory):
-    """A PHL stored as parallel time-sorted x/y/t float64 columns.
-
-    Drop-in replacement for :class:`PersonalHistory`: every public
-    method returns exactly what the list-based implementation would,
-    including tie-breaks (see the module docstring).  Appends grow the
-    columns by doubling, so bulk ingest never copies per point.
-    """
-
-    def __init__(
-        self, user_id: int, points: Iterable[STPoint] = ()
-    ) -> None:
-        self.user_id = user_id
-        initial = sorted(points, key=lambda p: p.t)
-        capacity = max(_MIN_CAPACITY, len(initial))
-        self._x = np.empty(capacity, dtype=np.float64)
-        self._y = np.empty(capacity, dtype=np.float64)
-        self._t = np.empty(capacity, dtype=np.float64)
-        self._n = len(initial)
-        for i, p in enumerate(initial):
-            self._x[i] = p.x
-            self._y[i] = p.y
-            self._t[i] = p.t
-
-    # -- container protocol --------------------------------------------
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __iter__(self) -> Iterator[STPoint]:
-        return (self._point_at(i) for i in range(self._n))
-
-    @overload
-    def __getitem__(self, index: int) -> STPoint: ...
-
-    @overload
-    def __getitem__(self, index: slice) -> list[STPoint]: ...
-
-    def __getitem__(
-        self, index: int | slice
-    ) -> STPoint | list[STPoint]:
-        if isinstance(index, slice):
-            return [
-                self._point_at(i)
-                for i in range(*index.indices(self._n))
-            ]
-        i = index if index >= 0 else index + self._n
-        if not 0 <= i < self._n:
-            raise IndexError("history index out of range")
-        return self._point_at(i)
-
-    @property
-    def points(self) -> Sequence[STPoint]:
-        """The samples in timestamp order (read-only view)."""
-        return tuple(self._point_at(i) for i in range(self._n))
-
-    def _point_at(self, i: int) -> STPoint:
-        return STPoint(
-            float(self._x[i]), float(self._y[i]), float(self._t[i])
-        )
-
-    # -- ingest ---------------------------------------------------------
-
-    def _reserve(self, needed: int) -> None:
-        capacity = self._x.size
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        for name in ("_x", "_y", "_t"):
-            old = getattr(self, name)
-            new = np.empty(capacity, dtype=old.dtype)
-            new[: self._n] = old[: self._n]
-            setattr(self, name, new)
-
-    def add(self, point: STPoint) -> None:
-        """Record one location update (kept time-sorted, stable)."""
-        n = self._n
-        self._reserve(n + 1)
-        if n == 0 or point.t >= self._t[n - 1]:
-            index = n
-        else:
-            # bisect_right, matching PersonalHistory.add: equal
-            # timestamps keep arrival order.
-            index = int(
-                np.searchsorted(self._t[:n], point.t, side="right")
-            )
-            for col in (self._x, self._y, self._t):
-                col[index + 1 : n + 1] = col[index:n]
-        self._x[index] = point.x
-        self._y[index] = point.y
-        self._t[index] = point.t
-        self._n = n + 1
-
-    def extend(self, points: Iterable[STPoint]) -> None:
-        """Record several location updates in one amortized append.
-
-        Equivalent to repeated :meth:`add`: the batch lands after any
-        already-stored equal timestamps, and equal timestamps within
-        the batch keep batch order (a stable sort by ``t`` of old rows
-        followed by new rows is exactly repeated ``bisect_right``
-        insertion).
-        """
-        batch = list(points)
-        if not batch:
-            return
-        n, m = self._n, len(batch)
-        if m <= 8 and n:
-            # Tiny batches (streaming flushes into a warm history) are
-            # cheaper as repeated insertion — which is also the very
-            # definition of this method's contract — than as a full
-            # stable re-sort.
-            for p in batch:
-                self.add(p)
-            return
-        self._reserve(n + m)
-        # Track sortedness while writing: the incoming points carry
-        # python floats, so the check is free compared to a numpy
-        # reduction over the written block.
-        last = float(self._t[n - 1]) if n else -math.inf
-        in_order = True
-        for i, p in enumerate(batch):
-            self._x[n + i] = p.x
-            self._y[n + i] = p.y
-            self._t[n + i] = p.t
-            if p.t < last:
-                in_order = False
-            last = p.t
-        self._n = n + m
-        if not in_order:
-            order = np.argsort(self._t[: self._n], kind="stable")
-            for col in (self._x, self._y, self._t):
-                col[: self._n] = col[: self._n][order]
-
-    # -- queries ---------------------------------------------------------
-
-    def _columns(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = self._n
-        return self._x[:n], self._y[:n], self._t[:n]
-
-    def points_between(
-        self, t_start: float, t_end: float
-    ) -> list[STPoint]:
-        """Samples with timestamps in the closed interval."""
-        t = self._t[: self._n]
-        lo = int(np.searchsorted(t, t_start, side="left"))
-        hi = int(np.searchsorted(t, t_end, side="right"))
-        return [self._point_at(i) for i in range(lo, hi)]
-
-    def _box_mask_range(
-        self, box: STBox
-    ) -> tuple[int, np.ndarray]:
-        """(window start, in-box mask over the temporal window)."""
-        x, y, t = self._columns()
-        lo = int(np.searchsorted(t, box.interval.start, side="left"))
-        hi = int(np.searchsorted(t, box.interval.end, side="right"))
-        rect = box.rect
-        wx = x[lo:hi]
-        wy = y[lo:hi]
-        mask = (
-            (wx >= rect.x_min)
-            & (wx <= rect.x_max)
-            & (wy >= rect.y_min)
-            & (wy <= rect.y_max)
-        )
-        return lo, mask
-
-    def points_in_box(self, box: STBox) -> list[STPoint]:
-        """Samples falling inside a spatio-temporal box."""
-        lo, mask = self._box_mask_range(box)
-        return [
-            self._point_at(lo + int(i)) for i in np.flatnonzero(mask)
-        ]
-
-    def visits_box(self, box: STBox) -> bool:
-        """Whether any sample falls inside the box (one request's test
-        for Definition 7), as a single boolean mask reduction."""
-        _lo, mask = self._box_mask_range(box)
-        return bool(mask.any())
-
-    def lt_consistent_with(self, contexts: Iterable[STBox]) -> bool:
-        """Definition 7: one mask per context, all-reduced."""
-        return all(self.visits_box(context) for context in contexts)
-
-    def closest_point_to(
-        self, target: STPoint, time_scale: float = DEFAULT_TIME_SCALE
-    ) -> STPoint | None:
-        """The PHL sample nearest to ``target``, vectorized.
-
-        Returns the exact sample the python outward scan returns: the
-        temporal window is seeded from the samples adjacent to
-        ``target.t`` and only excludes points whose time gap alone
-        already exceeds that bound (hence strictly farther), and
-        distance ties are broken by python visit order — outward from
-        the insertion point, later-or-equal side first.
-        """
-        n = self._n
-        if n == 0:
-            return None
-        x, y, t = self._columns()
-        center = int(np.searchsorted(t, target.t, side="left"))
-        bound = math.inf
-        for i in (center, center - 1):
-            if 0 <= i < n:
-                bound = min(
-                    bound,
-                    st_distance(self._point_at(i), target, time_scale),
-                )
-        if n <= 64:
-            lo, hi = 0, n
-        else:
-            if time_scale > 0 and math.isfinite(bound):
-                delta = bound / time_scale
-                lo = int(
-                    np.searchsorted(t, target.t - delta, side="left")
-                )
-                hi = int(
-                    np.searchsorted(t, target.t + delta, side="right")
-                )
-            else:
-                lo, hi = 0, n
-            # Exact boundary walk: keep every sample whose *computed*
-            # scaled gap is <= bound, mirroring the python prune.
-            while (
-                lo > 0
-                and (target.t - t[lo - 1]) * time_scale <= bound
-            ):
-                lo -= 1
-            while (
-                hi < n
-                and (t[hi] - target.t) * time_scale <= bound
-            ):
-                hi += 1
-        dx = x[lo:hi] - target.x
-        dy = y[lo:hi] - target.y
-        dt = (t[lo:hi] - target.t) * time_scale
-        d = np.sqrt(dx * dx + dy * dy + dt * dt)
-        dmin = d.min()
-        ties = np.flatnonzero(d == dmin) + lo
-        if ties.size == 1:
-            return self._point_at(int(ties[0]))
-        # python visit order: center first, then center-1, center+1,
-        # center-2, ... (right side of each ring before left).
-        pos = np.where(
-            ties >= center,
-            2 * (ties - center),
-            2 * (center - 1 - ties) + 1,
-        )
-        return self._point_at(int(ties[int(np.argmin(pos))]))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ColumnarHistory(user_id={self.user_id}, "
-            f"samples={self._n})"
-        )
-
-
 class ColumnarView:
     """Global concatenated columns over every user's samples.
 
     Rows carry a dense *slot* (per-user integer id) so per-user
-    reductions are one ``np.minimum.reduceat`` over a slot-grouped
-    gather.  Rows ``[0, sorted_n)`` are time-sorted (stable — equal
-    timestamps keep ingest order); later rows form an unsorted tail
-    that is folded in by a stable re-sort when it outgrows
-    ``TAIL_MAX``.  In-order appends (the common streaming case) extend
-    the sorted segment directly and never trigger a re-sort.
+    reductions are one ``np.minimum.at`` scatter over the gathered
+    rows.  Ingest only appends to python lists; the next query writes
+    them into the columns in one slice per column.  Rows
+    ``[0, sorted_n)`` are time-sorted (stable — equal timestamps keep
+    ingest order); later rows form an unsorted tail that is folded in
+    by a stable merge when it outgrows ``TAIL_MAX``.  In-order
+    arrivals extend the sorted segment directly and never trigger a
+    merge.
     """
 
-    #: Unsorted-tail bound before consolidation re-sorts the columns.
+    #: Unsorted-tail bound before consolidation merges the columns.
     TAIL_MAX = 1024
-    #: Out-of-order blocks at least this large consolidate eagerly
-    #: (bulk loads); smaller ones buffer in the tail (streaming).
+    #: Blocks at least this large are written and merged on ingest
+    #: (bulk loads); smaller ones wait in the buffer (streaming).
     BLOCK_MERGE_MIN = 128
 
-    def __init__(self, time_scale: float = DEFAULT_TIME_SCALE) -> None:
-        self.time_scale = time_scale
+    def __init__(self) -> None:
         capacity = 1024
         self._x = np.empty(capacity, dtype=np.float64)
         self._y = np.empty(capacity, dtype=np.float64)
@@ -372,6 +99,8 @@ class ColumnarView:
         self._slot = np.empty(capacity, dtype=np.int64)
         self._n = 0
         self._sorted_n = 0
+        self._pending: list[STPoint] = []
+        self._pending_slots: list[int] = []
         self._uid_of_slot: list[int] = []
         self._uid_arr = np.empty(64, dtype=np.int64)
         self._slot_of_uid: dict[int, int] = {}
@@ -380,16 +109,11 @@ class ColumnarView:
 
     @property
     def n_rows(self) -> int:
-        return self._n
+        return self._n + len(self._pending)
 
     @property
     def n_slots(self) -> int:
         return len(self._uid_of_slot)
-
-    @property
-    def uid_values(self) -> np.ndarray:
-        """Per-slot user ids as an int64 array (index by slot)."""
-        return self._uid_arr[: len(self._uid_of_slot)]
 
     def slot_of(self, user_id: int) -> int | None:
         return self._slot_of_uid.get(user_id)
@@ -458,56 +182,60 @@ class ColumnarView:
         self._sorted_n = n
 
     def append(self, user_id: int, point: STPoint) -> None:
-        slot = self._slot_for(user_id)
-        self._reserve(self._n + 1)
-        i = self._n
-        self._x[i] = point.x
-        self._y[i] = point.y
-        self._t[i] = point.t
-        self._slot[i] = slot
-        self._n = i + 1
-        if self._sorted_n == i and (
-            i == 0 or point.t >= self._t[i - 1]
-        ):
-            self._sorted_n = i + 1
-        elif self._n - self._sorted_n > self.TAIL_MAX:
-            self._consolidate()
+        """Buffer one sample; it reaches the columns on the next query."""
+        self._pending.append(point)
+        self._pending_slots.append(self._slot_for(user_id))
 
     def append_block(
         self, user_id: int, points: Sequence[STPoint]
     ) -> None:
-        if not points:
+        """Buffer one user's samples; see :meth:`append`.
+
+        A block of at least ``BLOCK_MERGE_MIN`` samples is a bulk load,
+        read-heavy afterwards: it is written and merged at once, so
+        queries never pay for it.
+        """
+        self._pending.extend(points)
+        self._pending_slots.extend([self._slot_for(user_id)] * len(points))
+        if len(points) >= self.BLOCK_MERGE_MIN:
+            self._flush(merge=True)
+
+    def _flush(self, merge: bool = False) -> None:
+        """Write the buffered samples into the columns.
+
+        An in-order buffer extends the sorted segment; anything else
+        joins the unsorted tail, merged at once when ``merge`` is set
+        and otherwise once the tail outgrows ``TAIL_MAX``.  Row order
+        never decides an answer (every query reduces per user or by
+        unique minimum), so buffering changes only when the work is
+        done.
+        """
+        pending = self._pending
+        if not pending:
             return
-        slot = self._slot_for(user_id)
-        n, m = self._n, len(points)
-        self._reserve(n + m)
-        last = float(self._t[n - 1]) if n else -math.inf
-        in_order = self._sorted_n == n
-        for i, p in enumerate(points):
-            self._x[n + i] = p.x
-            self._y[n + i] = p.y
-            self._t[n + i] = p.t
-            if p.t < last:
-                in_order = False
-            last = p.t
-        self._slot[n : n + m] = slot
-        self._n = n + m
-        if in_order:
-            self._sorted_n = self._n
-        elif m >= self.BLOCK_MERGE_MIN or (
-            self._n - self._sorted_n > self.TAIL_MAX
+        n = self._n
+        end = n + len(pending)
+        self._reserve(end)
+        self._x[n:end] = [p.x for p in pending]
+        self._y[n:end] = [p.y for p in pending]
+        self._t[n:end] = [p.t for p in pending]
+        self._slot[n:end] = self._pending_slots
+        pending.clear()
+        self._pending_slots.clear()
+        self._n = end
+        t = self._t
+        lo = max(n, 1)
+        if self._sorted_n == n and bool(
+            np.all(t[lo:end] >= t[lo - 1 : end - 1])
         ):
-            # Large out-of-order blocks are bulk loads, read-heavy
-            # afterwards: merge now (O(n + m·log m)) so queries never
-            # pay a tail scan.  Small blocks (streaming flushes) keep
-            # buffering in the tail so ingest-heavy phases don't
-            # thrash O(n) merges.
+            self._sorted_n = end
+        elif merge or end - self._sorted_n > self.TAIL_MAX:
             self._consolidate()
 
     # -- queries -----------------------------------------------------------
 
     def _distances(
-        self, rows: slice | np.ndarray, target: STPoint
+        self, rows: slice, target: STPoint, time_scale: float
     ) -> np.ndarray:
         # In-place accumulation; the association order stays
         # ((dx² + dy²) + dt²), matching ``st_distance`` up to its
@@ -520,13 +248,14 @@ class ColumnarView:
         dy *= dy
         d += dy
         dt = self._t[rows] - target.t
-        dt *= self.time_scale
+        dt *= time_scale
         dt *= dt
         d += dt
         return np.sqrt(d, out=d)
 
     def slots_in_box(self, box: STBox) -> np.ndarray:
         """Slot values (with duplicates) of rows inside ``box``."""
+        self._flush()
         n, sn = self._n, self._sorted_n
         t = self._t
         lo = int(
@@ -573,6 +302,7 @@ class ColumnarView:
         self,
         target: STPoint,
         count: int,
+        time_scale: float,
         exclude_slots: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (at most) ``count`` users nearest to ``target``, in the
@@ -596,21 +326,22 @@ class ColumnarView:
         distance.  ``rows[i]`` is the global row achieving
         ``minima[i]`` when that minimum is *unique* within the user's
         samples, and ``-1`` on an exact distance tie — the caller must
-        then replay the per-history scan so python visit order decides
+        then replay the per-history scan so its visit order decides
         (every sample at distance ``<= R`` is inside the gather, so
         uniqueness here is uniqueness globally).
         """
+        self._flush()
         n, sn = self._n, self._sorted_n
         empty_i = np.empty(0, dtype=np.int64)
         empty = (empty_i, np.empty(0), empty_i)
         if n == 0 or count == 0:
             return empty
         t = self._t
-        scale = self.time_scale
+        scale = time_scale
         has_tail = sn < n
         if has_tail:
             tail = slice(sn, n)
-            tail_d = self._distances(tail, target)
+            tail_d = self._distances(tail, target, scale)
             tail_slots = self._slot[tail]
         tx, ty, tt = target.x, target.y, target.t
         seed = math.inf
@@ -646,7 +377,7 @@ class ColumnarView:
             else:
                 lo, hi = 0, sn
             complete = lo == 0 and hi == sn
-            window_d = self._distances(slice(lo, hi), target)
+            window_d = self._distances(slice(lo, hi), target, scale)
             if has_tail:
                 d_all = np.concatenate([window_d, tail_d])
                 s_all = np.concatenate(

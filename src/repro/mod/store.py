@@ -8,30 +8,19 @@ Provides exactly the queries Algorithm 1 needs:
 * line 5 — "the smallest 3D space … crossed by k trajectories (each one
   for a different user)": :meth:`TrajectoryStore.nearest_users`, which
   returns the k users whose nearest PHL sample is closest to the request
-  point.  The paper gives the brute-force bound O(k·n) over all n stored
-  points; benchmark E9 quantifies the alternatives.
+  point.
 
-Backends
---------
-
-``backend="python"`` (the default) stores PHLs as
-:class:`~repro.core.phl.PersonalHistory` point lists and answers
-queries with the paper's scans.  ``backend="numpy"`` stores the same
-PHLs as :class:`~repro.mod.columnar.ColumnarHistory` columns plus a
-global :class:`~repro.mod.columnar.ColumnarView`, and answers
-``closest_point`` / ``nearest_users`` / ``users_in_box`` /
-``lt_consistent_users`` with vectorized array ops that are
-decision-equivalent to the python scans — same tuples, same ordering,
-same tie-breaks (see :mod:`repro.mod.columnar` for the argument).
-``backend=None`` reads the ``REPRO_STORE_BACKEND`` environment
-variable (the daemon/loadgen CLIs expose it as ``--store-backend``).
-
-A :class:`~repro.mod.grid_index.GridIndex` may be attached under
-either backend and is always kept fed on ingest; with
-``backend="numpy"`` the columnar view answers store queries (the grid
-remains available through :attr:`TrajectoryStore.index` and keeps the
-store switchable), while with ``backend="python"`` the grid answers
-``nearest_users`` / ``users_in_box`` as before.
+One design, no switch: each user's history is the paper's
+:class:`~repro.core.phl.PersonalHistory` list, and every ingest also
+feeds one global :class:`~repro.mod.columnar.ColumnarView`.  Per-user
+queries (``closest_point``/``closest_points``/``history``) scan the
+list, where python wins at the small per-user n.  Cross-user queries
+(``nearest_users``/``users_in_box``/``lt_consistent_users``) answer
+from the view with batched array ops, decision-equivalent to scanning
+every list — same tuples, same ordering, same tie-breaks (see
+:mod:`repro.mod.columnar` for the argument).  The paper's brute-force
+O(k·n) selection survives as :meth:`TrajectoryStore.nearest_users_brute`,
+the named reference that tests and benchmark E9 compare against.
 """
 
 from __future__ import annotations
@@ -46,39 +35,28 @@ from repro.core.phl import PersonalHistory
 from repro.geometry.distance import DEFAULT_TIME_SCALE, st_distance
 from repro.geometry.point import STPoint
 from repro.geometry.region import STBox
-from repro.mod.columnar import (
-    ColumnarHistory,
-    ColumnarView,
-    resolve_backend,
-)
-from repro.mod.grid_index import GridIndex
+from repro.mod.columnar import ColumnarView
 from repro.obs.config import Telemetry, TelemetryConfig, resolve_telemetry
 
 
 class TrajectoryStore:
-    """All users' Personal Histories of Locations, optionally indexed.
+    """All users' Personal Histories of Locations plus one columnar view.
 
-    Pass ``index_cell_size`` to attach a :class:`GridIndex`; every
-    location update is then indexed on ingest.  ``time_scale`` is the
-    meters-per-second conversion used in all spatio-temporal distances.
-    ``telemetry`` (shared with the :class:`GridIndex`, when attached)
-    records query counts and latencies under ``store.*``; every
-    ``store.queries`` sample carries a ``method`` label
-    (``brute``/``grid``/``numpy``) so dashboards can slice by backend.
-    ``backend`` selects the storage/query implementation (see the
-    module docstring).
+    ``time_scale`` is the meters-per-second conversion used in all
+    spatio-temporal distances; the store is its only owner, so it may
+    be reassigned after ingest.  ``telemetry`` records query counts and
+    latencies under ``store.*``; every ``store.queries`` sample carries
+    a ``method`` label — ``numpy`` for queries the columnar view
+    answers, ``brute`` for PHL list scans.
     """
 
     def __init__(
         self,
         time_scale: float = DEFAULT_TIME_SCALE,
-        index_cell_size: float | None = None,
         telemetry: "Telemetry | TelemetryConfig | None" = None,
-        backend: str | None = None,
     ) -> None:
         self.time_scale = time_scale
         self.telemetry = resolve_telemetry(telemetry)
-        self.backend = resolve_backend(backend)
         #: Monotone ingest counter; consumers caching anything derived
         #: from the histories (e.g. the SLO monitor's incremental
         #: anonymity-set candidates) key their caches on it.  The
@@ -88,32 +66,23 @@ class TrajectoryStore:
         #: instead of once per sample.
         self.version = 0
         self._histories: dict[int, PersonalHistory] = {}
-        self._view: ColumnarView | None = (
-            ColumnarView(time_scale) if self.backend == "numpy" else None
-        )
-        self.index: GridIndex | None = None
-        if index_cell_size is not None:
-            self.index = GridIndex(
-                index_cell_size, time_scale, telemetry=self.telemetry
-            )
+        self._view = ColumnarView()
 
     @classmethod
     def from_histories(
         cls,
         histories: Mapping[int, PersonalHistory],
         time_scale: float = DEFAULT_TIME_SCALE,
-        backend: str | None = "numpy",
     ) -> "TrajectoryStore":
         """A store over an existing histories mapping, user order kept.
 
         The offline analysis entry point: metrics and verifiers that
         receive a plain ``{user_id: PersonalHistory}`` mapping (audit
-        pipelines, Theorem 1 checks) build a columnar store once and
-        answer their per-user scans with the vectorized
-        ``users_in_box`` / ``lt_consistent_users`` paths — identical
-        results, array speed.
+        pipelines, Theorem 1 checks) build a store once and answer
+        their per-user scans with the columnar ``users_in_box`` /
+        ``lt_consistent_users`` paths — identical results, array speed.
         """
-        store = cls(time_scale=time_scale, backend=backend)
+        store = cls(time_scale=time_scale)
         for user_id, history in histories.items():
             store.add_points(user_id, list(history))
         return store
@@ -141,21 +110,15 @@ class TrajectoryStore:
         """The PHL of ``user_id``; created empty on first access."""
         history = self._histories.get(user_id)
         if history is None:
-            if self._view is not None:
-                history = ColumnarHistory(user_id)
-            else:
-                history = PersonalHistory(user_id)
+            history = PersonalHistory(user_id)
             self._histories[user_id] = history
         return history
 
     def add_point(self, user_id: int, point: STPoint) -> None:
         """Ingest one location update (bumps ``version`` once)."""
         self.history(user_id).add(point)
-        if self._view is not None:
-            self._view.append(user_id, point)
+        self._view.append(user_id, point)
         self.version += 1
-        if self.index is not None:
-            self.index.insert(user_id, point)
 
     def add_points(
         self, user_id: int, points: Iterable[STPoint]
@@ -169,22 +132,13 @@ class TrajectoryStore:
         """
         history = self.history(user_id)
         batch = points if isinstance(points, list) else list(points)
-        index = self.index
-        if index is not None:
-            for point in batch:
-                index.insert(user_id, point)
         if batch:
             history.extend(batch)
-            if self._view is not None:
-                self._view.append_block(user_id, batch)
+            self._view.append_block(user_id, batch)
             self.version += 1
         return len(batch)
 
     # -- Algorithm 1 line 2 ----------------------------------------------
-
-    @property
-    def _point_method(self) -> str:
-        return "numpy" if self._view is not None else "brute"
 
     def closest_point(
         self, user_id: int, target: STPoint
@@ -196,7 +150,7 @@ class TrajectoryStore:
         self.telemetry.count(
             "store.queries",
             query="closest_point",
-            method=self._point_method,
+            method="brute",
         )
         return history.closest_point_to(target, self.time_scale)
 
@@ -224,7 +178,7 @@ class TrajectoryStore:
                 "store.queries",
                 queried,
                 query="closest_point",
-                method=self._point_method,
+                method="brute",
             )
         return results
 
@@ -240,34 +194,15 @@ class TrajectoryStore:
 
         Returns ``(user_id, closest_sample, distance)`` sorted by
         ``(distance, user_id)``; fewer tuples when not enough distinct
-        users exist.  Dispatches to the columnar backend when selected,
-        else to the grid index when attached, else to the paper's
-        brute-force scan.
+        users exist.  Answered from the columnar view; the result is
+        exactly :meth:`nearest_users_brute`'s.
         """
-        if self._view is not None:
-            method = "numpy"
-        elif self.index is not None:
-            method = "grid"
-        else:
-            method = "brute"
         if not self.telemetry.enabled:
             return self._nearest_users_impl(target, count, exclude)
         start = time.perf_counter()
         result = self._nearest_users_impl(target, count, exclude)
-        self._record_query("nearest_users", method, start)
+        self._record_query("nearest_users", "numpy", start)
         return result
-
-    def _nearest_users_impl(
-        self,
-        target: STPoint,
-        count: int,
-        exclude: frozenset[int] | set[int],
-    ) -> list[tuple[int, STPoint, float]]:
-        if self._view is not None:
-            return self._nearest_users_numpy_impl(target, count, exclude)
-        if self.index is not None:
-            return self.index.nearest_users(target, count, exclude=exclude)
-        return self._nearest_users_brute_impl(target, count, exclude)
 
     def _record_query(self, query: str, method: str, start: float) -> None:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -317,7 +252,7 @@ class TrajectoryStore:
             for distance, user_id, point in nearest
         ]
 
-    def _nearest_users_numpy_impl(
+    def _nearest_users_impl(
         self,
         target: STPoint,
         count: int,
@@ -332,12 +267,11 @@ class TrajectoryStore:
         minimum is achieved by a *unique* sample, that sample IS what
         the per-history scan would report, so it comes straight from
         the gathered row; only exact distance ties replay
-        ``closest_point_to`` so python visit order breaks them.
+        ``closest_point_to`` so the list's visit order breaks them.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         view = self._view
-        assert view is not None
         if count == 0 or view.n_rows == 0:
             return []
         exclude_slots = None
@@ -351,7 +285,7 @@ class TrajectoryStore:
                 dtype=np.int64,
             )
         slots, minima, rows = view.nearest_slots(
-            target, count, exclude_slots
+            target, count, self.time_scale, exclude_slots
         )
         rows_list = rows.tolist()
         reps = iter(
@@ -385,32 +319,18 @@ class TrajectoryStore:
 
     def users_in_box(self, box: STBox) -> set[int]:
         """Distinct users with at least one sample inside ``box``."""
-        if self._view is not None:
-            method = "numpy"
-        elif self.index is not None:
-            method = "grid"
-        else:
-            method = "brute"
         if not self.telemetry.enabled:
             return self._users_in_box_impl(box)
         start = time.perf_counter()
         result = self._users_in_box_impl(box)
-        self._record_query("users_in_box", method, start)
+        self._record_query("users_in_box", "numpy", start)
         return result
 
     def _users_in_box_impl(self, box: STBox) -> set[int]:
-        if self._view is not None:
-            view = self._view
-            return {
-                view.uid_of(int(slot))
-                for slot in np.unique(view.slots_in_box(box))
-            }
-        if self.index is not None:
-            return self.index.users_in_box(box)
+        view = self._view
         return {
-            user_id
-            for user_id, history in self._histories.items()
-            if history.visits_box(box)
+            view.uid_of(int(slot))
+            for slot in np.unique(view.slots_in_box(box))
         }
 
     def lt_consistent_users(
@@ -424,38 +344,29 @@ class TrajectoryStore:
         (the inner loop of historical-k candidate recomputation), in
         ingest order — exactly the ids a scan of
         :attr:`histories` filtered by ``lt_consistent_with`` yields.
-        An empty ``contexts`` is vacuously consistent with everyone.
+        An empty ``contexts`` is vacuously consistent with everyone,
+        empty histories included.
         """
         boxes = list(contexts)
-        method = (
-            "numpy"
-            if self._view is not None and boxes
-            else "brute"
-        )
         if not self.telemetry.enabled:
             return self._lt_consistent_users_impl(boxes, exclude_user)
         start = time.perf_counter()
         result = self._lt_consistent_users_impl(boxes, exclude_user)
-        self._record_query("lt_consistent_users", method, start)
+        self._record_query("lt_consistent_users", "numpy", start)
         return result
 
     def _lt_consistent_users_impl(
         self, boxes: list[STBox], exclude_user: int | None
     ) -> list[int]:
+        if not boxes:
+            return [u for u in self._histories if u != exclude_user]
         view = self._view
-        if view is not None and boxes:
-            ok = view.consistent_slots(boxes)
-            consistent = []
-            for user_id in self._histories:
-                if user_id == exclude_user:
-                    continue
-                slot = view.slot_of(user_id)
-                if slot is not None and ok[slot]:
-                    consistent.append(user_id)
-            return consistent
-        return [
-            user_id
-            for user_id, history in self._histories.items()
-            if user_id != exclude_user
-            and history.lt_consistent_with(boxes)
-        ]
+        ok = view.consistent_slots(boxes)
+        consistent = []
+        for user_id in self._histories:
+            if user_id == exclude_user:
+                continue
+            slot = view.slot_of(user_id)
+            if slot is not None and ok[slot]:
+                consistent.append(user_id)
+        return consistent

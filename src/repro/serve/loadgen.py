@@ -92,13 +92,6 @@ class WorkloadConfig:
     tolerance_side: float = 700.0
     tolerance_duration: float = 1800.0
     quiet_period: float = 900.0
-    #: Cell size (meters) of the store's grid index; ``None`` serves
-    #: without one (the E9 speedup stays off).
-    index_cell_size: float | None = None
-    #: Trajectory-store backend (``"python"``/``"numpy"``); ``None``
-    #: defers to the ``REPRO_STORE_BACKEND`` environment variable.
-    #: Decision streams are identical either way; only latency moves.
-    backend: str | None = None
 
     def tolerance(self) -> ToleranceConstraint:
         return ToleranceConstraint.square(
@@ -191,11 +184,7 @@ def build_engine(
     decisions equal to the global offline replay.
     """
     engine = Engine(
-        TrajectoryStore(
-            index_cell_size=config.index_cell_size,
-            telemetry=telemetry,
-            backend=config.backend,
-        ),
+        TrajectoryStore(telemetry=telemetry),
         policy=make_policy(
             config.k, tolerance=config.tolerance(), service=SERVICE
         ),

@@ -147,8 +147,8 @@ class LBSSimulation:
         self.city = city
         self.request_profile = request_profile or RequestProfile()
         self._rng = np.random.default_rng(seed)
-        #: One telemetry pipeline shared by the store, the grid index,
-        #: the anonymizer, and every LBQID monitor.
+        #: One telemetry pipeline shared by the store, the anonymizer,
+        #: and every LBQID monitor.
         self.telemetry = resolve_telemetry(telemetry)
         #: ``session_store`` picks the engine's per-user state backend
         #: (e.g. ``ShardedSessionStore(n_shards=4)``); ``audit`` bounds

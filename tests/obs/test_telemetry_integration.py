@@ -1,7 +1,5 @@
 """The instrumented pipeline: metrics must mirror the audit trail."""
 
-import os
-
 import pytest
 
 from repro.core.anonymizer import Decision, TrustedAnonymizer
@@ -134,22 +132,17 @@ class TestPipelineMetrics:
 
     def test_store_queries_recorded(self, run):
         _ts, snapshot, _telemetry = run
-        # Every store.queries sample carries a uniform ``method``
-        # label; which value depends on the session's backend.
-        method = (
-            "numpy"
-            if os.environ.get("REPRO_STORE_BACKEND") == "numpy"
-            else "brute"
-        )
+        # Every store.queries sample carries a ``method`` label:
+        # ``numpy`` for the columnar view, ``brute`` for PHL scans.
         assert (
             snapshot.counter_value(
-                "store.queries", query="nearest_users", method=method
+                "store.queries", query="nearest_users", method="numpy"
             )
             > 0
         )
         assert (
             snapshot.counter_value(
-                "store.queries", query="closest_point", method=method
+                "store.queries", query="closest_point", method="brute"
             )
             > 0
         )

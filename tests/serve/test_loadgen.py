@@ -131,21 +131,6 @@ def test_cli_main_smoke(capsys):
     assert "verified: True" in out
 
 
-def test_index_cell_size_wires_through_build_engine(
-    workload, workload_config
-):
-    from dataclasses import replace
-
-    from repro.serve.loadgen import build_engine
-
-    bare = build_engine(workload, workload_config)
-    assert bare.store.index is None  # default: no grid index
-    indexed_config = replace(workload_config, index_cell_size=500.0)
-    indexed = build_engine(workload, indexed_config)
-    assert indexed.store.index is not None
-    assert indexed.store.index.cell_size == 500.0
-
-
 def test_loadgen_traced_run_verifies_and_records_spans(
     workload_config,
 ):
@@ -207,7 +192,7 @@ def test_loadgen_retries_recover_sheds(workload_config):
     assert any("retried" in line for line in report.summary_lines())
 
 
-def test_cli_flags_for_trace_retries_and_index(capsys):
+def test_cli_flags_for_trace_and_retries(capsys):
     sys.path.insert(0, str(REPO_ROOT / "tools"))
     try:
         import loadgen as loadgen_cli
@@ -224,8 +209,6 @@ def test_cli_flags_for_trace_retries_and_index(capsys):
             "--trace",
             "--retries",
             "2",
-            "--index-cell-size",
-            "500",
         ]
     )
     out = capsys.readouterr().out

@@ -166,21 +166,6 @@ def parse_args(argv: "list[str] | None" = None) -> argparse.Namespace:
         help="profiler sampling interval in ms (default: 5)",
     )
     parser.add_argument(
-        "--index-cell-size",
-        type=float,
-        default=None,
-        help="spatial index cell size for the workload store (degrees)",
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=("python", "numpy"),
-        default=None,
-        help=(
-            "trajectory-store backend (default: $REPRO_STORE_BACKEND "
-            "or python); decisions are identical, latency is not"
-        ),
-    )
-    parser.add_argument(
         "--max-queue-depth",
         type=int,
         default=1024,
@@ -217,11 +202,7 @@ def main(argv: "list[str] | None" = None) -> int:
             max_connections=args.gate_max_connections,
         )
     config = LoadgenConfig(
-        workload=WorkloadConfig(
-            seed=args.seed,
-            index_cell_size=args.index_cell_size,
-            backend=args.store_backend,
-        ),
+        workload=WorkloadConfig(seed=args.seed),
         serve=ServeConfig(
             max_queue_depth=args.max_queue_depth,
             max_inflight=args.max_inflight,

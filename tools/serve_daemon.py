@@ -213,21 +213,6 @@ def parse_args(argv: "list[str] | None" = None) -> argparse.Namespace:
             "(0 = ephemeral); shares the TLS context and gate"
         ),
     )
-    parser.add_argument(
-        "--index-cell-size",
-        type=float,
-        default=None,
-        help="spatial index cell size for the workload store (degrees)",
-    )
-    parser.add_argument(
-        "--store-backend",
-        choices=("python", "numpy"),
-        default=None,
-        help=(
-            "trajectory-store backend (default: $REPRO_STORE_BACKEND "
-            "or python); decisions are identical, latency is not"
-        ),
-    )
     args = parser.parse_args(argv)
     if args.shards is None:
         args.shards = args.workers or 1
@@ -256,14 +241,6 @@ async def _wait_for_stop() -> None:
         with contextlib.suppress(NotImplementedError):
             loop.add_signal_handler(signum, stop.set)
     await stop.wait()
-
-
-def _workload_config(args: argparse.Namespace) -> WorkloadConfig:
-    return WorkloadConfig(
-        seed=args.seed,
-        index_cell_size=args.index_cell_size,
-        backend=args.store_backend,
-    )
 
 
 def _serve_config(args: argparse.Namespace) -> ServeConfig:
@@ -363,7 +340,7 @@ async def serve_sharded(
     args: argparse.Namespace, worker_index: "int | None" = None
 ) -> int:
     """The in-process router; doubles as the worker entry point."""
-    workload_config = _workload_config(args)
+    workload_config = WorkloadConfig(seed=args.seed)
     workload = build_workload(workload_config)
     shard_ids = None
     worker_label = args.worker
@@ -418,10 +395,6 @@ async def serve_supervised(args: argparse.Namespace) -> int:
                    args.wal_fsync,
                    "--max-queue-depth", str(args.max_queue_depth),
                    "--max-inflight", str(args.max_inflight)]
-    if args.index_cell_size is not None:
-        worker_args += ["--index-cell-size", str(args.index_cell_size)]
-    if args.store_backend is not None:
-        worker_args += ["--store-backend", args.store_backend]
     if args.trace_jsonl is not None:
         worker_args += ["--trace-jsonl", args.trace_jsonl]
     supervisor = WorkerSupervisor(
