@@ -33,7 +33,7 @@ def run_e15a(city):
             unlinker=AlwaysUnlink(),
             seed=97,
         )
-        simulation.anonymizer.store.time_scale = time_scale
+        simulation.engine.store.time_scale = time_scale
         report = simulation.run()
         qos = qos_summary(report.events)
         attempted = sum(

@@ -7,8 +7,8 @@ request is answered or accounted for, pseudonyms hide identities, and
 the TS generalizes exactly the requests that advance an LBQID.
 """
 
-from repro.core.anonymizer import Decision
 from repro.core.unlinking import AlwaysUnlink
+from repro.engine.context import Decision
 from repro.experiments.harness import Table
 from repro.experiments.workloads import make_policy
 from repro.metrics.qos import qos_summary

@@ -19,8 +19,8 @@ Algorithm 1 (see DESIGN.md):
 
 import statistics
 
-from repro.core.anonymizer import AnonymitySetScope
 from repro.core.unlinking import NeverUnlink
+from repro.engine.context import AnonymitySetScope
 from repro.experiments.harness import Table
 from repro.experiments.workloads import run_protected
 from repro.metrics.anonymity import historical_k_per_user

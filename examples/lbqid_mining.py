@@ -13,7 +13,7 @@ LBQID definition".  This example is that tool in action:
 2. validate each candidate against its owner's own history;
 3. score distinctiveness against the whole city — patterns matched by
    many users are discarded;
-4. hand the surviving quasi-identifiers straight to the anonymizer.
+4. hand the surviving quasi-identifiers straight to the engine.
 
 Run:  python examples/lbqid_mining.py
 """

@@ -22,6 +22,7 @@ Run:  python examples/quickstart.py
 
 from repro import (
     AlwaysUnlink,
+    Engine,
     PolicyTable,
     PrivacyProfile,
     Rect,
@@ -29,7 +30,6 @@ from repro import (
     TelemetryConfig,
     ToleranceConstraint,
     TrajectoryStore,
-    TrustedAnonymizer,
     commute_lbqid,
     satisfies_historical_k,
     time_at,
@@ -44,7 +44,7 @@ K = 3  # Alice wants to hide among at least 3 people
 
 
 def main() -> None:
-    # The TS: a trajectory store, a policy (k=3, boxes of at most
+    # The TS engine: a trajectory store, a policy (k=3, boxes of at most
     # 5 km / 2 h), and an unlinking provider for when generalization
     # fails (here: Theorem 1's always-succeeding one).
     policy = PolicyTable(
@@ -52,7 +52,7 @@ def main() -> None:
         default_tolerance=ToleranceConstraint.square(5_000.0, 7_200.0),
     )
     telemetry = TelemetryConfig(enabled=True).build()
-    ts = TrustedAnonymizer(
+    engine = Engine(
         TrajectoryStore(telemetry=telemetry),
         policy=policy,
         unlinker=AlwaysUnlink(),
@@ -61,7 +61,7 @@ def main() -> None:
 
     # Alice's quasi-identifier: the paper's Example 2 commute pattern.
     lbqid = commute_lbqid(HOME, OFFICE, name="alice-commute")
-    ts.register_lbqid(ALICE, lbqid)
+    engine.register_lbqid(ALICE, lbqid)
     print(lbqid)
 
     # Two weeks of life.  Alice's neighbours commute on a similar
@@ -71,19 +71,19 @@ def main() -> None:
         for day in range(3):  # Mon-Wed
             for offset, user in enumerate(NEIGHBOURS):
                 j = 3.0 * offset
-                ts.report_location(
+                engine.report_location(
                     user, STPoint(40 + j, 40, time_at(week=week, day=day,
                                                       hour=7.4))
                 )
-                ts.report_location(
+                engine.report_location(
                     user, STPoint(950 + j, 950, time_at(week=week, day=day,
                                                         hour=8.4))
                 )
-                ts.report_location(
+                engine.report_location(
                     user, STPoint(950 + j, 950, time_at(week=week, day=day,
                                                         hour=17.1))
                 )
-                ts.report_location(
+                engine.report_location(
                     user, STPoint(40 + j, 40, time_at(week=week, day=day,
                                                       hour=18.1))
                 )
@@ -95,7 +95,7 @@ def main() -> None:
                 (17.2, (950, 950)),
                 (18.2, (50, 50)),
             ):
-                event = ts.request(
+                event = engine.process(
                     ALICE,
                     STPoint(x, y, time_at(week=week, day=day, hour=hour)),
                     service="navigation",
@@ -114,14 +114,14 @@ def main() -> None:
     # What did the SP learn?  Group Alice's forwarded requests and check
     # Definition 8 against the ground-truth store.
     forwarded = [
-        e.request for e in ts.events
+        e.request for e in engine.events
         if e.forwarded and e.request.user_id == ALICE
         and e.lbqid_name is not None
     ]
-    ok = satisfies_historical_k(forwarded, ts.store.histories, k=K)
+    ok = satisfies_historical_k(forwarded, engine.store.histories, k=K)
     print(f"\n{len(forwarded)} generalized requests forwarded to the SP")
     print(f"historical {K}-anonymity of Alice's trace: {ok}")
-    counts = {d.value: c for d, c in ts.decision_counts().items() if c}
+    counts = {d.value: c for d, c in engine.decision_counts().items() if c}
     print(f"decisions: {counts}")
 
     # The same tallies — plus set-size, box-geometry, and latency

@@ -10,12 +10,25 @@ database, synthetic mobility models, the anonymous LBS service model,
 tracking/re-identification attackers, and the prior-work baselines the
 paper compares against.
 
-Quickstart::
+Quickstart (the README's, abridged)::
 
     from repro import (
-        TrustedAnonymizer, TrajectoryStore, PolicyTable,
-        commute_lbqid, Rect,
+        AlwaysUnlink, Engine, PolicyTable, PrivacyProfile, Rect, STPoint,
+        ToleranceConstraint, TrajectoryStore, commute_lbqid, time_at,
     )
+
+    engine = Engine(
+        TrajectoryStore(),
+        policy=PolicyTable(
+            default_profile=PrivacyProfile(k=5),
+            default_tolerance=ToleranceConstraint.square(1500.0, 1800.0),
+        ),
+        unlinker=AlwaysUnlink(),
+    )
+    engine.register_lbqid(1, commute_lbqid(Rect(0, 0, 100, 100),
+                                           Rect(900, 900, 1000, 1000)))
+    engine.report_location(2, STPoint(40, 40, time_at(hour=7.4)))
+    event = engine.process(1, STPoint(50, 50, time_at(hour=7.5)), "poi")
 
 See ``examples/quickstart.py`` for a complete runnable scenario and
 DESIGN.md for the full system inventory.
@@ -42,8 +55,6 @@ from repro.granularity import (
 from repro.core import (
     LBQID,
     AlwaysUnlink,
-    AnonymizerEvent,
-    Decision,
     LBQIDElement,
     LBQIDMonitor,
     NeverUnlink,
@@ -57,7 +68,6 @@ from repro.core import (
     SPRequest,
     SpatioTemporalGeneralizer,
     ToleranceConstraint,
-    TrustedAnonymizer,
     historical_anonymity_set,
     is_link_connected,
     request_set_matches,
@@ -67,11 +77,13 @@ from repro.core import (
 from repro.core.lbqid import commute_lbqid
 from repro.core.randomization import BoxRandomizer
 from repro.engine import (
+    AnonymitySetScope,
+    AnonymizerEvent,
     BatchItem,
+    Decision,
     Engine,
     InMemorySessionStore,
     PipelineBuilder,
-    ShardedSessionStore,
 )
 from repro.mining import mine_commute_lbqid
 from repro.mod import TrajectoryStore
@@ -113,12 +125,11 @@ __all__ = [
     "AlwaysUnlink",
     "NeverUnlink",
     "ProbabilisticUnlink",
-    "TrustedAnonymizer",
     "Engine",
     "PipelineBuilder",
     "BatchItem",
     "InMemorySessionStore",
-    "ShardedSessionStore",
+    "AnonymitySetScope",
     "Decision",
     "AnonymizerEvent",
     "BoxRandomizer",

@@ -20,8 +20,10 @@ Modules map one-to-one onto the paper's formal machinery:
   Section 6.3.
 * :mod:`repro.core.policy` — qualitative privacy preferences and service
   tolerance constraints, Sections 3 and 6.
-* :mod:`repro.core.anonymizer` — the full preservation strategy of
-  Section 6.1 tying everything together.
+
+The Section 6.1 preservation strategy that ties these together is the
+staged :class:`~repro.engine.pipeline.Engine` in :mod:`repro.engine`,
+which builds on this package; nothing here imports it.
 """
 
 from repro.core.requests import Request, SPRequest
@@ -53,7 +55,6 @@ from repro.core.unlinking import (
     UnlinkingProvider,
 )
 from repro.core.policy import PrivacyLevel, PrivacyProfile, PolicyTable
-from repro.core.anonymizer import AnonymizerEvent, Decision, TrustedAnonymizer
 
 __all__ = [
     "Request",
@@ -83,7 +84,4 @@ __all__ = [
     "PrivacyLevel",
     "PrivacyProfile",
     "PolicyTable",
-    "TrustedAnonymizer",
-    "Decision",
-    "AnonymizerEvent",
 ]

@@ -1,27 +1,27 @@
 """The Trusted Server as a staged request pipeline.
 
-This package decomposes the Section 6.1 preservation strategy — once a
-single ``TrustedAnonymizer._process`` monolith — into an explicit
-architecture:
+The Section 6.1 preservation strategy, as an explicit architecture:
 
 * :mod:`repro.engine.context` — the :class:`Decision` vocabulary, the
-  :class:`AnonymizerEvent` audit record, and the
-  :class:`RequestContext` threaded through the stages;
+  :class:`AnonymizerEvent` audit record, the
+  :class:`AnonymitySetScope` choice, and the :class:`RequestContext`
+  threaded through the stages;
 * :mod:`repro.engine.stages` — the six stages (``QuietGate``,
   ``MonitorMatch``, ``Generalize``, ``Unlink``, ``RiskPolicy``,
   ``Audit``), each a small ``handle(ctx) -> Decision | None`` class;
 * :mod:`repro.engine.pipeline` — the :class:`Engine` driving requests
   through a :class:`PipelineBuilder`-assembled stage order, plus the
   :class:`BatchItem` bulk-replay path;
-* :mod:`repro.engine.session` — all per-user mutable state behind the
-  :class:`SessionStore` protocol (:class:`InMemorySessionStore`,
-  :class:`ShardedSessionStore`);
+* :mod:`repro.engine.session` — all per-user mutable state
+  (:class:`UserSession`), kept by one :class:`InMemorySessionStore`
+  per engine;
 * :mod:`repro.engine.audit` — bounded audit-trail retention
   (``audit="full" | "counts"``).
 
-:class:`~repro.core.anonymizer.TrustedAnonymizer` remains the public
-facade; construct an :class:`Engine` directly when you need to swap
-stages or session backends.  See DESIGN.md § "Engine architecture".
+:class:`Engine` is the one way to build a Trusted Server: the offline
+simulation (:class:`~repro.ts.simulation.LBSSimulation`), every serving
+shard (:func:`~repro.serve.loadgen.build_engine`) and the examples all
+construct it directly.  See DESIGN.md § "Engine architecture".
 """
 
 from repro.engine.audit import AUDIT_MODES, AuditTrail
@@ -35,9 +35,6 @@ from repro.engine.pipeline import BatchItem, Engine, PipelineBuilder
 from repro.engine.session import (
     InMemorySessionStore,
     LBQIDState,
-    SessionPseudonyms,
-    SessionStore,
-    ShardedSessionStore,
     UserSession,
 )
 from repro.engine.stages import (
@@ -60,12 +57,9 @@ __all__ = [
     "BatchItem",
     "Engine",
     "PipelineBuilder",
-    "SessionStore",
     "UserSession",
     "LBQIDState",
-    "SessionPseudonyms",
     "InMemorySessionStore",
-    "ShardedSessionStore",
     "Stage",
     "QuietGate",
     "MonitorMatch",

@@ -2,8 +2,8 @@
 
 This module is the engine's value layer: the :class:`Decision` and
 :class:`AnonymitySetScope` enums and the :class:`AnonymizerEvent` audit
-record (all re-exported unchanged from :mod:`repro.core.anonymizer`,
-their historical home), plus :class:`RequestContext` — the mutable
+record (the vocabulary the metrics, experiments and serving layers
+import from here), plus :class:`RequestContext` — the mutable
 scratchpad one request carries through the staged pipeline.
 
 Anonymity-set scope — an interpretive choice the sketched Algorithm 1

@@ -57,7 +57,6 @@ from repro.engine.context import (
 from repro.engine.session import (
     InMemorySessionStore,
     LBQIDState,
-    SessionStore,
     UserSession,
 )
 from repro.engine.stages import (
@@ -176,9 +175,18 @@ class Engine:
 
     Owns all shared collaborators and the per-user session state (via
     ``sessions``); processes one request with :meth:`process` and a
-    mixed update/request timeline with :meth:`process_batch`.  The
-    public :class:`~repro.core.anonymizer.TrustedAnonymizer` facade
-    wraps one of these.
+    mixed update/request timeline with :meth:`process_batch`.  Every
+    caller — the offline simulation, the serving shards, the examples
+    — constructs one of these directly::
+
+        engine = Engine(store, policy, unlinker=AlwaysUnlink())
+        engine.register_lbqid(user_id, commute_lbqid(home, office))
+        engine.report_location(user_id, point)         # location update
+        event = engine.process(user_id, point, "poi")  # service request
+
+    Ground-truth audit events accumulate in :attr:`events` (unless
+    ``audit="counts"`` bounds retention); the SP-visible stream is
+    :meth:`sp_log`.
     """
 
     def __init__(
@@ -191,7 +199,7 @@ class Engine:
         randomizer: BoxRandomizer | None = None,
         quiet_period: float = 0.0,
         telemetry: "Telemetry | TelemetryConfig | None" = None,
-        sessions: SessionStore | None = None,
+        sessions: InMemorySessionStore | None = None,
         audit: str = "full",
         pipeline: "PipelineBuilder | Sequence[Stage] | None" = None,
     ) -> None:
@@ -214,8 +222,8 @@ class Engine:
         self.telemetry = resolve_telemetry(telemetry)
         self.generalizer = SpatioTemporalGeneralizer(store)
         #: All per-user mutable state (monitors, anonymity-set caches,
-        #: quiet deadlines, pseudonyms) behind the SessionStore protocol.
-        self.sessions: SessionStore = (
+        #: quiet deadlines, pseudonyms).
+        self.sessions: InMemorySessionStore = (
             sessions if sessions is not None else InMemorySessionStore()
         )
         #: Decision tallies, SP log, and (mode permitting) full events.

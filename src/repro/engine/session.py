@@ -1,33 +1,23 @@
-"""Per-user mutable state behind the :class:`SessionStore` protocol.
+"""Per-user mutable state of the Trusted Server.
 
-Before the engine existed, the Trusted Server smeared its per-user
-state across private dicts (``_states``, ``_quiet_until``, the
-``PseudonymManager``).  This module gathers all of it into one
-:class:`UserSession` value — LBQID monitor states with their cached
-anonymity sets, the post-unlinking quiet deadline, and the pseudonym
-lifecycle — owned by a pluggable store:
+Everything the Section 6.1 strategy remembers about one user lives in
+one :class:`UserSession` value: the LBQID monitor states with their
+cached anonymity sets, the post-unlinking quiet deadline, and the
+pseudonym lifecycle.  :class:`InMemorySessionStore` owns all sessions
+of one engine and issues its pseudonyms.
 
-* :class:`InMemorySessionStore` — a single dict, the default and the
-  byte-compatible successor of the old private-dict layout;
-* :class:`ShardedSessionStore` — users partitioned across N independent
-  in-memory shards by ``user_id % n_shards``.  Every operation touches
-  exactly one shard, which is the structural prerequisite for
-  multi-worker deployment: shards share no mutable state, so they can
-  later live behind separate locks, processes, or hosts.  Pseudonym
-  uniqueness across shards ("pseudonyms are not shared by different
-  individuals", Section 5.2) is preserved by giving each shard's issuer
-  a distinct prefix.
-
-Decisions never depend on which store backs the engine: the paper's
-strategy reads only the requester's own session, so partitioning is
-invisible to the Section 6.1 semantics (asserted end-to-end by
-``tests/engine/test_session_store.py``).
+The strategy reads and writes only the requester's own session, so
+user state partitions cleanly.  Sharded serving relies on this: each
+shard of a :class:`~repro.serve.shard.ShardRouter` runs its own engine
+whose store issues pseudonyms under the shard's ``p<i>.`` prefix, which
+keeps them globally unique ("pseudonyms are not shared by different
+individuals", Section 5.2) without cross-shard coordination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Iterator
 
 from repro.core.matching import LBQIDMonitor
 from repro.core.pseudonyms import PseudonymManager
@@ -70,56 +60,13 @@ class UserSession:
             state.reset()
 
 
-@runtime_checkable
-class SessionStore(Protocol):
-    """Where the engine keeps every user's mutable session state.
-
-    Implementations must create sessions (and pseudonyms) on first
-    access and keep each user's state isolated: the engine only ever
-    reads and writes the requester's own session, which is what makes
-    partitioned implementations safe.
-    """
-
-    def session(self, user_id: int) -> UserSession:
-        """The user's session, created empty on first access."""
-        ...
-
-    def get(self, user_id: int) -> UserSession | None:
-        """The user's session, or ``None`` if never seen."""
-        ...
-
-    def users(self) -> Iterator[int]:
-        """All user ids with a session, in first-seen order per shard."""
-        ...
-
-    def pseudonym(self, user_id: int) -> str:
-        """The user's active pseudonym, issued on first use."""
-        ...
-
-    def rotate_pseudonym(self, user_id: int) -> str:
-        """Replace the user's pseudonym (the unlinking action)."""
-        ...
-
-    def pseudonym_owner(self, pseudonym: str) -> int | None:
-        """Ground-truth owner of a pseudonym (TS/evaluation side)."""
-        ...
-
-    def pseudonyms_of(self, user_id: int) -> list[str]:
-        """All pseudonyms ever issued to a user, in issue order."""
-        ...
-
-    @property
-    def pseudonyms_issued(self) -> int:
-        """Total pseudonyms issued across all users."""
-        ...
-
-
 class InMemorySessionStore:
-    """The default store: one dict of sessions, one pseudonym issuer.
+    """One engine's sessions: one dict, one pseudonym issuer.
 
-    Byte-compatible with the pre-engine ``TrustedAnonymizer`` layout:
-    pseudonyms come from a single :class:`PseudonymManager` with the
-    historical ``"p"`` prefix.
+    Sessions (and pseudonyms) are created on first access.  Pseudonyms
+    come from a single :class:`PseudonymManager` with the prefix
+    ``pseudonym_prefix`` (``"p"`` by default, ``"p<i>."`` on shard
+    ``i`` of a sharded server).
     """
 
     def __init__(self, pseudonym_prefix: str = "p") -> None:
@@ -130,119 +77,37 @@ class InMemorySessionStore:
         return len(self._sessions)
 
     def session(self, user_id: int) -> UserSession:
+        """The user's session, created empty on first access."""
         session = self._sessions.get(user_id)
         if session is None:
             session = self._sessions[user_id] = UserSession(user_id)
         return session
 
     def get(self, user_id: int) -> UserSession | None:
+        """The user's session, or ``None`` if never seen."""
         return self._sessions.get(user_id)
 
     def users(self) -> Iterator[int]:
+        """All user ids with a session, in first-seen order."""
         return iter(self._sessions)
 
     def pseudonym(self, user_id: int) -> str:
+        """The user's active pseudonym, issued on first use."""
         return self.pseudonym_manager.current(user_id)
 
     def rotate_pseudonym(self, user_id: int) -> str:
+        """Replace the user's pseudonym (the unlinking action)."""
         return self.pseudonym_manager.rotate(user_id)
 
     def pseudonym_owner(self, pseudonym: str) -> int | None:
+        """Ground-truth owner of a pseudonym (TS/evaluation side)."""
         return self.pseudonym_manager.owner_of(pseudonym)
 
     def pseudonyms_of(self, user_id: int) -> list[str]:
+        """All pseudonyms ever issued to a user, in issue order."""
         return self.pseudonym_manager.pseudonyms_of(user_id)
 
     @property
     def pseudonyms_issued(self) -> int:
-        return self.pseudonym_manager.issued_count
-
-
-class ShardedSessionStore:
-    """Sessions partitioned across N independent in-memory shards.
-
-    Routing is ``user_id % n_shards``; every method resolves the shard
-    first and then delegates, so no operation crosses shard boundaries.
-    Shard ``i`` issues pseudonyms with prefix ``"p<i>."`` — globally
-    unique without any cross-shard coordination.
-    """
-
-    def __init__(self, n_shards: int = 4) -> None:
-        if n_shards < 1:
-            raise ValueError(
-                f"n_shards must be at least 1, got {n_shards}"
-            )
-        self.n_shards = n_shards
-        self.shards: tuple[InMemorySessionStore, ...] = tuple(
-            InMemorySessionStore(pseudonym_prefix=f"p{index}.")
-            for index in range(n_shards)
-        )
-
-    def shard_for(self, user_id: int) -> InMemorySessionStore:
-        """The shard owning ``user_id``."""
-        return self.shards[user_id % self.n_shards]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def session(self, user_id: int) -> UserSession:
-        return self.shard_for(user_id).session(user_id)
-
-    def get(self, user_id: int) -> UserSession | None:
-        return self.shard_for(user_id).get(user_id)
-
-    def users(self) -> Iterator[int]:
-        for shard in self.shards:
-            yield from shard.users()
-
-    def pseudonym(self, user_id: int) -> str:
-        return self.shard_for(user_id).pseudonym(user_id)
-
-    def rotate_pseudonym(self, user_id: int) -> str:
-        return self.shard_for(user_id).rotate_pseudonym(user_id)
-
-    def pseudonym_owner(self, pseudonym: str) -> int | None:
-        for shard in self.shards:
-            owner = shard.pseudonym_owner(pseudonym)
-            if owner is not None:
-                return owner
-        return None
-
-    def pseudonyms_of(self, user_id: int) -> list[str]:
-        return self.shard_for(user_id).pseudonyms_of(user_id)
-
-    @property
-    def pseudonyms_issued(self) -> int:
-        return sum(shard.pseudonyms_issued for shard in self.shards)
-
-
-class SessionPseudonyms:
-    """:class:`PseudonymManager`-shaped view over a session store.
-
-    Keeps the historical ``anonymizer.pseudonyms.current(...)`` API
-    alive on the facade regardless of which store backs the engine.
-    """
-
-    def __init__(self, sessions: SessionStore) -> None:
-        self._sessions = sessions
-
-    def current(self, user_id: int) -> str:
-        """The user's active pseudonym, created on first use."""
-        return self._sessions.pseudonym(user_id)
-
-    def rotate(self, user_id: int) -> str:
-        """Replace the user's pseudonym (the unlinking action's step 1)."""
-        return self._sessions.rotate_pseudonym(user_id)
-
-    def owner_of(self, pseudonym: str) -> int | None:
-        """Ground-truth owner of a pseudonym (TS/evaluation side only)."""
-        return self._sessions.pseudonym_owner(pseudonym)
-
-    def pseudonyms_of(self, user_id: int) -> list[str]:
-        """All pseudonyms ever issued to a user, in issue order."""
-        return self._sessions.pseudonyms_of(user_id)
-
-    @property
-    def issued_count(self) -> int:
         """Total pseudonyms issued across all users."""
-        return self._sessions.pseudonyms_issued
+        return self.pseudonym_manager.issued_count

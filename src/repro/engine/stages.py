@@ -3,8 +3,7 @@
 Each stage implements ``handle(ctx) -> Decision | None``: return a
 :class:`Decision` to resolve the request (the engine then skips straight
 to the terminal stages), return ``None`` to pass the context on.  The
-default order rebuilds the old ``TrustedAnonymizer._process`` monolith
-exactly:
+default order is the Section 6.1 strategy, step for step:
 
 ``QuietGate`` → ``MonitorMatch`` → ``Generalize`` → ``Unlink`` →
 ``RiskPolicy`` → ``Audit``

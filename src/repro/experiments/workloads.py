@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.core.anonymizer import AnonymitySetScope
 from repro.core.generalization import ToleranceConstraint
 from repro.core.policy import PolicyTable, PrivacyProfile
 from repro.core.unlinking import AlwaysUnlink, UnlinkingProvider
+from repro.engine.context import AnonymitySetScope
 from repro.granularity.timeline import MINUTE
 from repro.mobility.population import CityConfig, SyntheticCity
 from repro.obs.config import Telemetry, TelemetryConfig

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.anonymizer import AnonymizerEvent
 from repro.core.historical_k import (
     anonymity_entropy,
     historical_anonymity_set,
     request_anonymity_set,
 )
 from repro.core.phl import PersonalHistory
+from repro.engine.context import AnonymizerEvent
 from repro.mod.store import TrajectoryStore
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.anonymizer import AnonymizerEvent, Decision
+from repro.engine.context import AnonymizerEvent, Decision
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.core.anonymizer import AnonymizerEvent
 from repro.core.historical_k import historical_anonymity_set
 from repro.core.lbqid import LBQID
 from repro.core.matching import request_set_matches
 from repro.core.phl import PersonalHistory
 from repro.core.requests import Request
+from repro.engine.context import AnonymizerEvent
 from repro.mod.store import TrajectoryStore
 
 

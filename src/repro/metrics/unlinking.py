@@ -12,7 +12,7 @@ The fraction of rotations re-linked is the achieved Θ̂.  With a
 continuous trajectory and no service silence, movement continuity
 bridges the rotation almost every time — the paper's motivation for
 mix-zones ("temporarily disabling the use of the service … for the time
-sufficient to confuse the SP"), which the anonymizer's ``quiet_period``
+sufficient to confuse the SP"), which the engine's ``quiet_period``
 implements and benchmark E16 sweeps.
 """
 
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.attack.tracker import TrajectoryTracker
-from repro.core.anonymizer import AnonymizerEvent
 from repro.core.phl import PersonalHistory
+from repro.engine.context import AnonymizerEvent
 from repro.mod.interpolation import position_at
 
 

@@ -13,7 +13,7 @@ area)."
   mix-zones on-demand": given the request point, find k users nearby with
   *diverging* trajectories; implements the
   :class:`~repro.core.unlinking.UnlinkingProvider` protocol so the
-  anonymizer can use it directly.
+  engine can use it directly.
 """
 
 from repro.mixzone.zones import Crossing, MixZone, reassociation_game

@@ -9,7 +9,7 @@ sufficiently close to the point."
 
 :class:`OnDemandMixZone` implements exactly that test against the TS's
 trajectory store, and doubles as the
-:class:`~repro.core.unlinking.UnlinkingProvider` the anonymizer calls
+:class:`~repro.core.unlinking.UnlinkingProvider` the engine calls
 when generalization fails:
 
 * find users whose latest position (within ``staleness``) lies within

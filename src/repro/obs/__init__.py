@@ -22,7 +22,7 @@ per-request telemetry a production anonymizer needs:
   registry (with OpenMetrics trace exemplars) plus the matching parser
   used by tests and the ``tools/obstop.py`` dashboard;
 * :mod:`repro.obs.slo` — the second observability layer: a streaming
-  :class:`PrivacyMonitor` consuming the anonymizer's decision events
+  :class:`PrivacyMonitor` consuming the engine's decision events
   and evaluating declarative :class:`SloRule` thresholds (alerting
   through the sink fan-out) over sliding windows;
 * :mod:`repro.obs.bench` — benchmark regression artifacts

@@ -1,6 +1,6 @@
 """The telemetry facade the instrumented components receive.
 
-Components (:class:`~repro.core.anonymizer.TrustedAnonymizer`,
+Components (:class:`~repro.engine.pipeline.Engine`,
 :class:`~repro.mod.store.TrajectoryStore`, …) take a single
 ``telemetry`` argument and call :class:`Telemetry` methods on the hot
 path.  The contract that keeps disabled telemetry free:
@@ -192,7 +192,7 @@ class Telemetry:
         """Emit one structured event (``type=kind``) to every sink.
 
         This is the streaming channel the second observability layer
-        consumes: the anonymizer publishes per-decision events, the
+        consumes: the engine publishes per-decision events, the
         LBQID monitors publish match events, and subscribers such as
         :class:`~repro.obs.slo.PrivacyMonitor` receive them in-line
         as sinks.  With no sinks attached nothing is allocated.

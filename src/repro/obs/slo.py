@@ -5,7 +5,7 @@ k-anonymity (Definition 8), unlinking churn, QoS cost, and attack
 exposure are normally checked post-hoc by replaying the audit trail.
 This module closes that gap: :class:`PrivacyMonitor` is a
 :class:`~repro.obs.sinks.TelemetrySink` that subscribes to the
-anonymizer's per-decision events (``type="ts.decision"``, published via
+engine's per-decision events (``type="ts.decision"``, published via
 :meth:`Telemetry.event`) and maintains *while the pipeline runs*:
 
 * **k-attainment** — the fraction of Θ-link-connected request groups
@@ -221,7 +221,7 @@ def _in_home_hours(t: float) -> bool:
 
 
 class PrivacyMonitor(TelemetrySink):
-    """Online privacy auditor: a sink over the anonymizer event stream.
+    """Online privacy auditor: a sink over the engine event stream.
 
     Attach to an enabled telemetry pipeline with :meth:`attach` (or
     pass it as one of the ``sinks`` when building :class:`Telemetry`

@@ -302,7 +302,7 @@ class ClientSession:
 
 
 def shard_of(user_id: int, n_shards: int) -> int:
-    """The shard owning a user — the ShardedSessionStore assignment."""
+    """The shard owning a user: ``user_id % n_shards``."""
     return user_id % n_shards
 
 

@@ -1,7 +1,7 @@
 """Sharded serving: a user-id-hashing router over N shard sequencers.
 
-This is the serving side of :class:`~repro.engine.session.
-ShardedSessionStore`'s partitioning argument: users are assigned to
+The Section 6.1 strategy reads and writes only the requester's own
+session, so user state partitions cleanly: users are assigned to
 shards by ``user_id % n_shards``, every shard owns a **shared-nothing**
 engine (its own :class:`~repro.engine.session.InMemorySessionStore`
 with the ``p<i>.`` pseudonym prefix, its own

@@ -1,7 +1,7 @@
 """The anonymous location-based service model (Section 3, Figure 1).
 
 Users → Trusted Server → Service Providers.  The TS side is
-:class:`~repro.core.anonymizer.TrustedAnonymizer`; this subpackage adds
+:class:`~repro.engine.pipeline.Engine`; this subpackage adds
 the other two corners of Figure 1 and the event loop joining them:
 
 * :mod:`repro.ts.providers` — service providers that receive

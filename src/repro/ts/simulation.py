@@ -21,18 +21,16 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.anonymizer import (
-    AnonymitySetScope,
-    AnonymizerEvent,
-    Decision,
-    TrustedAnonymizer,
-)
 from repro.core.generalization import ToleranceConstraint
 from repro.core.policy import PolicyTable
 from repro.core.randomization import BoxRandomizer
 from repro.core.unlinking import UnlinkingProvider
+from repro.engine.context import (
+    AnonymitySetScope,
+    AnonymizerEvent,
+    Decision,
+)
 from repro.engine.pipeline import BatchItem, Engine
-from repro.engine.session import SessionStore
 from repro.geometry.point import STPoint
 from repro.mobility.population import SyntheticCity
 from repro.mod.store import TrajectoryStore
@@ -69,7 +67,7 @@ class RequestProfile:
 class SimulationReport:
     """Everything the experiments need from one simulation run."""
 
-    anonymizer: TrustedAnonymizer
+    engine: Engine
     providers: dict[str, ServiceProvider]
     requests_issued: int = 0
     location_updates: int = 0
@@ -84,10 +82,10 @@ class SimulationReport:
     @property
     def store(self) -> TrajectoryStore:
         """The TS store populated during the run (ground truth)."""
-        return self.anonymizer.store
+        return self.engine.store
 
     def decision_counts(self) -> dict[Decision, int]:
-        return self.anonymizer.decision_counts()
+        return self.engine.decision_counts()
 
     def generalized_events(self) -> list[AnonymizerEvent]:
         """Events where Algorithm 1 ran (an LBQID element matched)."""
@@ -140,22 +138,21 @@ class LBSSimulation:
         telemetry: "Telemetry | TelemetryConfig | None" = None,
         slo_rules: "Iterable[SloRule | str] | None" = None,
         slo_window_s: float = 2 * 3600.0,
-        session_store: "SessionStore | None" = None,
         audit: str = "full",
         seed: int = 97,
     ) -> None:
         self.city = city
         self.request_profile = request_profile or RequestProfile()
         self._rng = np.random.default_rng(seed)
-        #: One telemetry pipeline shared by the store, the anonymizer,
-        #: and every LBQID monitor.
+        #: One telemetry pipeline shared by the store, the engine, and
+        #: every LBQID monitor.
         self.telemetry = resolve_telemetry(telemetry)
-        #: ``session_store`` picks the engine's per-user state backend
-        #: (e.g. ``ShardedSessionStore(n_shards=4)``); ``audit`` bounds
+        #: The Trusted Server the replay drives.  Its store starts empty
+        #: and learns only from the replayed traffic; ``audit`` bounds
         #: the audit trail (``"counts"`` drops per-request event
         #: retention for long / million-user runs).
-        self.anonymizer = TrustedAnonymizer(
-            store=TrajectoryStore(telemetry=self.telemetry),
+        self.engine = Engine(
+            TrajectoryStore(telemetry=self.telemetry),
             policy=policy,
             unlinker=unlinker,
             scope=scope,
@@ -163,15 +160,11 @@ class LBSSimulation:
             randomizer=randomizer,
             quiet_period=quiet_period,
             telemetry=self.telemetry,
-            sessions=session_store,
             audit=audit,
         )
-        #: The staged engine the replay actually drives (the anonymizer
-        #: is its byte-compatible facade).
-        self.engine: Engine = self.anonymizer.engine
         #: Online privacy auditing: subscribe a PrivacyMonitor to the
         #: shared pipeline.  Rules require telemetry — the monitor
-        #: consumes the anonymizer's streamed decision events.
+        #: consumes the engine's streamed decision events.
         self.privacy_monitor: PrivacyMonitor | None = None
         if slo_rules is not None:
             if not self.telemetry.enabled:
@@ -180,7 +173,7 @@ class LBSSimulation:
                     "telemetry=TelemetryConfig(enabled=True)"
                 )
             self.privacy_monitor = PrivacyMonitor(
-                store=self.anonymizer.store,
+                store=self.engine.store,
                 rules=slo_rules,
                 window_s=slo_window_s,
                 homes=(
@@ -193,14 +186,14 @@ class LBSSimulation:
         if register_lbqids:
             for commuter in city.commuters:
                 lbqid = commuter.lbqid()
-                self.anonymizer.register_lbqid(commuter.user_id, lbqid)
+                self.engine.register_lbqid(commuter.user_id, lbqid)
                 self._own_lbqids[commuter.user_id] = lbqid
         if register_home_lbqids:
             # Declare the dwelling itself a quasi-identifier: every
             # request issued from home is then generalized (see
             # Commuter.home_lbqid and benchmark E6).
             for commuter in city.commuters:
-                self.anonymizer.register_lbqid(
+                self.engine.register_lbqid(
                     commuter.user_id, commuter.home_lbqid()
                 )
 
@@ -209,7 +202,7 @@ class LBSSimulation:
         profile = self.request_profile
         provider = ServiceProvider(profile.service)
         report = SimulationReport(
-            anonymizer=self.anonymizer,
+            engine=self.engine,
             providers={profile.service: provider},
             telemetry=self.telemetry,
             privacy_monitor=self.privacy_monitor,
@@ -243,7 +236,7 @@ class LBSSimulation:
                 report.requests_issued += 1
                 if event.forwarded:
                     provider.receive(event.request.sp_view())
-        report.events = list(self.anonymizer.events)
+        report.events = list(self.engine.events)
         telemetry.gauge("sim.requests_issued", report.requests_issued)
         if self.privacy_monitor is not None:
             # Final roll-over so the last partial window is audited and

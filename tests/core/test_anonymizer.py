@@ -1,10 +1,5 @@
 """Unit tests for the Section 6.1 preservation strategy."""
 
-from repro.core.anonymizer import (
-    AnonymitySetScope,
-    Decision,
-    TrustedAnonymizer,
-)
 from repro.core.generalization import ToleranceConstraint
 from repro.core.lbqid import commute_lbqid
 from repro.core.policy import (
@@ -13,6 +8,8 @@ from repro.core.policy import (
     RiskAction,
 )
 from repro.core.unlinking import AlwaysUnlink, NeverUnlink
+from repro.engine.context import AnonymitySetScope, Decision
+from repro.engine.pipeline import Engine
 from repro.geometry.point import STPoint
 from repro.geometry.region import Rect
 from repro.granularity.timeline import time_at
@@ -55,7 +52,7 @@ def commute_requests(week, day):
     ]
 
 
-def make_anonymizer(
+def make_engine(
     k=3,
     tolerance=LOOSE,
     unlinker=None,
@@ -69,53 +66,53 @@ def make_anonymizer(
         ),
         default_tolerance=tolerance,
     )
-    ts = TrustedAnonymizer(
+    engine = Engine(
         TrajectoryStore(),
         policy=policy,
         unlinker=unlinker or NeverUnlink(),
         scope=scope,
     )
-    ts.register_lbqid(USER, commute_lbqid(HOME, OFFICE, name="commute"))
-    return ts
+    engine.register_lbqid(USER, commute_lbqid(HOME, OFFICE, name="commute"))
+    return engine
 
 
-def feed_day(ts, week, day, stop_after=None):
+def feed_day(engine, week, day, stop_after=None):
     """Interleave neighbour updates and user requests for one day."""
     for user_id, point in neighbour_points(week, day):
-        ts.report_location(user_id, point)
+        engine.report_location(user_id, point)
     events = []
     for i, point in enumerate(commute_requests(week, day)):
         if stop_after is not None and i >= stop_after:
             break
-        events.append(ts.request(USER, point))
+        events.append(engine.process(USER, point))
     return events
 
 
 class TestPlainForwarding:
     def test_non_matching_request_forwarded_exact(self):
-        ts = make_anonymizer()
-        event = ts.request(USER, STPoint(500, 500, time_at(hour=12)))
+        engine = make_engine()
+        event = engine.process(USER, STPoint(500, 500, time_at(hour=12)))
         assert event.decision is Decision.FORWARDED
         assert event.forwarded
         assert event.request.context.volume == 0.0
 
     def test_unregistered_user_never_generalized(self):
-        ts = make_anonymizer()
-        event = ts.request(99, STPoint(50, 50, time_at(hour=7.5)))
+        engine = make_engine()
+        event = engine.process(99, STPoint(50, 50, time_at(hour=7.5)))
         assert event.decision is Decision.FORWARDED
 
     def test_request_ingested_into_store(self):
-        ts = make_anonymizer()
-        ts.request(USER, STPoint(500, 500, time_at(hour=12)))
-        assert len(ts.store.history(USER)) == 1
+        engine = make_engine()
+        engine.process(USER, STPoint(500, 500, time_at(hour=12)))
+        assert len(engine.store.history(USER)) == 1
 
 
 class TestGeneralization:
     def test_first_element_generalized(self):
-        ts = make_anonymizer()
+        engine = make_engine()
         for user_id, point in neighbour_points(0, 0):
-            ts.report_location(user_id, point)
-        event = ts.request(
+            engine.report_location(user_id, point)
+        event = engine.process(
             USER, STPoint(50, 50, time_at(hour=7.5))
         )
         assert event.decision is Decision.GENERALIZED
@@ -124,29 +121,29 @@ class TestGeneralization:
         assert event.step == 0
 
     def test_context_contains_exact_location(self):
-        ts = make_anonymizer()
-        events = feed_day(ts, 0, 0)
+        engine = make_engine()
+        events = feed_day(engine, 0, 0)
         for event in events:
             assert event.request.context.contains(event.request.location)
 
     def test_anonymity_set_stable_across_trace(self):
         """PER_LBQID scope: one id set for the whole pattern."""
-        ts = make_anonymizer(k=3)
-        all_events = feed_day(ts, 0, 0) + feed_day(ts, 0, 1)
+        engine = make_engine(k=3)
+        all_events = feed_day(engine, 0, 0) + feed_day(engine, 0, 1)
         id_sets = {
             event.generalization.anonymity_ids for event in all_events
         }
         assert len(id_sets) == 1
 
     def test_steps_increment(self):
-        ts = make_anonymizer()
-        events = feed_day(ts, 0, 0)
+        engine = make_engine()
+        events = feed_day(engine, 0, 0)
         assert [event.step for event in events] == [0, 1, 2, 3]
 
     def test_per_observation_scope_reselects(self):
-        ts = make_anonymizer(scope=AnonymitySetScope.PER_OBSERVATION)
-        first = feed_day(ts, 0, 0)
-        second = feed_day(ts, 0, 1)
+        engine = make_engine(scope=AnonymitySetScope.PER_OBSERVATION)
+        first = feed_day(engine, 0, 0)
+        second = feed_day(engine, 0, 1)
         assert first[0].step == 0
         # A new observation began on day 1: its first request is another
         # initial selection, not a continuation of day 0's set.
@@ -156,74 +153,74 @@ class TestGeneralization:
 
 class TestFailureHandling:
     def test_unlink_on_failure(self):
-        ts = make_anonymizer(tolerance=TIGHT, unlinker=AlwaysUnlink())
+        engine = make_engine(tolerance=TIGHT, unlinker=AlwaysUnlink())
         for user_id, point in neighbour_points(0, 0):
-            ts.report_location(user_id, point)
-        old_pseudonym = ts.pseudonyms.current(USER)
-        event = ts.request(USER, STPoint(50, 50, time_at(hour=7.5)))
+            engine.report_location(user_id, point)
+        old_pseudonym = engine.sessions.pseudonym(USER)
+        event = engine.process(USER, STPoint(50, 50, time_at(hour=7.5)))
         assert event.decision is Decision.UNLINKED
         assert event.forwarded
         assert event.pseudonym_rotated
         # Forwarded under the old pseudonym; future requests use a new one.
         assert event.request.pseudonym == old_pseudonym
-        assert ts.pseudonyms.current(USER) != old_pseudonym
+        assert engine.sessions.pseudonym(USER) != old_pseudonym
 
     def test_unlink_resets_monitors(self):
-        ts = make_anonymizer(tolerance=TIGHT, unlinker=AlwaysUnlink())
-        ts.request(USER, STPoint(50, 50, time_at(hour=7.5)))
-        state = ts._states[USER][0]
+        engine = make_engine(tolerance=TIGHT, unlinker=AlwaysUnlink())
+        engine.process(USER, STPoint(50, 50, time_at(hour=7.5)))
+        state = engine.session(USER).lbqids[0]
         assert not state.monitor.partials
         assert state.anonymity_ids is None
         assert state.steps == 0
 
     def test_suppress_without_unlinking(self):
-        ts = make_anonymizer(tolerance=TIGHT, unlinker=NeverUnlink())
-        event = ts.request(USER, STPoint(50, 50, time_at(hour=7.5)))
+        engine = make_engine(tolerance=TIGHT, unlinker=NeverUnlink())
+        event = engine.process(USER, STPoint(50, 50, time_at(hour=7.5)))
         assert event.decision is Decision.SUPPRESSED
         assert not event.forwarded
         assert not event.pseudonym_rotated
 
     def test_forward_at_risk_policy(self):
-        ts = make_anonymizer(
+        engine = make_engine(
             tolerance=TIGHT,
             unlinker=NeverUnlink(),
             on_risk=RiskAction.FORWARD,
         )
-        event = ts.request(USER, STPoint(50, 50, time_at(hour=7.5)))
+        event = engine.process(USER, STPoint(50, 50, time_at(hour=7.5)))
         assert event.decision is Decision.AT_RISK_FORWARDED
         assert event.forwarded
 
     def test_suppressed_requests_not_in_sp_log(self):
-        ts = make_anonymizer(tolerance=TIGHT, unlinker=NeverUnlink())
-        ts.request(USER, STPoint(50, 50, time_at(hour=7.5)))
-        assert ts.sp_log() == []
+        engine = make_engine(tolerance=TIGHT, unlinker=NeverUnlink())
+        engine.process(USER, STPoint(50, 50, time_at(hour=7.5)))
+        assert engine.sp_log() == []
 
     def test_shrunk_context_respects_tolerance(self):
-        ts = make_anonymizer(tolerance=TIGHT, unlinker=NeverUnlink())
+        engine = make_engine(tolerance=TIGHT, unlinker=NeverUnlink())
         for user_id, point in neighbour_points(0, 0):
-            ts.report_location(user_id, point)
-        event = ts.request(USER, STPoint(50, 50, time_at(hour=7.5)))
+            engine.report_location(user_id, point)
+        event = engine.process(USER, STPoint(50, 50, time_at(hour=7.5)))
         assert TIGHT.satisfied_by(event.request.context)
 
 
 class TestTooLateToUnlink:
     def make_matched(self, unlinker):
         """Drive the pattern to completion with an easy tolerance."""
-        ts = make_anonymizer(
+        engine = make_engine(
             k=3, tolerance=LOOSE, unlinker=unlinker
         )
         for week in range(2):
             for day in range(3):
-                feed_day(ts, week, day)
-        state = ts._states[USER][0]
+                feed_day(engine, week, day)
+        state = engine.session(USER).lbqids[0]
         assert state.monitor.matched
-        return ts
+        return engine
 
     def test_failure_after_match_is_suppressed_not_unlinked(self):
-        ts = self.make_matched(AlwaysUnlink())
+        engine = self.make_matched(AlwaysUnlink())
         # Shrink the tolerance: the next generalization will fail.
-        ts.policy.default_tolerance = TIGHT
-        event = ts.request(
+        engine.policy.default_tolerance = TIGHT
+        event = engine.process(
             USER, STPoint(50, 50, time_at(week=2, day=0, hour=7.5))
         )
         assert event.decision is Decision.SUPPRESSED
@@ -233,8 +230,8 @@ class TestTooLateToUnlink:
 
 class TestDecisionCounts:
     def test_counts_cover_all_events(self):
-        ts = make_anonymizer()
-        feed_day(ts, 0, 0)
-        ts.request(USER, STPoint(500, 500, time_at(hour=12)))
-        counts = ts.decision_counts()
-        assert sum(counts.values()) == len(ts.events)
+        engine = make_engine()
+        feed_day(engine, 0, 0)
+        engine.process(USER, STPoint(500, 500, time_at(hour=12)))
+        counts = engine.decision_counts()
+        assert sum(counts.values()) == len(engine.events)

@@ -1,4 +1,4 @@
-"""Randomized-stream invariants of the Trusted Anonymizer.
+"""Randomized-stream invariants of the Trusted Server engine.
 
 Instead of scripting scenarios, these tests fire seeded random request
 streams (mixed users, locations, and times) at a fully configured TS and
@@ -15,11 +15,12 @@ assert the properties every execution must satisfy, whatever happens:
 import numpy as np
 import pytest
 
-from repro.core.anonymizer import Decision, TrustedAnonymizer
 from repro.core.generalization import ToleranceConstraint
 from repro.core.lbqid import commute_lbqid
 from repro.core.policy import PolicyTable, PrivacyProfile, RiskAction
 from repro.core.unlinking import ProbabilisticUnlink
+from repro.engine.context import Decision
+from repro.engine.pipeline import Engine
 from repro.geometry.point import STPoint
 from repro.geometry.region import Rect
 from repro.mod.store import TrajectoryStore
@@ -32,7 +33,7 @@ N_USERS = 8
 
 def run_random_stream(seed, on_risk):
     rng = np.random.default_rng(seed)
-    ts = TrustedAnonymizer(
+    engine = Engine(
         TrajectoryStore(),
         policy=PolicyTable(
             default_profile=PrivacyProfile(k=3, on_risk=on_risk),
@@ -41,7 +42,7 @@ def run_random_stream(seed, on_risk):
         unlinker=ProbabilisticUnlink(0.5, rng),
     )
     for user_id in range(N_USERS):
-        ts.register_lbqid(
+        engine.register_lbqid(
             user_id, commute_lbqid(HOME, OFFICE, name=f"q{user_id}")
         )
     t = 0.0
@@ -58,10 +59,10 @@ def run_random_stream(seed, on_risk):
         # Timestamps are strictly increasing, per the monitor contract.
         point = STPoint(float(x), float(y), t)
         if rng.random() < 0.5:
-            ts.request(user_id, point)
+            engine.process(user_id, point)
         else:
-            ts.report_location(user_id, point)
-    return ts
+            engine.report_location(user_id, point)
+    return engine
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -70,35 +71,35 @@ def run_random_stream(seed, on_risk):
 )
 class TestRandomStreamInvariants:
     def test_contexts_contain_locations(self, seed, on_risk):
-        ts = run_random_stream(seed, on_risk)
-        for event in ts.events:
+        engine = run_random_stream(seed, on_risk)
+        for event in engine.events:
             assert event.request.context.contains(event.request.location)
 
     def test_generalized_respects_tolerance(self, seed, on_risk):
-        ts = run_random_stream(seed, on_risk)
-        for event in ts.events:
+        engine = run_random_stream(seed, on_risk)
+        for event in engine.events:
             if event.lbqid_name is not None and event.forwarded:
                 assert TOLERANCE.satisfied_by(event.request.context)
 
     def test_suppressed_not_in_sp_log(self, seed, on_risk):
-        ts = run_random_stream(seed, on_risk)
-        logged = {request.msgid for request in ts.sp_log()}
-        for event in ts.events:
+        engine = run_random_stream(seed, on_risk)
+        logged = {request.msgid for request in engine.sp_log()}
+        for event in engine.events:
             if event.decision is Decision.SUPPRESSED:
                 assert event.request.msgid not in logged
 
     def test_generalized_iff_certified(self, seed, on_risk):
-        ts = run_random_stream(seed, on_risk)
-        for event in ts.events:
+        engine = run_random_stream(seed, on_risk)
+        for event in engine.events:
             if event.decision is Decision.GENERALIZED:
                 assert event.hk_anonymity
             if event.hk_anonymity:
                 assert event.decision is Decision.GENERALIZED
 
     def test_pseudonyms_never_reused_after_rotation(self, seed, on_risk):
-        ts = run_random_stream(seed, on_risk)
+        engine = run_random_stream(seed, on_risk)
         last_seen: dict[int, list[str]] = {}
-        for event in ts.events:
+        for event in engine.events:
             user = event.request.user_id
             pseudonym = event.request.pseudonym
             chain = last_seen.setdefault(user, [])
@@ -108,9 +109,9 @@ class TestRandomStreamInvariants:
                 chain.append(pseudonym)
 
     def test_store_ingests_every_event(self, seed, on_risk):
-        ts = run_random_stream(seed, on_risk)
-        assert ts.store.total_points == 600
+        engine = run_random_stream(seed, on_risk)
+        assert engine.store.total_points == 600
 
     def test_decision_counts_partition_events(self, seed, on_risk):
-        ts = run_random_stream(seed, on_risk)
-        assert sum(ts.decision_counts().values()) == len(ts.events)
+        engine = run_random_stream(seed, on_risk)
+        assert sum(engine.decision_counts().values()) == len(engine.events)

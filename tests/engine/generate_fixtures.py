@@ -4,8 +4,8 @@ Run from the repo root::
 
     PYTHONPATH=src:tests/engine python tests/engine/generate_fixtures.py
 
-The committed fixtures were produced by the pre-refactor
-``TrustedAnonymizer._process`` monolith (commit 58784ca); regenerating
+The committed fixtures were produced by the pre-refactor Trusted
+Server's monolithic ``_process`` method (commit 58784ca); regenerating
 them against the staged engine is only legitimate when a *deliberate*
 semantic change has been reviewed and documented — the whole point of
 the fixture is to catch accidental drift.
@@ -17,7 +17,7 @@ import gzip
 import json
 from pathlib import Path
 
-from repro.core.anonymizer import AnonymitySetScope
+from repro.engine.context import AnonymitySetScope
 
 import workload
 

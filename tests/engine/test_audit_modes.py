@@ -8,23 +8,25 @@ sees — stay exact.
 
 import pytest
 
-from repro.core.anonymizer import Decision, TrustedAnonymizer
 from repro.core.generalization import ToleranceConstraint
 from repro.core.policy import PolicyTable, PrivacyProfile
 from repro.core.requests import Request
 from repro.core.unlinking import AlwaysUnlink
 from repro.engine.audit import AUDIT_MODES, AuditTrail
-from repro.engine.context import AnonymizerEvent
+from repro.engine.context import (
+    AnonymitySetScope,
+    AnonymizerEvent,
+    Decision,
+)
+from repro.engine.pipeline import Engine
 from repro.geometry.point import STPoint
 from repro.granularity.timeline import time_at
-from repro.mod.store import TrajectoryStore
 from tests.engine.test_pipeline import USER, home_lbqid, seeded_store
 from tests.engine.workload import build_city, build_simulation
-from repro.core.anonymizer import AnonymitySetScope
 
 
-def make_ts(audit="full"):
-    ts = TrustedAnonymizer(
+def make_engine(audit="full"):
+    engine = Engine(
         seeded_store(),
         policy=PolicyTable(
             default_profile=PrivacyProfile(k=3),
@@ -33,14 +35,14 @@ def make_ts(audit="full"):
         unlinker=AlwaysUnlink(),
         audit=audit,
     )
-    ts.register_lbqid(USER, home_lbqid())
-    return ts
+    engine.register_lbqid(USER, home_lbqid())
+    return engine
 
 
-def drive(ts):
+def drive(engine):
     """One generalized and one plainly forwarded request."""
-    first = ts.request(USER, STPoint(50, 50, time_at(hour=7.5)))
-    second = ts.request(9, STPoint(2_000, 2_000, time_at(hour=9.0)))
+    first = engine.process(USER, STPoint(50, 50, time_at(hour=7.5)))
+    second = engine.process(9, STPoint(2_000, 2_000, time_at(hour=9.0)))
     return first, second
 
 
@@ -103,14 +105,14 @@ class TestAuditTrail:
 
 class TestAnonymizerAuditModes:
     def test_default_is_full_retention(self):
-        ts = make_ts()
-        first, second = drive(ts)
-        assert ts.events == [first, second]
-        assert len(ts.forwarded_requests()) == 2
+        engine = make_engine()
+        first, second = drive(engine)
+        assert engine.events == [first, second]
+        assert len(engine.forwarded_requests()) == 2
 
     def test_counts_mode_end_to_end(self):
-        full = make_ts()
-        bounded = make_ts(audit="counts")
+        full = make_engine()
+        bounded = make_engine(audit="counts")
         drive(full)
         bounded_first, bounded_second = drive(bounded)
         # Decisions are unaffected by the retention policy...
@@ -126,7 +128,7 @@ class TestAnonymizerAuditModes:
 
     def test_invalid_mode_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            make_ts(audit="everything")
+            make_engine(audit="everything")
 
 
 class TestSimulationAuditModes:
@@ -140,4 +142,4 @@ class TestSimulationAuditModes:
         counts = report.decision_counts()
         assert sum(counts.values()) == report.requests_issued
         provider = report.providers["poi"]
-        assert len(provider.log) == len(report.anonymizer.sp_log())
+        assert len(provider.log) == len(report.engine.sp_log())

@@ -2,7 +2,7 @@
 
 The fixtures under ``fixtures/`` were generated by running the shared
 workload (``tests/engine/workload.py``) through the *pre-refactor*
-``TrustedAnonymizer._process`` monolith.  This test replays the same
+Trusted Server's monolithic ``_process`` method.  This test replays the same
 workload through the staged pipeline and asserts the full decision
 sequence, every pinned audit field, and the SP-visible log are
 identical — the refactor must preserve the Section 6.1 semantics bit
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.anonymizer import AnonymitySetScope
+from repro.engine.context import AnonymitySetScope
 from repro.mod.store import TrajectoryStore
 from tests.engine import workload
 

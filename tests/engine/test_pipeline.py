@@ -9,12 +9,13 @@ of :meth:`Engine.process_batch` with one-at-a-time processing.
 
 import pytest
 
-from repro.core.anonymizer import Decision, TrustedAnonymizer
 from repro.core.generalization import ToleranceConstraint
 from repro.core.lbqid import LBQID, LBQIDElement
 from repro.core.policy import PolicyTable, PrivacyProfile
 from repro.core.unlinking import AlwaysUnlink
+from repro.engine.context import Decision
 from repro.engine.pipeline import BatchItem, Engine, PipelineBuilder
+from repro.engine.session import InMemorySessionStore, UserSession
 from repro.engine.stages import (
     Audit,
     Generalize,
@@ -212,26 +213,61 @@ class TestCustomPipelines:
         assert event.decision is Decision.UNLINKED
         assert event.pseudonym_rotated
 
-    def test_facade_passes_the_builder_through(self):
-        ts = TrustedAnonymizer(
-            seeded_store(),
-            policy=PolicyTable(
-                default_profile=PrivacyProfile(k=3),
-                default_tolerance=TIGHT,
-            ),
-            unlinker=AlwaysUnlink(),
-            pipeline=PipelineBuilder.default().remove("unlink"),
-        )
-        ts.register_lbqid(USER, home_lbqid())
-        event = ts.request(USER, STPoint(50, 50, time_at(hour=7.5)))
-        assert event.decision is Decision.SUPPRESSED
-
     def test_pipeline_without_audit_stage_is_an_error(self):
         engine = make_engine(
             pipeline=PipelineBuilder.default().remove("audit")
         )
         with pytest.raises(AssertionError, match="Audit"):
             engine.process(USER, STPoint(50, 50, time_at(hour=7.5)))
+
+
+class TestSessions:
+    def test_session_created_on_first_access(self):
+        engine = make_engine()
+        assert engine.sessions.get(3) is None
+        session = engine.session(3)
+        assert isinstance(session, UserSession)
+        assert session.user_id == 3
+        assert engine.sessions.get(3) is session
+        assert session.lbqids == []
+        assert session.quiet_until is None
+
+    def test_default_store_issues_plain_p_pseudonyms(self):
+        engine = make_engine()
+        assert isinstance(engine.sessions, InMemorySessionStore)
+        event = engine.process(9, STPoint(2_000, 2_000, time_at(hour=9)))
+        assert event.request.pseudonym == engine.sessions.pseudonym(9)
+        assert event.request.pseudonym == "p00000000"
+
+    def test_given_store_issues_under_its_prefix(self):
+        sessions = InMemorySessionStore(pseudonym_prefix="p3.")
+        engine = make_engine(sessions=sessions)
+        assert engine.sessions is sessions
+        event = engine.process(9, STPoint(2_000, 2_000, time_at(hour=9)))
+        assert event.request.pseudonym == "p3.00000000"
+
+    def test_rotation_keeps_owner_and_issue_history(self):
+        engine = make_engine(tolerance=TIGHT)
+        engine.register_lbqid(USER, commute_2step())
+        old = engine.sessions.pseudonym(USER)
+        event = engine.process(USER, STPoint(50, 50, time_at(hour=7.5)))
+        assert event.pseudonym_rotated
+        new = engine.sessions.pseudonym(USER)
+        assert new != old
+        assert engine.sessions.pseudonyms_of(USER) == [old, new]
+        assert engine.sessions.pseudonym_owner(old) == USER
+        assert engine.sessions.pseudonym_owner(new) == USER
+        assert engine.sessions.pseudonym_owner("p-nobody") is None
+        assert engine.sessions.pseudonyms_issued == 2
+
+    def test_users_listed_in_first_seen_order(self):
+        engine = make_engine()
+        for user_id in (7, 2, 5):
+            engine.process(
+                user_id, STPoint(2_000, 2_000, time_at(hour=9))
+            )
+        assert list(engine.sessions.users()) == [7, 2, 5]
+        assert len(engine.sessions) == 3
 
 
 class TestStageTelemetry:

@@ -1,8 +1,8 @@
 """The seeded equivalence workload shared by fixtures and tests.
 
 The golden fixtures under ``tests/engine/fixtures/`` were generated by
-running exactly this workload through the *pre-refactor*
-``TrustedAnonymizer._process`` monolith (see
+running exactly this workload through the *pre-refactor* Trusted
+Server, one monolithic ``_process`` method (see
 ``tests/engine/generate_fixtures.py``).  The replay test then runs the
 same workload through the staged engine and asserts the full decision
 sequence, SP log, and audit fields are identical — the refactor must
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.anonymizer import AnonymitySetScope, AnonymizerEvent
 from repro.core.generalization import ToleranceConstraint
 from repro.core.policy import PrivacyProfile, RiskAction
 from repro.core.unlinking import ProbabilisticUnlink
+from repro.engine.context import AnonymitySetScope, AnonymizerEvent
 from repro.experiments.workloads import make_policy
 from repro.mobility.population import CityConfig, SyntheticCity
 from repro.ts.simulation import LBSSimulation
@@ -119,5 +119,5 @@ def run_workload(scope: AnonymitySetScope, **kwargs) -> dict:
     return {
         "scope": scope.value,
         "events": [event_record(e) for e in report.events],
-        "sp_log": [sp_record(r) for r in report.anonymizer.sp_log()],
+        "sp_log": [sp_record(r) for r in report.engine.sp_log()],
     }

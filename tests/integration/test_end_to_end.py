@@ -13,9 +13,9 @@ import pytest
 
 from repro.attack.reidentification import HomeIdentificationAttack
 from repro.baselines.interval_cloak import IntervalCloak
-from repro.core.anonymizer import Decision
 from repro.core.requests import Request
 from repro.core.unlinking import AlwaysUnlink, NeverUnlink
+from repro.engine.context import Decision
 from repro.experiments.workloads import (
     DEFAULT_TOLERANCE,
     make_policy,

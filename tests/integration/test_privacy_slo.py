@@ -1,6 +1,6 @@
 """End-to-end: the streaming PrivacyMonitor agrees with post-hoc audits.
 
-The monitor sees only the anonymizer's ``ts.decision`` event stream; the
+The monitor sees only the engine's ``ts.decision`` event stream; the
 post-hoc metrics in :mod:`repro.metrics` read the full audit trail and
 the TS store.  Run both over one simulation and they must tell the same
 story — with the audit window opened wider than the simulated fortnight
@@ -9,8 +9,8 @@ so the "window" estimates cover the entire run.
 
 import pytest
 
-from repro.core.anonymizer import Decision
 from repro.core.unlinking import AlwaysUnlink
+from repro.engine.context import Decision
 from repro.experiments.workloads import make_policy, small_city
 from repro.metrics.anonymity import anonymity_summary, historical_k_per_user
 from repro.metrics.qos import qos_summary

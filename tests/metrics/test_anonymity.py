@@ -1,8 +1,8 @@
 """Unit tests for anonymity metrics."""
 
-from repro.core.anonymizer import AnonymizerEvent, Decision
 from repro.core.phl import PersonalHistory
 from repro.core.requests import Request
+from repro.engine.context import AnonymizerEvent, Decision
 from repro.geometry.point import STPoint
 from repro.geometry.region import Interval, Rect, STBox
 from repro.metrics.anonymity import (

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.anonymizer import AnonymizerEvent, Decision
 from repro.core.requests import Request
+from repro.engine.context import AnonymizerEvent, Decision
 from repro.geometry.point import STPoint
 from repro.geometry.region import Interval, Rect, STBox
 from repro.metrics.qos import qos_summary

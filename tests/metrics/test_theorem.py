@@ -1,9 +1,9 @@
 """Unit tests for the Theorem 1 verification pass."""
 
-from repro.core.anonymizer import AnonymizerEvent, Decision
 from repro.core.lbqid import commute_lbqid
 from repro.core.phl import PersonalHistory
 from repro.core.requests import Request
+from repro.engine.context import AnonymizerEvent, Decision
 from repro.geometry.point import STPoint
 from repro.geometry.region import Rect, STBox
 from repro.granularity.timeline import time_at

@@ -1,8 +1,8 @@
 """Unit tests for the unlinking-efficacy audit."""
 
-from repro.core.anonymizer import AnonymizerEvent, Decision
 from repro.core.phl import PersonalHistory
 from repro.core.requests import Request
+from repro.engine.context import AnonymizerEvent, Decision
 from repro.geometry.point import STPoint
 from repro.metrics.unlinking import audit_unlinking, split_by_motion
 

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.anonymizer import Decision, TrustedAnonymizer
 from repro.core.generalization import ToleranceConstraint
 from repro.core.lbqid import commute_lbqid
 from repro.core.policy import PolicyTable, PrivacyProfile, RiskAction
 from repro.core.unlinking import NeverUnlink
+from repro.engine.context import Decision
+from repro.engine.pipeline import Engine
 from repro.geometry.point import STPoint
 from repro.geometry.region import Rect
 from repro.granularity.timeline import time_at
@@ -32,13 +33,13 @@ def run_scenario(telemetry=None, tolerance=LOOSE):
         default_profile=PrivacyProfile(k=3, on_risk=RiskAction.SUPPRESS),
         default_tolerance=tolerance,
     )
-    ts = TrustedAnonymizer(
+    engine = Engine(
         TrajectoryStore(telemetry=telemetry),
         policy=policy,
         unlinker=NeverUnlink(),
         telemetry=telemetry,
     )
-    ts.register_lbqid(USER, commute_lbqid(HOME, OFFICE, name="commute"))
+    engine.register_lbqid(USER, commute_lbqid(HOME, OFFICE, name="commute"))
     for week in range(2):
         for day in range(3):
             for offset, neighbour in enumerate(NEIGHBOURS):
@@ -49,7 +50,7 @@ def run_scenario(telemetry=None, tolerance=LOOSE):
                     (17.1, (950, 950)),
                     (18.1, (40, 40)),
                 ):
-                    ts.report_location(
+                    engine.report_location(
                         neighbour,
                         STPoint(
                             x + jitter, y,
@@ -62,54 +63,54 @@ def run_scenario(telemetry=None, tolerance=LOOSE):
                 (17.2, (950, 950)),
                 (18.2, (50, 50)),
             ):
-                ts.request(
+                engine.process(
                     USER,
                     STPoint(x, y, time_at(week=week, day=day, hour=hour)),
                     service="poi",
                 )
             # An off-pattern request that is plainly forwarded.
-            ts.request(
+            engine.process(
                 USER,
                 STPoint(500, 200, time_at(week=week, day=day, hour=12.0)),
             )
-    return ts
+    return engine
 
 
 class TestDecisionCountersMatchAuditTrail:
     @pytest.mark.parametrize("tolerance", [LOOSE, TIGHT])
     def test_counters_equal_audit_tallies(self, tolerance):
         telemetry = TelemetryConfig(enabled=True).build()
-        ts = run_scenario(telemetry=telemetry, tolerance=tolerance)
+        engine = run_scenario(telemetry=telemetry, tolerance=tolerance)
         snapshot = telemetry.snapshot()
-        audit = ts.decision_counts()
+        audit = engine.decision_counts()
         for decision in Decision:
             assert snapshot.counter_value(
                 "ts.decisions", decision=decision.value
             ) == audit[decision], decision
-        assert snapshot.counter_value("ts.requests") == len(ts.events)
+        assert snapshot.counter_value("ts.requests") == len(engine.events)
 
     def test_failure_branches_reached(self):
         """The tight scenario actually exercises suppression."""
-        ts = run_scenario(
+        engine = run_scenario(
             telemetry=TelemetryConfig(enabled=True).build(),
             tolerance=TIGHT,
         )
-        assert ts.decision_counts()[Decision.SUPPRESSED] > 0
+        assert engine.decision_counts()[Decision.SUPPRESSED] > 0
 
 
 class TestPipelineMetrics:
     @pytest.fixture(scope="class")
     def run(self):
         telemetry = TelemetryConfig(enabled=True, ring_buffer=4096).build()
-        ts = run_scenario(telemetry=telemetry)
-        return ts, telemetry.snapshot(), telemetry
+        engine = run_scenario(telemetry=telemetry)
+        return engine, telemetry.snapshot(), telemetry
 
     def test_generalization_histograms_cover_every_algorithm1_run(
         self, run
     ):
-        ts, snapshot, _telemetry = run
+        engine, snapshot, _telemetry = run
         generalizations = sum(
-            1 for e in ts.events if e.generalization is not None
+            1 for e in engine.events if e.generalization is not None
         )
         for name in (
             "ts.anonymity_set_size",
@@ -119,14 +120,14 @@ class TestPipelineMetrics:
             assert snapshot.histogram_summary(name).count == generalizations
 
     def test_latency_histogram_counts_every_request(self, run):
-        ts, snapshot, _telemetry = run
+        engine, snapshot, _telemetry = run
         summary = snapshot.histogram_summary("ts.request_latency_ms")
-        assert summary.count == len(ts.events)
+        assert summary.count == len(engine.events)
         assert summary.minimum >= 0
 
     def test_monitor_counters(self, run):
-        ts, snapshot, _telemetry = run
-        matched = sum(1 for e in ts.events if e.lbqid_name is not None)
+        engine, snapshot, _telemetry = run
+        matched = sum(1 for e in engine.events if e.lbqid_name is not None)
         assert snapshot.counter_value("monitor.match_events") == matched
         assert snapshot.counter_value("monitor.lbqids_matched") >= 1
 
@@ -148,10 +149,10 @@ class TestPipelineMetrics:
         )
 
     def test_request_spans_in_ring_buffer(self, run):
-        ts, _snapshot, telemetry = run
+        engine, _snapshot, telemetry = run
         spans = telemetry.ring().spans()
         request_spans = [s for s in spans if s["name"] == "ts.request"]
-        assert len(request_spans) == len(ts.events)
+        assert len(request_spans) == len(engine.events)
         decisions = {s["attributes"]["decision"] for s in request_spans}
         assert "generalized" in decisions
 
@@ -167,9 +168,9 @@ class TestDisabledFastPath:
         ]
 
     def test_default_is_the_shared_null_singleton(self):
-        ts = TrustedAnonymizer(TrajectoryStore())
-        assert ts.telemetry is NULL_TELEMETRY
-        assert not ts.telemetry.enabled
+        engine = Engine(TrajectoryStore())
+        assert engine.telemetry is NULL_TELEMETRY
+        assert not engine.telemetry.enabled
         snapshot = NULL_TELEMETRY.snapshot()
         assert not snapshot.counters
         assert not snapshot.histograms

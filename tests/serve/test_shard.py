@@ -6,6 +6,7 @@ import asyncio
 
 import pytest
 
+from repro.engine.context import Decision
 from repro.serve.loadgen import SERVICE, build_engine, decision_key
 from repro.serve.protocol import (
     DecisionReply,
@@ -344,3 +345,90 @@ class TestShardRouter:
     def test_n_shards_validated(self, workload, workload_config):
         with pytest.raises(ValueError):
             ShardRouter(workload, workload_config, n_shards=0)
+
+
+class TestShardedPseudonyms:
+    """Section 5.2: "pseudonyms are not shared by different individuals".
+
+    The fixture workload is served through a 4-shard router whose
+    engines run ``AlwaysUnlink``, so tolerance failures rotate
+    pseudonyms on every shard.  Each shard issues under its own
+    ``p<i>.`` prefix, which keeps pseudonyms globally unique without
+    cross-shard coordination.
+    """
+
+    N_SHARDS = 4
+
+    @pytest.fixture(scope="class")
+    def shard_engines(self, workload, workload_config):
+        async def run():
+            router = ShardRouter(
+                workload,
+                workload_config,
+                n_shards=self.N_SHARDS,
+                config=WIDE_OPEN,
+            )
+            await router.start()
+            session = router.open_session("t")
+            for frame in frames_for(workload.timeline):
+                reply = await router.submit(session, frame)
+                assert not isinstance(reply, ErrorReply), reply
+            await router.close()
+            return {
+                shard_id: sequencer.runtime.engine
+                for shard_id, sequencer in router.sequencers.items()
+            }
+
+        return asyncio.run(run())
+
+    @staticmethod
+    def issued(engine):
+        sessions = engine.sessions
+        return {
+            user_id: sessions.pseudonyms_of(user_id)
+            for user_id in sessions.users()
+        }
+
+    def test_pseudonyms_are_distinct_across_shards(self, shard_engines):
+        pseudonyms = [
+            pseudonym
+            for engine in shard_engines.values()
+            for history in self.issued(engine).values()
+            for pseudonym in history
+        ]
+        rotations = sum(
+            engine.decision_counts()[Decision.UNLINKED]
+            for engine in shard_engines.values()
+        )
+        assert rotations > 0, "the workload never rotated a pseudonym"
+        assert len(pseudonyms) == len(set(pseudonyms))
+        assert len(pseudonyms) == sum(
+            engine.sessions.pseudonyms_issued
+            for engine in shard_engines.values()
+        )
+
+    def test_pseudonyms_carry_the_owning_shard_prefix(self, shard_engines):
+        for engine in shard_engines.values():
+            for user_id, history in self.issued(engine).items():
+                prefix = f"p{user_id % self.N_SHARDS}."
+                assert history, user_id
+                assert all(p.startswith(prefix) for p in history), history
+
+    def test_sessions_live_only_on_the_owning_shard(
+        self, shard_engines, workload
+    ):
+        for shard_id, engine in shard_engines.items():
+            assert sorted(engine.sessions.users()) == [
+                user_id
+                for user_id in workload.user_ids
+                if shard_of(user_id, self.N_SHARDS) == shard_id
+            ]
+
+    def test_issuing_shard_resolves_each_owner(self, shard_engines):
+        for engine in shard_engines.values():
+            for user_id, history in self.issued(engine).items():
+                for pseudonym in history:
+                    assert (
+                        engine.sessions.pseudonym_owner(pseudonym)
+                        == user_id
+                    )

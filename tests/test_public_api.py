@@ -1,10 +1,16 @@
 """The public API surface: everything advertised must exist and import."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+PACKAGE_DIR = Path(repro.__file__).parent
+README = Path(__file__).parent.parent / "README.md"
 
 SUBPACKAGES = [
     "repro.geometry",
@@ -58,3 +64,70 @@ class TestDocumentation:
             if callable(obj) and not getattr(obj, "__doc__", None):
                 undocumented.append(name)
         assert not undocumented
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Absolute module names a source file imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+class TestLayering:
+    """Lower layers never import the layers built on top of them.
+
+    ``repro.core`` holds the paper's formal machinery; the engine that
+    runs the Section 6.1 strategy builds on it, and the simulation and
+    serving layers build on the engine.
+    """
+
+    @pytest.mark.parametrize(
+        "package, forbidden",
+        [
+            ("core", ("repro.engine", "repro.ts", "repro.serve")),
+            (
+                "engine",
+                (
+                    "repro.ts",
+                    "repro.serve",
+                    "repro.metrics",
+                    "repro.experiments",
+                ),
+            ),
+        ],
+        ids=["core", "engine"],
+    )
+    def test_package_does_not_import_upper_layers(
+        self, package, forbidden
+    ):
+        offending = sorted(
+            f"{path.relative_to(PACKAGE_DIR)} imports {module}"
+            for path in (PACKAGE_DIR / package).rglob("*.py")
+            for module in imported_modules(path)
+            if any(
+                module == name or module.startswith(name + ".")
+                for name in forbidden
+            )
+        )
+        assert not offending
+
+
+class TestReadme:
+    def test_quickstart_blocks_run(self):
+        """The Python blocks under the README's Quickstart heading run,
+        in one namespace (its subsections drive a daemon instead)."""
+        text = README.read_text(encoding="utf-8")
+        section = text.split("\n## Quickstart\n", 1)[1]
+        section = re.split(r"\n#{2,3} ", section, maxsplit=1)[0]
+        blocks = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+        assert len(blocks) == 2
+        namespace: dict = {"__name__": "readme_quickstart"}
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+        assert namespace["event"].request.context is not None
+        assert len(namespace["events"]) == 1

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core.anonymizer import Decision
 from repro.core.unlinking import AlwaysUnlink
+from repro.engine.context import Decision
 from repro.experiments.workloads import (
     DEFAULT_TOLERANCE,
     make_policy,
     small_city,
 )
+from repro.obs import TelemetryConfig
 from repro.ts.simulation import LBSSimulation, RequestProfile
 
 
@@ -54,6 +55,26 @@ class TestRun:
             assert event.lbqid_name is not None
 
 
+class TestEngine:
+    def test_store_starts_cold_and_the_report_carries_the_engine(
+        self, city
+    ):
+        """The offline TS learns only from the replayed traffic."""
+        simulation = LBSSimulation(
+            city,
+            register_lbqids=False,
+            request_profile=RequestProfile(
+                background_probability=0.0,
+                anchor_request_probability=0.0,
+            ),
+        )
+        assert simulation.engine.store.total_points == 0
+        report = simulation.run()
+        assert report.engine is simulation.engine
+        assert report.store is simulation.engine.store
+        assert report.store.total_points == city.store.total_points
+
+
 class TestRequestProfile:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
@@ -83,20 +104,19 @@ class TestRequestProfile:
         assert not report.generalized_events()
 
 
+@pytest.fixture(scope="module")
+def telemetry_report(city):
+    simulation = LBSSimulation(
+        city,
+        policy=make_policy(k=3),
+        unlinker=AlwaysUnlink(),
+        telemetry=TelemetryConfig(enabled=True),
+        seed=5,
+    )
+    return simulation.run()
+
+
 class TestTelemetry:
-    @pytest.fixture(scope="class")
-    def telemetry_report(self, city):
-        from repro.obs import TelemetryConfig
-
-        simulation = LBSSimulation(
-            city,
-            policy=make_policy(k=3),
-            unlinker=AlwaysUnlink(),
-            telemetry=TelemetryConfig(enabled=True),
-            seed=5,
-        )
-        return simulation.run()
-
     def test_decision_counters_match_audit_trail(self, telemetry_report):
         snapshot = telemetry_report.metrics_snapshot()
         audit = telemetry_report.decision_counts()
@@ -133,6 +153,26 @@ class TestTelemetry:
         ).run()
         assert report.metrics_snapshot() is None
         assert "== telemetry ==" not in report.summary()
+
+
+class TestStageTelemetryInSummary:
+    def test_stage_ms_histograms_reach_the_report_summary(
+        self, telemetry_report
+    ):
+        summary = telemetry_report.summary()
+        assert "engine.stage_ms" in summary
+        snapshot = telemetry_report.metrics_snapshot()
+        for stage in (
+            "quiet_gate",
+            "monitor_match",
+            "generalize",
+            "audit",
+        ):
+            histogram = snapshot.histogram_summary(
+                "engine.stage_ms", stage=stage
+            )
+            assert histogram is not None, stage
+            assert histogram.count > 0
 
 
 class TestDeterminism:
