@@ -22,8 +22,9 @@ TS itself goes concurrent.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 #: ``(name, ((label, value), ...))`` — the registry key of one instrument.
 MetricKey = tuple[str, tuple[tuple[str, str], ...]]
@@ -179,15 +180,11 @@ class Histogram:
         return drained
 
     def _bucket_of(self, value: float) -> int:
-        # Binary search for the first bound >= value.
-        lo, hi = 0, len(self.bounds)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.bounds[mid] >= value:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        # The first bound >= value; NaN compares false with every
+        # bound, so it lands in the overflow bucket.
+        if value != value:
+            return len(self.bounds)
+        return bisect_left(self.bounds, value)
 
     def percentile(self, q: float) -> float:
         """The ``q``-quantile (``q`` in [0, 1]) by bucket interpolation."""
@@ -299,7 +296,16 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """Get-or-create home of all instruments, keyed by name+labels."""
+    """Get-or-create home of all instruments, keyed by name+labels.
+
+    Lookups are memoized on the raw ``(name, *labels.items())`` tuple,
+    so a hot call site pays for the canonical (sorted, stringified)
+    :func:`label_key` only on its first call; a kwarg order the memo
+    has not seen falls back to that key and finds the same instrument.
+    Label values are memo-keyed by equality, so values that compare
+    equal but print differently (``1``, ``1.0``, ``True``) under one
+    label name share whichever series was touched first.
+    """
 
     def __init__(
         self, default_buckets: Iterable[float] | None = None
@@ -310,22 +316,37 @@ class MetricsRegistry:
         self._counters: dict[MetricKey, Counter] = {}
         self._gauges: dict[MetricKey, Gauge] = {}
         self._histograms: dict[MetricKey, Histogram] = {}
+        self._counter_memo: dict[tuple, Counter] = {}
+        self._gauge_memo: dict[tuple, Gauge] = {}
+        self._histogram_memo: dict[tuple, Histogram] = {}
+
+    @staticmethod
+    def _lookup(
+        memo: dict,
+        instruments: dict,
+        make: Callable[[str, tuple[tuple[str, str], ...]], Any],
+        name: str,
+        labels: dict[str, object],
+    ) -> Any:
+        memo_key = (name, *labels.items())
+        instrument = memo.get(memo_key)
+        if instrument is None:
+            key = (name, label_key(labels))
+            instrument = instruments.get(key)
+            if instrument is None:
+                instrument = instruments[key] = make(name, key[1])
+            memo[memo_key] = instrument
+        return instrument
 
     def counter(self, name: str, **labels: object) -> Counter:
-        key = (name, label_key(labels))
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = Counter(name, key[1])
-            self._counters[key] = instrument
-        return instrument
+        return self._lookup(
+            self._counter_memo, self._counters, Counter, name, labels
+        )
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        key = (name, label_key(labels))
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = Gauge(name, key[1])
-            self._gauges[key] = instrument
-        return instrument
+        return self._lookup(
+            self._gauge_memo, self._gauges, Gauge, name, labels
+        )
 
     def histogram(
         self,
@@ -333,6 +354,14 @@ class MetricsRegistry:
         bounds: Iterable[float] | None = None,
         **labels: object,
     ) -> Histogram:
+        if bounds is None:
+            return self._lookup(
+                self._histogram_memo,
+                self._histograms,
+                self._new_histogram,
+                name,
+                labels,
+            )
         key = (name, label_key(labels))
         instrument = self._histograms.get(key)
         if instrument is None:
@@ -341,6 +370,11 @@ class MetricsRegistry:
             )
             self._histograms[key] = instrument
         return instrument
+
+    def _new_histogram(
+        self, name: str, labels: tuple[tuple[str, str], ...]
+    ) -> Histogram:
+        return Histogram(name, labels, bounds=self._default_buckets)
 
     def snapshot(self) -> MetricsSnapshot:
         """Freeze the current state of every instrument."""

@@ -19,8 +19,10 @@ Everything else is shared with the TCP transport, deliberately:
 * the same hello/welcome handshake starts every connection (first
   frame of the first POST must be ``hello``);
 * the same :class:`~repro.serve.gate.ConnectionGate` screens hellos
-  and charges servable ops *before* :meth:`TrustedServer.submit`, so
+  and charges servable ops *before* :meth:`TrustedServer.admit`, so
   gate rejections never touch a sequencer over this transport either;
+* the same reply-callback admission: a servable line costs no task,
+  and the ``200`` body is written once its last slot is answered;
 * the same :func:`~repro.serve.transports.server_ssl_context` /
   :func:`~repro.serve.transports.client_ssl_context` upgrade it to
   HTTPS.
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import ssl
-from typing import Set
+from typing import Callable, Set
 
 from repro.obs.config import Telemetry
 from repro.serve.gate import ConnectionGate, GatePass
@@ -277,13 +279,15 @@ class HttpTransport:
     ) -> tuple[bytes, bool]:
         """One POST body in, one NDJSON reply body (+ keep-alive?) out.
 
-        Lines are judged in order; admitted servable ops are submitted
-        as tasks (so a batch pipelines through the sequencer exactly
-        like pipelined TCP frames) and their replies land back on the
-        line positions the requests came from.
+        Lines are judged in order; admitted servable ops go through
+        :meth:`TrustedServer.admit` (so a batch pipelines through the
+        sequencer exactly like pipelined TCP frames, with no task per
+        frame) and their replies land back on the line positions the
+        requests came from.  The body is written once the last slot
+        is answered.
         """
         max_bytes = self.server.config.max_frame_bytes
-        slots: "list[Frame | asyncio.Task[Frame]]" = []
+        batch = _Batch()
         keep_alive = True
         for line in body.split(b"\n"):
             if not line.strip():
@@ -295,7 +299,7 @@ class HttpTransport:
                 break
             if len(line) > max_bytes:
                 self.server.note_protocol_error()
-                slots.append(
+                batch.answer(
                     ErrorReply(
                         id=None,
                         code="frame_too_large",
@@ -309,7 +313,7 @@ class HttpTransport:
                 frame = decode_request(line + b"\n", max_bytes)
             except ProtocolError as exc:
                 self.server.note_protocol_error()
-                slots.append(
+                batch.answer(
                     ErrorReply(
                         id=None, code=exc.code, message=exc.message
                     )
@@ -319,13 +323,13 @@ class HttpTransport:
                 if self.gate is not None:
                     verdict = self.gate.admit_connection(frame)
                     if isinstance(verdict, ErrorReply):
-                        slots.append(verdict)
+                        batch.answer(verdict)
                         keep_alive = False
                         continue
                     self.gate.release(state.ticket)
                     state.ticket = verdict
                 reply = self.server.welcome(session, frame)
-                slots.append(reply)
+                batch.answer(reply)
                 if not isinstance(reply, Welcome):
                     keep_alive = False
                     continue
@@ -333,7 +337,7 @@ class HttpTransport:
                 continue
             if not state.greeted:
                 self.server.note_protocol_error()
-                slots.append(
+                batch.answer(
                     ErrorReply(
                         id=getattr(frame, "id", None),
                         code="hello_required",
@@ -341,23 +345,58 @@ class HttpTransport:
                     )
                 )
                 continue
-            if (
-                self.gate is not None
-                and state.ticket is not None
-                and isinstance(frame, (LocationUpdate, ServiceRequest))
-            ):
+            if not isinstance(frame, (LocationUpdate, ServiceRequest)):
+                # Control ops (stats, drain, …) are answered in line
+                # order; ops admitted before a drain are flushed by it.
+                batch.answer(await self.server.submit(session, frame))
+                continue
+            if self.gate is not None and state.ticket is not None:
                 rejection = self.gate.admit_op(state.ticket, frame.id)
                 if rejection is not None:
-                    slots.append(rejection)
+                    batch.answer(rejection)
                     continue
-            slots.append(
-                asyncio.create_task(self.server.submit(session, frame))
-            )
-        lines: "list[bytes]" = []
-        for slot in slots:
-            reply = await slot if isinstance(slot, asyncio.Task) else slot
-            lines.append(encode_frame(reply, max_bytes))
-        return b"".join(lines), keep_alive
+            self.server.admit(session, frame, batch.slot())
+        await batch.complete()
+        body = b"".join(
+            encode_frame(reply, max_bytes) for reply in batch.replies
+        )
+        return body, keep_alive
+
+
+class _Batch:
+    """The reply slots of one POST body, filled in any order."""
+
+    __slots__ = ("replies", "_waiting", "_done")
+
+    def __init__(self) -> None:
+        self.replies: "list[Frame | None]" = []
+        self._waiting = 0
+        self._done: "asyncio.Future[None] | None" = None
+
+    def answer(self, reply: Frame) -> None:
+        """Fill the next slot now."""
+        self.replies.append(reply)
+
+    def slot(self) -> "Callable[[Frame], None]":
+        """Reserve the next slot; returns the callback that fills it."""
+        index = len(self.replies)
+        self.replies.append(None)
+        self._waiting += 1
+
+        def fill(reply: Frame) -> None:
+            self.replies[index] = reply
+            self._waiting -= 1
+            done = self._done
+            if not self._waiting and done is not None and not done.done():
+                done.set_result(None)
+
+        return fill
+
+    async def complete(self) -> None:
+        """Wait until every reserved slot is filled."""
+        if self._waiting:
+            self._done = asyncio.get_running_loop().create_future()
+            await self._done
 
 
 class _ConnectionState:

@@ -15,6 +15,15 @@ shard; :class:`~repro.serve.shard.ShardRouter` builds N shard engines
 from a workload.  Both share every line of admission, dispatch,
 tracing, and drain below.
 
+Admission (:meth:`TrustedServer.admit`) is synchronous: a servable op
+is either refused on the spot or queued on its shard together with a
+reply callback, which the shard's dispatcher calls the moment that op
+executes — so in a burst, each reply leaves as soon as its own op is
+done rather than after the whole burst.  The TCP and HTTP transports
+call ``admit`` directly and spend no task or future per op;
+:meth:`TrustedServer.submit` wraps it in a future for callers that
+await one reply (loopback, control ops, ``run_loadgen(server=...)``).
+
 Admission control happens *before* a shard's queue:
 
 * a session with ``max_inflight`` operations outstanding is shed
@@ -52,7 +61,7 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.engine.pipeline import Engine
 from repro.geometry.point import STPoint
@@ -487,11 +496,15 @@ class ShardRuntime:
         return digest.hexdigest()
 
 
+#: Where a reply goes: called once, on the event loop, with the reply.
+Respond = Callable[[Frame], None]
+
+
 class ShardJob:
     """One admitted operation queued for a shard sequencer."""
 
     __slots__ = (
-        "session", "frame", "seq", "future", "enqueued_at", "trace",
+        "session", "frame", "seq", "respond", "enqueued_at", "trace",
     )
 
     def __init__(
@@ -499,14 +512,15 @@ class ShardJob:
         session: ClientSession,
         frame: Frame,
         seq: int,
-        future: "asyncio.Future[Frame]",
+        respond: Respond,
         trace: TraceContext | None = None,
     ) -> None:
         self.session = session
         self.frame = frame
         #: The shard sequence number the op executes (and logs) under.
         self.seq = seq
-        self.future = future
+        #: Called with the reply right after the op executes.
+        self.respond = respond
         self.enqueued_at = time.perf_counter()
         #: Wire trace context of a traced request (else None); the
         #: dispatcher emits the queue-wait span from ``enqueued_at``.
@@ -609,14 +623,17 @@ class ShardSequencer:
                     job = jobs.popleft()
                     reply = self._execute_job(job)
                     job.session.inflight -= 1
-                    if not job.future.done():
-                        job.future.set_result(reply)
+                    # Each reply leaves before the next op executes,
+                    # not after the whole batch.
+                    job.respond(reply)
                 self.telemetry.gauge(
                     "serve.queue_depth", len(jobs), **self.labels
                 )
-                # One batch per loop-slice: other shards' dispatchers
-                # and the transports get the loop between batches.
-                await asyncio.sleep(0)
+                if jobs:
+                    # One batch per loop-slice: other shards'
+                    # dispatchers and the transports get the loop
+                    # between batches (an empty queue yields in wait).
+                    await asyncio.sleep(0)
 
     def _execute_job(self, job: ShardJob) -> Frame:
         start = time.perf_counter()
@@ -708,7 +725,7 @@ class TrustedServer:
     (:class:`~repro.serve.transports.TcpTransport`,
     :class:`~repro.serve.transports.LoopbackTransport`, the HTTP
     binding) and ``run_loadgen(server=...)`` drive either through
-    ``open_session``/``welcome``/``submit``/``drain``.
+    ``open_session``/``welcome``/``admit``/``submit``/``drain``.
     """
 
     #: Whether a frame's own ``seq`` is executed as sent.  Only a
@@ -908,38 +925,62 @@ class TrustedServer:
     # -- admission and dispatch ----------------------------------------
 
     async def submit(self, session: ClientSession, frame: Frame) -> Frame:
-        """Admit one decoded frame; resolves to its reply frame.
+        """Serve one decoded frame of any op; resolves to its reply.
 
-        This is the single entry point shared by every transport: the
-        loopback connection and the TCP handler both land here, so
-        admission control and shedding behave identically with and
-        without sockets.
+        Control ops are answered here; a servable op goes through
+        :meth:`admit` with a future as its reply callback.  The
+        loopback connection, the HTTP binding's control ops and
+        ``run_loadgen(server=...)`` land here, so admission control
+        and shedding behave identically with and without sockets.
         """
         if not isinstance(frame, _SERVABLE):
             return await self._control(session, frame)
+        return await await_admitted(self.admit, session, frame)
+
+    def admit(
+        self,
+        session: ClientSession,
+        frame: "LocationUpdate | ServiceRequest",
+        respond: Respond,
+    ) -> None:
+        """Admit one servable frame without awaiting anything.
+
+        Either ``respond`` is called at once with a refusal
+        (``wrong_shard``, a bad trace context, ``draining`` or
+        ``overloaded``), or the op is queued on its shard and its
+        sequencer calls ``respond`` with the reply the moment the op
+        executes.  The TCP and HTTP transports call this directly, so
+        a servable op costs them no task and no future.
+        """
         sequencer = self.sequencers.get(
             shard_of(frame.user_id, self.n_shards)
         )
         if sequencer is None:
-            return ErrorReply(
-                id=frame.id,
-                code="wrong_shard",
-                message=(
-                    f"user {frame.user_id} does not hash to a shard "
-                    "served by this worker"
-                ),
+            respond(
+                ErrorReply(
+                    id=frame.id,
+                    code="wrong_shard",
+                    message=(
+                        f"user {frame.user_id} does not hash to a shard "
+                        "served by this worker"
+                    ),
+                )
             )
+            return
         ctx: TraceContext | None = None
         if session.trace and frame.trace is not None:
             try:
                 ctx = TraceContext.from_wire(frame.trace)
             except ValueError as exc:
                 self.note_protocol_error()
-                return ErrorReply(
-                    id=frame.id,
-                    code="bad_field",
-                    message=clip_echo(str(exc)),
+                respond(
+                    ErrorReply(
+                        id=frame.id,
+                        code="bad_field",
+                        message=clip_echo(str(exc)),
+                    )
                 )
+                return
         # Admission spans only exist when a sink can receive them; the
         # trace identity itself (exemplars, introspection, the reply
         # echo) costs nothing extra here.
@@ -951,12 +992,9 @@ class TrustedServer:
             seq = frame.seq if self.trusts_seq else None
             if seq is None:
                 seq = sequencer.allocate_seq()
-            future: "asyncio.Future[Frame]" = (
-                asyncio.get_running_loop().create_future()
-            )
             session.inflight += 1
             session.accepted += 1
-            sequencer.push(ShardJob(session, frame, seq, future, ctx))
+            sequencer.push(ShardJob(session, frame, seq, respond, ctx))
         if record:
             assert ctx is not None
             self.telemetry.emit_span(
@@ -969,9 +1007,10 @@ class TrustedServer:
                 queue_depth=sequencer.queue_depth,
             )
         if refusal is None:
-            return await future
+            return
         if ctx is None:
-            return refusal
+            respond(refusal)
+            return
         self.recent_traces.append(
             {
                 "trace_id": ctx.trace_id,
@@ -982,7 +1021,7 @@ class TrustedServer:
                 "shed": refusal.is_shed,
             }
         )
-        return clone_frame(refusal, trace=ctx.to_wire())
+        respond(clone_frame(refusal, trace=ctx.to_wire()))
 
     def _refusal(
         self,
@@ -1096,6 +1135,25 @@ class TrustedServer:
             slo_ok=slo_ok,
             breaches=breaches,
         )
+
+
+async def await_admitted(
+    admit: Callable[[ClientSession, Frame, Respond], None],
+    session: ClientSession,
+    frame: Frame,
+) -> Frame:
+    """Run one ``admit`` and await its reply (``submit``'s bridge)."""
+    future: "asyncio.Future[Frame]" = (
+        asyncio.get_running_loop().create_future()
+    )
+
+    def respond(reply: Frame) -> None:
+        # A future whose awaiting task was cancelled is left alone.
+        if not future.done():
+            future.set_result(reply)
+
+    admit(session, frame, respond)
+    return await future
 
 
 def execute_op(engine: Engine, frame: Frame) -> Frame:

@@ -64,7 +64,13 @@ from repro.serve.protocol import (
     Welcome,
     clone_frame,
 )
-from repro.serve.server import ClientSession, ServeConfig, shard_of
+from repro.serve.server import (
+    ClientSession,
+    Respond,
+    ServeConfig,
+    await_admitted,
+    shard_of,
+)
 
 #: How long to wait for a worker's announcement line before giving up.
 ANNOUNCE_TIMEOUT_S = 60.0
@@ -90,18 +96,19 @@ def announce(worker: int, port: int, applied: dict[int, int]) -> str:
 class _Pending:
     """One stamped, forwarded, not-yet-acknowledged operation."""
 
-    __slots__ = ("frame", "future", "client_id")
+    __slots__ = ("frame", "respond", "client_id")
 
     def __init__(
         self,
         frame: Frame,
-        future: "asyncio.Future[Frame]",
+        respond: Respond,
         client_id: int,
     ) -> None:
         #: The forwarded frame — seq stamped, id remapped to a
         #: supervisor-unique value (client ids collide across sessions).
         self.frame = frame
-        self.future = future
+        #: The client's reply callback, called once with the reply.
+        self.respond = respond
         #: The id the client sent, restored onto the reply.
         self.client_id = client_id
 
@@ -123,8 +130,9 @@ class WorkerSupervisor:
     """Parent frontend over ``workers`` shard-worker processes.
 
     Duck-types the transport server surface (``config``, ``telemetry``,
-    ``open_session`` …), so :class:`~repro.serve.transports.
-    TcpTransport` and ``run_loadgen(server=...)`` drive it unchanged.
+    ``open_session``, ``admit``, ``submit`` …), so
+    :class:`~repro.serve.transports.TcpTransport`, the HTTP binding and
+    ``run_loadgen(server=...)`` drive it unchanged.
     """
 
     def __init__(
@@ -351,12 +359,9 @@ class WorkerSupervisor:
     ) -> None:
         if future.cancelled() or future.exception() is not None:
             return  # connection died; the op stays pending for resend
-        reply = future.result()
-        self.pending[shard].pop(seq, None)
-        if not entry.future.done():
-            entry.future.set_result(
-                clone_frame(reply, id=entry.client_id)
-            )
+        if self.pending[shard].pop(seq, None) is None:
+            return  # a resent duplicate: the client was answered
+        entry.respond(clone_frame(future.result(), id=entry.client_id))
 
     # -- session surface -----------------------------------------------
 
@@ -406,6 +411,9 @@ class WorkerSupervisor:
     # -- op surface ----------------------------------------------------
 
     async def submit(self, session: ClientSession, frame: Frame) -> Frame:
+        """Serve one frame of any op (see :meth:`TrustedServer.submit`)."""
+        if isinstance(frame, (LocationUpdate, ServiceRequest)):
+            return await await_admitted(self.admit, session, frame)
         if isinstance(frame, Hello):
             return self.welcome(session, frame)
         if isinstance(frame, StatsRequest):
@@ -432,45 +440,58 @@ class WorkerSupervisor:
             return clone_frame(reply, id=frame.id)
         if isinstance(frame, TracesRequest):
             return TracesReply(id=frame.id, body="[]")
-        if not isinstance(frame, (LocationUpdate, ServiceRequest)):
-            self.note_protocol_error()
-            return ErrorReply(
-                id=getattr(frame, "id", None),
-                code="unknown_op",
-                message=f"frame {frame.op!r} is not servable",
-            )
+        self.note_protocol_error()
+        return ErrorReply(
+            id=getattr(frame, "id", None),
+            code="unknown_op",
+            message=f"frame {frame.op!r} is not servable",
+        )
+
+    def admit(
+        self,
+        session: ClientSession,
+        frame: "LocationUpdate | ServiceRequest",
+        respond: Respond,
+    ) -> None:
+        """Stamp and forward one servable frame without awaiting.
+
+        The contract of :meth:`TrustedServer.admit`: ``respond`` gets a
+        refusal at once, or the reply when the owning worker answers —
+        after a worker crash, when its respawn answers the resend.
+        """
         if self._draining or self._closed:
-            return ErrorReply(
-                id=frame.id,
-                code="draining",
-                message="server is draining; no new work admitted",
+            respond(
+                ErrorReply(
+                    id=frame.id,
+                    code="draining",
+                    message="server is draining; no new work admitted",
+                )
             )
+            return
         shard = shard_of(frame.user_id, self.n_shards)
         worker = self._owner[shard]
         if self.queue_depth >= self.config.max_queue_depth:
             self.telemetry.count(
                 "serve.shed", reason="queue", shard=shard
             )
-            return ErrorReply(
-                id=frame.id,
-                code="overloaded",
-                message="supervisor pending window is full",
-                retry_after=self.config.retry_after_floor_s,
+            respond(
+                ErrorReply(
+                    id=frame.id,
+                    code="overloaded",
+                    message="supervisor pending window is full",
+                    retry_after=self.config.retry_after_floor_s,
+                )
             )
+            return
         seq = self.next_seq[shard]
         self.next_seq[shard] = seq + 1
         out_id = self._allocate_out_id()
         stamped = clone_frame(frame, id=out_id, seq=seq)
-        entry = _Pending(
-            stamped,
-            asyncio.get_running_loop().create_future(),
-            frame.id,
-        )
+        entry = _Pending(stamped, respond, frame.id)
         self.pending[shard][seq] = entry
         if worker.client is not None:
             self._forward(worker, shard, entry)
         # else: the worker is mid-respawn; _resend_pending picks it up.
-        return await entry.future
 
     def _allocate_out_id(self) -> int:
         self._next_out_id += 1

@@ -2,24 +2,37 @@
 
 Two implementations of the same connection contract:
 
-* :class:`TcpTransport` — the production daemon: one asyncio TCP
-  listener, one handler task per connection, per-message worker tasks
-  so a single connection can pipeline many outstanding operations
-  (responses correlate by ``id``, so ordering on the wire is free to
-  differ from submission order — except that each shard's FIFO queue
-  preserves it for well-ordered clients);
+* :class:`TcpTransport` — the production daemon: one asyncio listener
+  whose connections are :class:`TcpConnection` protocols.  A
+  connection splits what it receives on newlines and handles every
+  complete line synchronously: a servable op is handed to
+  :meth:`TrustedServer.admit` with the connection's
+  :meth:`~TcpConnection.respond` as its reply callback, so its reply
+  is written the moment the op executes — no task, future or write
+  lock per op.  A connection can
+  pipeline many outstanding operations; responses correlate by
+  ``id`` (control ops such as ``stats`` or ``drain`` are served in a
+  task each, so their replies may overtake queued ops), while each
+  shard's FIFO queue keeps replies of one shard in submission order;
 * :class:`LoopbackTransport` — the same protocol with no sockets: every
   frame still round-trips through :func:`encode_frame` /
   :func:`decode_request` (and the reply through the reply codec), so
   tests exercise the exact wire bytes while staying in-process and
   deterministic.
 
+Backpressure on TCP: when a client stops reading and the socket's
+write buffer passes its high-water mark, the connection stops reading
+that client until the buffer drains; ``max_inflight`` and the queue
+bound shed whatever it pipelined before that.
+
 Framing errors are answered, not fatal: an undecodable line produces an
 :class:`ErrorReply` with ``id=None`` and the connection continues at
 the next newline.  The exceptions that do close the connection are
-oversized frames (the stream may be mid-garbage; there is no safe
-resynchronization point within the truncated line), a failed version
-handshake, and a gate rejection of the hello itself.
+oversized frames — a line longer than ``max_frame_bytes`` (newline
+included), or an unterminated tail that already reaches it (the stream
+may be mid-garbage; there is no safe resynchronization point within
+the truncated line) — a failed
+version handshake, and a gate rejection of the hello itself.
 
 Hardening (both optional, off by default):
 
@@ -30,7 +43,7 @@ Hardening (both optional, off by default):
 * ``gate`` installs a :class:`~repro.serve.gate.ConnectionGate`:
   hellos are judged (token, connection cap) before the server's
   welcome, and every servable op is charged to the client's token
-  bucket *before* :meth:`TrustedServer.submit` — a rejected op is
+  bucket *before* :meth:`TrustedServer.admit` — a rejected op is
   answered right here and never touches a queue or an engine.
 """
 
@@ -225,7 +238,7 @@ class LoopbackTransport:
 
 
 class TcpTransport:
-    """The TCP daemon frontend (``asyncio.start_server``).
+    """The TCP daemon frontend: one :class:`TcpConnection` per client.
 
     ``ssl_context`` (see :func:`server_ssl_context`) upgrades the
     listener to TLS; ``gate`` screens hellos and servable ops before
@@ -246,16 +259,18 @@ class TcpTransport:
         self.ssl_context = ssl_context
         self.gate = gate
         self._listener: asyncio.AbstractServer | None = None
-        self._handlers: Set["asyncio.Task[None]"] = set()
+        #: Open connections; :meth:`stop` waits for each to close.
+        self._connections: Set["TcpConnection"] = set()
+        #: Control-op tasks, referenced until they finish.
+        self._tasks: Set["asyncio.Task[None]"] = set()
 
     async def start(self) -> tuple[str, int]:
         """Bind and listen; returns the bound ``(host, port)``."""
         await self.server.start()
-        self._listener = await asyncio.start_server(
-            self._handle,
+        self._listener = await asyncio.get_running_loop().create_server(
+            lambda: TcpConnection(self),
             self.host,
             self.port,
-            limit=self.server.config.max_frame_bytes,
             ssl=self.ssl_context,
         )
         sockname = self._listener.sockets[0].getsockname()
@@ -268,140 +283,176 @@ class TcpTransport:
             self._listener.close()
             await self._listener.wait_closed()
             self._listener = None
-        if self._handlers:
-            await asyncio.gather(
-                *tuple(self._handlers), return_exceptions=True
+        waiting = [
+            *(connection.closed for connection in self._connections),
+            *self._tasks,
+        ]
+        if waiting:
+            await asyncio.gather(*waiting, return_exceptions=True)
+
+
+class TcpConnection(asyncio.Protocol):
+    """One client connection of :class:`TcpTransport` (see module doc)."""
+
+    def __init__(self, owner: TcpTransport) -> None:
+        self._owner = owner
+        self._server = owner.server
+        self._gate = owner.gate
+        self._max_bytes = owner.server.config.max_frame_bytes
+        self._transport: asyncio.Transport
+        self.session: ClientSession
+        #: The unterminated tail of the received bytes.
+        self._buffer = b""
+        self._greeted = False
+        self._ticket: "GatePass | None" = None
+        #: Ops handed to the server and not yet answered.
+        self._outstanding = 0
+        #: Whether the client half-closed its side.
+        self._eof = False
+        #: Resolved once the connection is gone (:meth:`TcpTransport.stop`).
+        self.closed: "asyncio.Future[None]" = (
+            asyncio.get_running_loop().create_future()
+        )
+
+    # -- asyncio.Protocol ----------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._transport = transport
+        peer = transport.get_extra_info("peername")
+        self.session = self._server.open_session(client=f"tcp:{peer}")
+        self._owner._connections.add(self)
+
+    def connection_lost(self, exc: "Exception | None") -> None:
+        # Ops still queued execute (and are logged) as usual; their
+        # replies are dropped by :meth:`respond`.
+        self._owner._connections.discard(self)
+        if self._gate is not None:
+            self._gate.release(self._ticket)
+        self._server.close_session(self.session)
+        self.closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        # Backpressure: a client that does not read stops being read.
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def eof_received(self) -> bool:
+        # A half-closed plaintext client still gets every reply: the
+        # socket closes once the last one is written (asyncio closes a
+        # TLS connection at EOF regardless).
+        self._eof = True
+        return bool(self._outstanding) and self._owner.ssl_context is None
+
+    def data_received(self, data: bytes) -> None:
+        if self._buffer:
+            data = self._buffer + data
+        transport = self._transport
+        start = 0
+        while True:
+            end = data.find(b"\n", start)
+            if end < 0:
+                break
+            self._serve_line(data[start : end + 1])
+            start = end + 1
+            if transport.is_closing():
+                return  # a fatal line: the rest is not read
+        rest = data[start:]
+        if len(rest) >= self._max_bytes:
+            # The line already exceeds the frame limit; the remainder
+            # of the stream is unframed garbage — report, close.
+            self._server.note_protocol_error()
+            self._send(
+                ErrorReply(
+                    id=None,
+                    code="frame_too_large",
+                    message=f"frame exceeds the {self._max_bytes}-byte limit",
+                )
             )
+            transport.close()
+            return
+        self._buffer = rest
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
-        peer = writer.get_extra_info("peername")
-        session = self.server.open_session(client=f"tcp:{peer}")
-        write_lock = asyncio.Lock()
-        workers: Set["asyncio.Task[None]"] = set()
-        max_bytes = self.server.config.max_frame_bytes
-        greeted = False
-        ticket: "GatePass | None" = None
+    # -- replies -------------------------------------------------------
+
+    def respond(self, reply: Frame) -> None:
+        """Write the reply of one op this connection handed the server."""
+        self._outstanding -= 1
+        transport = self._transport
+        if transport.is_closing():
+            return
+        transport.write(encode_frame(reply, self._max_bytes))
+        if self._eof and not self._outstanding:
+            transport.close()
+
+    def _send(self, reply: Frame) -> None:
+        """Write a reply produced here (errors, gate refusals, welcome)."""
+        self._transport.write(encode_frame(reply, self._max_bytes))
+
+    # -- one line ------------------------------------------------------
+
+    def _serve_line(self, line: bytes) -> None:
+        server = self._server
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # The line exceeded the stream limit; the remainder
-                    # of the stream is unframed garbage — report, close.
-                    self.server.note_protocol_error()
-                    await self._write(
-                        writer,
-                        write_lock,
-                        ErrorReply(
-                            id=None,
-                            code="frame_too_large",
-                            message=(
-                                f"frame exceeds the {max_bytes}-byte "
-                                "limit"
-                            ),
-                        ),
-                    )
-                    break
-                if not line:
-                    break
-                try:
-                    frame = decode_request(line, max_bytes)
-                except ProtocolError as exc:
-                    self.server.note_protocol_error()
-                    await self._write(
-                        writer,
-                        write_lock,
-                        ErrorReply(
-                            id=None, code=exc.code, message=exc.message
-                        ),
-                    )
-                    if exc.code == "frame_too_large":
-                        break
-                    continue
-                if isinstance(frame, Hello):
-                    if self.gate is not None:
-                        verdict = self.gate.admit_connection(frame)
-                        if isinstance(verdict, ErrorReply):
-                            # Auth/cap refusal: answer and close before
-                            # the server ever sees the hello.
-                            await self._write(writer, write_lock, verdict)
-                            break
-                        self.gate.release(ticket)  # re-hello replaces
-                        ticket = verdict
-                    reply = self.server.welcome(session, frame)
-                    await self._write(writer, write_lock, reply)
-                    if not isinstance(reply, Welcome):
-                        break
-                    greeted = True
-                    continue
-                if not greeted:
-                    self.server.note_protocol_error()
-                    await self._write(
-                        writer,
-                        write_lock,
-                        ErrorReply(
-                            id=getattr(frame, "id", None),
-                            code="hello_required",
-                            message="first frame must be 'hello'",
-                        ),
-                    )
-                    continue
-                if (
-                    self.gate is not None
-                    and ticket is not None
-                    and isinstance(frame, (LocationUpdate, ServiceRequest))
-                ):
-                    rejection = self.gate.admit_op(ticket, frame.id)
+            frame = decode_request(line, self._max_bytes)
+        except ProtocolError as exc:
+            server.note_protocol_error()
+            self._send(ErrorReply(id=None, code=exc.code, message=exc.message))
+            if exc.code == "frame_too_large":
+                self._transport.close()
+            return
+        if isinstance(frame, (LocationUpdate, ServiceRequest)):
+            if self._greeted:
+                if self._ticket is not None:  # a gate issued it
+                    assert self._gate is not None
+                    rejection = self._gate.admit_op(self._ticket, frame.id)
                     if rejection is not None:
-                        await self._write(writer, write_lock, rejection)
-                        continue
-                worker = asyncio.create_task(
-                    self._serve_one(session, frame, writer, write_lock)
-                )
-                workers.add(worker)
-                worker.add_done_callback(workers.discard)
-        finally:
-            if workers:
-                await asyncio.gather(
-                    *tuple(workers), return_exceptions=True
-                )
-            if self.gate is not None:
-                self.gate.release(ticket)
-            self.server.close_session(session)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_one(
-        self,
-        session: ClientSession,
-        frame: Frame,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-    ) -> None:
-        reply = await self.server.submit(session, frame)
-        await self._write(writer, write_lock, reply)
-
-    async def _write(
-        self,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        reply: Frame,
-    ) -> None:
-        data = encode_frame(reply, self.server.config.max_frame_bytes)
-        async with write_lock:
-            if writer.is_closing():
+                        self._send(rejection)
+                        return
+                self._outstanding += 1
+                server.admit(self.session, frame, self.respond)
                 return
-            writer.write(data)
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
+        elif isinstance(frame, Hello):
+            self._hello(frame)
+            return
+        elif self._greeted:
+            self._outstanding += 1
+            task = asyncio.get_running_loop().create_task(
+                self._serve_control(frame)
+            )
+            self._owner._tasks.add(task)
+            task.add_done_callback(self._owner._tasks.discard)
+            return
+        server.note_protocol_error()
+        self._send(
+            ErrorReply(
+                id=getattr(frame, "id", None),
+                code="hello_required",
+                message="first frame must be 'hello'",
+            )
+        )
+
+    def _hello(self, hello: Hello) -> None:
+        gate = self._gate
+        if gate is not None:
+            verdict = gate.admit_connection(hello)
+            if isinstance(verdict, ErrorReply):
+                # Auth/cap refusal: answer and close before the server
+                # ever sees the hello.
+                self._send(verdict)
+                self._transport.close()
+                return
+            gate.release(self._ticket)  # a re-hello replaces the ticket
+            self._ticket = verdict
+        reply = self._server.welcome(self.session, hello)
+        self._send(reply)
+        if isinstance(reply, Welcome):
+            self._greeted = True
+        else:
+            self._transport.close()
+
+    async def _serve_control(self, frame: Frame) -> None:
+        """Control ops (``stats``, ``drain``, …) await the server."""
+        self.respond(await self._server.submit(self.session, frame))

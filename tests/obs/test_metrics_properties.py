@@ -8,14 +8,20 @@ Two invariants the rest of the observability layer leans on:
 * ``MetricsSnapshot`` survives ``to_dict``/``from_dict`` (and a JSON
   text round-trip), which is what JSONL export and ``BENCH_*.json``
   artifacts rely on.
+
+Plus two properties of the registry's fast paths: the memoized lookup
+returns one instrument per label set whatever the kwarg order, and the
+bucket search puts every value where a linear scan of the bounds does.
 """
 
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
     Histogram,
     MetricsRegistry,
     MetricsSnapshot,
@@ -141,3 +147,71 @@ class TestSnapshotRoundTrip:
             json.loads(json.dumps(snapshot.to_dict()))
         )
         assert rehydrated == snapshot
+
+
+def reference_bucket(bounds, value):
+    """The first bound >= value, by linear scan (overflow if none)."""
+    for index, bound in enumerate(bounds):
+        if bound >= value:
+            return index
+    return len(bounds)
+
+
+class TestMemoizedLookup:
+    @given(name=metric_names, labels=labels, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_instrument_whatever_the_kwarg_order(
+        self, name, labels, data
+    ):
+        registry = MetricsRegistry()
+        items = list(labels.items())
+        shuffled = dict(data.draw(st.permutations(items)))
+        for get in (
+            registry.counter,
+            registry.gauge,
+            registry.histogram,
+        ):
+            first = get(name, **labels)
+            assert get(name, **shuffled) is first
+            assert get(name, **labels) is first  # the memoized hit
+
+    def test_value_types_that_print_alike_share_one_series(self):
+        registry = MetricsRegistry()
+        registry.counter("q", shard=7).inc()
+        registry.counter("q", shard="7").inc()
+        assert registry.counter("q", shard=7) is registry.counter(
+            "q", shard="7"
+        )
+        assert registry.snapshot().counter_value("q", shard="7") == 2
+
+    def test_custom_bounds_still_apply_on_creation(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("h", bounds=BOUNDS, a="x")
+        assert histogram.bounds == BOUNDS
+        assert registry.histogram("h", a="x") is histogram
+
+
+class TestBucketSearch:
+    @given(
+        index=st.integers(min_value=0, max_value=len(DEFAULT_BUCKETS) - 1)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_and_their_neighbours(self, index):
+        histogram = Histogram("h")
+        bound = DEFAULT_BUCKETS[index]
+        for value in (
+            bound,
+            math.nextafter(bound, -math.inf),
+            math.nextafter(bound, math.inf),
+        ):
+            assert histogram._bucket_of(value) == reference_bucket(
+                histogram.bounds, value
+            )
+
+    @given(value=st.floats(allow_nan=True, allow_infinity=True))
+    @settings(max_examples=200, deadline=None)
+    def test_any_float_matches_the_linear_scan(self, value):
+        histogram = Histogram("h", bounds=BOUNDS)
+        assert histogram._bucket_of(value) == reference_bucket(
+            BOUNDS, value
+        )

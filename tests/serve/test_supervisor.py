@@ -134,3 +134,42 @@ class TestEndToEnd:
         # The WAL directories exist per shard.
         shard_dirs = sorted(p.name for p in tmp_path.iterdir())
         assert shard_dirs == [f"shard-{i:03d}" for i in range(4)]
+
+    def test_tcp_frontend_verifies(self, tmp_path):
+        """The supervisor behind the real TCP frontend: every servable
+        op enters through :meth:`WorkerSupervisor.admit` and the
+        decision stream still equals the offline replay."""
+
+        async def run():
+            supervisor = WorkerSupervisor(
+                2,
+                4,
+                tmp_path,
+                config=WIDE_OPEN,
+                worker_args=["--seed", "11"],
+                daemon_path=DAEMON,
+            )
+            await supervisor.start()
+            try:
+                return await asyncio.wait_for(
+                    run_loadgen(
+                        LoadgenConfig(
+                            workload=WorkloadConfig(),
+                            serve=WIDE_OPEN,
+                            requests=150,
+                            clients=4,
+                            transport="tcp",
+                            verify=True,
+                            telemetry_enabled=False,
+                        ),
+                        server=supervisor,
+                    ),
+                    timeout=60,
+                )
+            finally:
+                await supervisor.close()
+
+        report = asyncio.run(run())
+        assert report.ok, report.to_dict()
+        assert report.verified is True and report.mismatches == 0
+        assert report.decisions == 150
