@@ -26,8 +26,10 @@ Layers (bottom-up):
   engine;
 * :mod:`repro.serve.wal` — per-shard JSONL write-ahead log and
   snapshots with deterministic replay;
-* :mod:`repro.serve.supervisor` — :class:`WorkerSupervisor`: shard
-  worker subprocesses, WAL-backed respawn, pending-op re-send.
+* :mod:`repro.serve.supervisor` — :class:`WorkerSupervisor`: the same
+  frontend over shards in token-gated worker subprocesses
+  (:class:`RemoteShard`), with WAL-backed respawn and pending-op
+  re-send.
 """
 
 from repro.serve.client import ServeClient, ServeClientError

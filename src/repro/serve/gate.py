@@ -30,9 +30,10 @@ never touches an engine, a queue slot, or a session budget.
 
 The gate is deliberately transport-fact-free: it sees decoded
 :class:`~repro.serve.protocol.Hello` frames and opaque principals, so
-the same instance can sit in front of a :class:`TrustedServer`, a
-:class:`~repro.serve.shard.ShardRouter`, or a
-:class:`~repro.serve.supervisor.WorkerSupervisor`, over any transport.
+the same instance can sit in front of any :class:`TrustedServer` (a
+shard router or a worker supervisor included), over any transport.
+Each supervised worker serves behind one that admits only its
+supervisor's per-boot token (:mod:`repro.serve.supervisor`).
 """
 
 from __future__ import annotations

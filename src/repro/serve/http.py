@@ -136,8 +136,8 @@ class HttpTransport:
 
     Mirrors :class:`~repro.serve.transports.TcpTransport`'s surface —
     ``start()``/``stop()``, optional ``ssl_context`` and ``gate`` —
-    over any :class:`TrustedServer`-shaped backend (the server or
-    shard router, or a worker supervisor).
+    over any :class:`TrustedServer` (including a shard router or a
+    worker supervisor).
     """
 
     def __init__(

@@ -61,7 +61,7 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Protocol
 
 from repro.engine.pipeline import Engine
 from repro.geometry.point import STPoint
@@ -527,6 +527,28 @@ class ShardJob:
         self.trace = trace
 
 
+class Shard(Protocol):
+    """What the frontend drives of one shard: a :class:`ShardSequencer`
+    here, or a :class:`~repro.serve.supervisor.RemoteShard` forwarding
+    to the worker process that runs it."""
+
+    labels: "dict[str, Any]"
+    accepted: int
+    served: int
+    shed: int
+    rejected: int
+
+    @property
+    def queue_depth(self) -> int: ...
+    @property
+    def retry_after_s(self) -> float: ...
+    def allocate_seq(self) -> int: ...
+    def push(self, job: ShardJob) -> None: ...
+    def start(self) -> None: ...
+    async def stop(self) -> None: ...
+    async def drain(self) -> None: ...
+
+
 class ShardSequencer:
     """Bounded queue + dispatcher of one shard (one per shard)."""
 
@@ -758,7 +780,7 @@ class TrustedServer:
         self.config = config or ServeConfig()
         #: Ring of recently completed traced requests (``traces`` op).
         self.recent_traces: deque[dict] = deque(maxlen=64)
-        self.sequencers: dict[int, ShardSequencer] = {
+        self.sequencers: dict[int, Shard] = {
             runtime.shard_id: self._sequencer(runtime)
             for runtime in runtimes
         }
@@ -792,6 +814,14 @@ class TrustedServer:
         return ShardSequencer(
             runtime, self.config, self.telemetry, self.recent_traces
         )
+
+    def _runtimes(self) -> "list[ShardRuntime]":
+        """The shard runtimes in this process (a supervisor has none)."""
+        return [
+            sequencer.runtime
+            for sequencer in self.sequencers.values()
+            if isinstance(sequencer, ShardSequencer)
+        ]
 
     # -- aggregate counters --------------------------------------------
 
@@ -847,9 +877,11 @@ class TrustedServer:
             if self.privacy_monitor is not None:
                 self.privacy_monitor.evaluate()
             if self.telemetry.enabled:
+                # Remote shards' tallies ride their workers' own
+                # ``serve.drained`` events.
                 decisions: dict[str, int] = {}
-                for sequencer in self.sequencers.values():
-                    counts = sequencer.runtime.engine.decision_counts()
+                for runtime in self._runtimes():
+                    counts = runtime.engine.decision_counts()
                     for decision, count in counts.items():
                         if count:
                             decisions[decision.value] = (
@@ -877,7 +909,8 @@ class TrustedServer:
         self._closed = True
         for sequencer in self.sequencers.values():
             await sequencer.stop()
-            sequencer.runtime.close()
+        for runtime in self._runtimes():
+            runtime.close()
 
     # -- sessions ------------------------------------------------------
 
@@ -935,7 +968,17 @@ class TrustedServer:
         """
         if not isinstance(frame, _SERVABLE):
             return await self._control(session, frame)
-        return await await_admitted(self.admit, session, frame)
+        future: "asyncio.Future[Frame]" = (
+            asyncio.get_running_loop().create_future()
+        )
+
+        def respond(reply: Frame) -> None:
+            # A future whose awaiting task was cancelled is left alone.
+            if not future.done():
+                future.set_result(reply)
+
+        self.admit(session, frame, respond)
+        return await future
 
     def admit(
         self,
@@ -1026,7 +1069,7 @@ class TrustedServer:
     def _refusal(
         self,
         session: ClientSession,
-        sequencer: ShardSequencer,
+        sequencer: Shard,
         frame: "LocationUpdate | ServiceRequest",
     ) -> ErrorReply | None:
         """Why ``frame`` cannot be queued now; None admits it."""
@@ -1135,25 +1178,6 @@ class TrustedServer:
             slo_ok=slo_ok,
             breaches=breaches,
         )
-
-
-async def await_admitted(
-    admit: Callable[[ClientSession, Frame, Respond], None],
-    session: ClientSession,
-    frame: Frame,
-) -> Frame:
-    """Run one ``admit`` and await its reply (``submit``'s bridge)."""
-    future: "asyncio.Future[Frame]" = (
-        asyncio.get_running_loop().create_future()
-    )
-
-    def respond(reply: Frame) -> None:
-        # A future whose awaiting task was cancelled is left alone.
-        if not future.done():
-            future.set_result(reply)
-
-    admit(session, frame, respond)
-    return await future
 
 
 def execute_op(engine: Engine, frame: Frame) -> Frame:

@@ -11,7 +11,9 @@ the :class:`~repro.serve.server.TrustedServer` frontend — admission,
 tracing, drain, and every op are shared — built from a workload
 instead of one prebuilt engine, plus what only a sharded deployment
 needs: per-shard write-ahead logs, crash/restore, and a worker's shard
-subset.  One shard is the daemon's default shape.
+subset.  One shard is the daemon's default shape; with ``--workers``
+the frontend is a :class:`~repro.serve.supervisor.WorkerSupervisor`,
+whose shards live in worker processes that each run a router.
 
 **Decision equivalence.**  Every shard's trajectory store is warmed
 with the *full* city history (:func:`repro.serve.loadgen.build_engine`
@@ -33,9 +35,10 @@ so a supervisor can re-send everything unacknowledged after a SIGKILL
 without double-applying.
 
 Every frame enters a shard through
-:meth:`~repro.serve.server.TrustedServer.submit` and the shard's
+:meth:`~repro.serve.server.TrustedServer.admit` and the shard's
 sequencer, from any transport; the supervisor→worker hop is an
-ordinary client connection over the one wire codec.
+ordinary client connection over the one wire codec, gated by the
+supervisor's per-boot token.
 """
 
 from __future__ import annotations
@@ -132,8 +135,8 @@ class ShardRouter(TrustedServer):
     def applied_seqs(self) -> dict[int, int]:
         """Per-shard highest applied seq (supervisor handshake)."""
         return {
-            shard_id: sequencer.runtime.applied_seq
-            for shard_id, sequencer in self.sequencers.items()
+            runtime.shard_id: runtime.applied_seq
+            for runtime in self._runtimes()
         }
 
     # -- crash simulation / restore ------------------------------------
@@ -148,6 +151,7 @@ class ShardRouter(TrustedServer):
         unacknowledged operations.
         """
         sequencer = self.sequencers.pop(shard_id)
+        assert isinstance(sequencer, ShardSequencer)
         if sequencer._task is not None:
             sequencer._task.cancel()
         pending = list(sequencer.jobs)

@@ -1,76 +1,67 @@
-"""Multi-process serving: a parent router over N worker daemons.
+"""Multi-process serving: one frontend over shards in worker processes.
 
-One worker process per ``--workers`` slot, each running a
-:class:`~repro.serve.shard.ShardRouter` restricted to the shard subset
-``{i : i mod W == w}`` with per-shard WALs under
-``data_dir/shard-<i>``.  The parent :class:`WorkerSupervisor`
-duck-types the transport surface of
-:class:`~repro.serve.server.TrustedServer`, so clients connect to one
-address and never see the fleet behind it.
+:class:`WorkerSupervisor` is a :class:`~repro.serve.server.TrustedServer`
+whose shards are :class:`RemoteShard`\\ s: sessions, admission limits,
+tracing, counters and drain are the one frontend's, exactly as over
+in-process shards.  Each of ``--workers`` processes runs a
+:class:`~repro.serve.shard.ShardRouter` over the shards ``{i : i mod W
+== w}``, with WALs under ``data_dir/shard-<i>``.  The supervisor adds
+only spawning and respawning workers, the announce handshake, and
+seeding each shard's ``next_seq`` from what its WAL applied.
 
 **The crash-safety contract** (the reason this module exists at all):
 
-* the parent stamps every state-mutating frame with the owning shard's
-  next ``seq`` *before* forwarding, and keeps the frame in a per-shard
-  pending map until the worker's reply arrives;
-* a worker WAL-appends the op before executing it, so after a SIGKILL
-  the respawned worker replays its log and rebuilds byte-equivalent
-  state (:meth:`ShardRuntime.fingerprint`), announcing the highest seq
-  it applied;
-* on respawn the parent re-sends everything still pending for that
-  worker's shards, in seq order.  Ops the WAL caught before the kill
-  are answered from the worker's replayed reply cache; the rest
-  execute for the first time.  Either way each decision happens
-  exactly once and per-user FIFO order holds — ``loadgen --verify``
-  passes across a mid-pass worker kill.
+* the frontend stamps every state-mutating frame with its shard's next
+  ``seq`` *before* forwarding; the :class:`RemoteShard` keeps the job
+  pending until the worker's reply arrives;
+* a worker WAL-appends each op before executing it, so a respawned
+  worker replays its log into byte-equivalent state
+  (:meth:`ShardRuntime.fingerprint`) and announces, one JSON line on
+  stdout, the highest seq per shard it applied::
 
-Worker processes announce themselves with one JSON line on stdout::
+      {"repro_worker": <w>, "port": <p>, "applied": {"<shard>": <seq>}}
 
-    {"repro_worker": <w>, "port": <p>, "applied": {"<shard>": <seq>}}
+* the supervisor then re-sends everything still pending on that
+  worker's shards, in seq order: the replayed reply cache answers what
+  the WAL caught, the rest executes for the first time — each decision
+  happens exactly once and per-user FIFO holds (``loadgen --verify``
+  passes across a mid-pass kill).  ``applied + 1`` seeds the seq
+  counters, so a supervisor restart resumes where the logs ended.
 
-``applied`` seeds the parent's seq counters at ``applied + 1``, which
-also makes *parent* restarts safe: the counters resume exactly where
-the fleet's logs ended.
+**The worker hop.**  A worker executes each frame's ``seq`` as sent
+(``trusts_seq``), so only its supervisor may dial it: the supervisor
+mints a per-boot :func:`secrets.token_urlsafe` token and writes it as
+the first line of each worker's stdin (never argv, which every local
+user can read); the worker serves behind a
+:class:`~repro.serve.gate.ConnectionGate` admitting only that token.
+Worker limits derive from the frontend's so a worker never refuses
+what the frontend admitted: ``max_queue_depth`` as given,
+``max_inflight`` = ``max_queue_depth`` × its shard count.  ``metrics``,
+``profile`` and ``traces`` are answered from the frontend's own
+registry; a worker's registry sits behind the token, out of reach of
+:mod:`repro.serve.fleet` scrapes.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import secrets
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.obs.config import Telemetry, TelemetryConfig, resolve_telemetry
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.protocol import (
-    PROTOCOL_VERSION,
     DrainReply,
-    DrainRequest,
     ErrorReply,
     Frame,
-    HealthReply,
-    HealthRequest,
-    Hello,
-    LocationUpdate,
-    MetricsRequest,
-    ProfileRequest,
-    ServiceRequest,
-    StatsReply,
-    StatsRequest,
-    TracesReply,
-    TracesRequest,
-    Welcome,
     clone_frame,
 )
-from repro.serve.server import (
-    ClientSession,
-    Respond,
-    ServeConfig,
-    await_admitted,
-    shard_of,
-)
+from repro.serve.server import ServeConfig, ShardJob, TrustedServer
 
 #: How long to wait for a worker's announcement line before giving up.
 ANNOUNCE_TIMEOUT_S = 60.0
@@ -93,32 +84,127 @@ def announce(worker: int, port: int, applied: dict[int, int]) -> str:
     )
 
 
-class _Pending:
-    """One stamped, forwarded, not-yet-acknowledged operation."""
+class RemoteShard:
+    """One shard run by a worker process: the frontend's peer of
+    :class:`~repro.serve.server.ShardSequencer`.
 
-    __slots__ = ("frame", "respond", "client_id")
+    The worker owns the shard's queue and dispatcher, so this keeps
+    no queue of its own: :meth:`push` forwards an admitted job at once
+    and holds it in :attr:`pending` until the first reply for its seq.
+    """
 
     def __init__(
-        self,
-        frame: Frame,
-        respond: Respond,
-        client_id: int,
+        self, shard_id: int, worker: "_Worker", frontend: "WorkerSupervisor"
     ) -> None:
-        #: The forwarded frame — seq stamped, id remapped to a
-        #: supervisor-unique value (client ids collide across sessions).
-        self.frame = frame
-        #: The client's reply callback, called once with the reply.
-        self.respond = respond
-        #: The id the client sent, restored onto the reply.
-        self.client_id = client_id
+        self.shard_id = shard_id
+        self.worker = worker
+        #: The worker's service time is out of sight: hint the floor.
+        self.retry_after_s = frontend.config.retry_after_floor_s
+        self.telemetry = frontend.telemetry
+        #: Completed traced requests (the frontend's ``traces`` ring).
+        self.recent_traces = frontend.recent_traces
+        self.labels: dict[str, Any] = (
+            {"shard": shard_id} if frontend.n_shards > 1 else {}
+        )
+        #: Next seq; never below what the worker announced it applied.
+        self.next_seq = 0
+        #: seq -> forwarded job whose reply has not arrived yet.
+        self.pending: dict[int, ShardJob] = {}
+        self.accepted = 0
+        self.served = 0
+        self.shed = 0
+        self.rejected = 0
+
+    def allocate_seq(self) -> int:
+        seq = self.next_seq
+        self.next_seq += 1
+        return seq
+
+    @property
+    def queue_depth(self) -> int:
+        return len(self.pending)
+
+    def start(self) -> None:
+        """Nothing to start: the worker runs the dispatcher."""
+
+    async def stop(self) -> None:
+        """Nothing to stop: the supervisor stops the worker."""
+
+    async def drain(self) -> None:
+        """Wait (up to 30 s) until every pending job has its reply."""
+        deadline = time.monotonic() + 30.0
+        while self.pending and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+
+    def push(self, job: ShardJob) -> None:
+        self.pending[job.seq] = job
+        self.accepted += 1
+        if self.worker.client is not None:
+            self.forward(job)
+        # else: the worker is mid-respawn; resend() picks the job up.
+
+    def resend(self) -> None:
+        """Re-forward every pending job, in seq order (per-user FIFO);
+        the worker's reply cache answers what its WAL already holds."""
+        for seq in sorted(self.pending):
+            self.forward(self.pending[seq])
+
+    def forward(self, job: ShardJob) -> None:
+        client = self.worker.client
+        assert client is not None
+        # Client ids collide across sessions: the hop gets its own.
+        frame = clone_frame(job.frame, id=client.next_id(), seq=job.seq)
+        try:
+            future = client.post(frame)
+        except ServeClientError:
+            return  # stays pending; the respawn resends it
+        future.add_done_callback(lambda done: self._on_reply(job, done))
+
+    def _on_reply(
+        self, job: ShardJob, future: "asyncio.Future[Frame]"
+    ) -> None:
+        if future.cancelled() or future.exception() is not None:
+            return  # the connection died; the job stays pending
+        if self.pending.pop(job.seq, None) is None:
+            return  # a resent duplicate: the client was answered
+        job.session.inflight -= 1
+        reply = future.result()
+        frame = job.frame
+        ctx = job.trace
+        trace_id = ctx.trace_id if ctx is not None else None
+        total_ms = (time.perf_counter() - job.enqueued_at) * 1000.0
+        if not isinstance(reply, ErrorReply):
+            self.served += 1
+            telemetry = self.telemetry
+            if telemetry.enabled:
+                telemetry.count("serve.served", kind=frame.op, **self.labels)
+                telemetry.observe(
+                    "serve.request_ms", total_ms, trace_id, **self.labels
+                )
+        if ctx is None:
+            job.respond(clone_frame(reply, id=frame.id))
+            return
+        self.recent_traces.append(
+            {
+                "trace_id": trace_id,
+                "op": frame.op,
+                "decision": getattr(reply, "decision", None),
+                # The worker's queue is out of sight from here: the
+                # frontend's wait is the whole round trip.
+                "queue_ms": total_ms,
+                "total_ms": total_ms,
+                "shed": False,
+            }
+        )
+        job.respond(clone_frame(reply, id=frame.id, trace=ctx.to_wire()))
 
 
 class _Worker:
     """One worker slot: process handle, connection, and its shards."""
 
-    def __init__(self, index: int, shards: "list[int]") -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
-        self.shards = shards
+        self.shards: list[RemoteShard] = []
         self.process: "asyncio.subprocess.Process | None" = None
         self.client: ServeClient | None = None
         self.port: int | None = None
@@ -126,14 +212,8 @@ class _Worker:
         self.ready = asyncio.Event()
 
 
-class WorkerSupervisor:
-    """Parent frontend over ``workers`` shard-worker processes.
-
-    Duck-types the transport server surface (``config``, ``telemetry``,
-    ``open_session``, ``admit``, ``submit`` …), so
-    :class:`~repro.serve.transports.TcpTransport`, the HTTP binding and
-    ``run_loadgen(server=...)`` drive it unchanged.
-    """
+class WorkerSupervisor(TrustedServer):
+    """The frontend over ``workers`` shard-worker processes (module doc)."""
 
     def __init__(
         self,
@@ -156,7 +236,6 @@ class WorkerSupervisor:
         self.n_workers = workers
         self.n_shards = shards
         self.data_dir = Path(data_dir)
-        self.config = config or ServeConfig()
         self.telemetry = resolve_telemetry(telemetry)
         self.worker_args = list(worker_args)
         self.python = python or sys.executable
@@ -167,35 +246,23 @@ class WorkerSupervisor:
             / "tools"
             / "serve_daemon.py"
         )
-        self.workers = [
-            _Worker(w, worker_shards(w, workers, shards))
-            for w in range(workers)
-        ]
-        self._owner = {
-            shard: worker
-            for worker in self.workers
-            for shard in worker.shards
-        }
-        self.next_seq: dict[int, int] = {
-            shard: 0 for shard in range(shards)
-        }
-        self.pending: "dict[int, dict[int, _Pending]]" = {
-            shard: {} for shard in range(shards)
-        }
+        #: Per-boot credential of the worker hop (module doc).
+        self._token = secrets.token_urlsafe(32)
         self._loops: "list[asyncio.Task[None]]" = []
-        self._sessions: dict[str, ClientSession] = {}
-        self._session_seq = 0
-        self._next_out_id = 0
-        self._draining = False
-        self._closed = False
-        self.protocol_errors = 0
-        self.started_at = time.monotonic()
+        self.workers = [_Worker(w) for w in range(workers)]
+        # No runtime in this process: every shard is a RemoteShard.
+        self._open(config, [], slo_rules=None, slo_window_s=0.0)
+        for shard in range(shards):
+            worker = self.workers[shard % workers]  # worker_shards
+            remote = RemoteShard(shard, worker, self)
+            worker.shards.append(remote)
+            self.sequencers[shard] = remote
 
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> "WorkerSupervisor":
-        if self._closed:
-            raise RuntimeError("supervisor is closed")
+        """Spawn the workers and wait until each has announced."""
+        await super().start()
         if not self._loops:
             self._loops = [
                 asyncio.create_task(
@@ -209,36 +276,43 @@ class WorkerSupervisor:
             )
         return self
 
-    async def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for task in self._loops:
-            task.cancel()
-        for task in self._loops:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+    async def drain(self) -> DrainReply:
+        """Wait out every shard's pending window, then drain each worker
+        (each emits its own ``serve.drained`` decision tallies)."""
+        reply = await super().drain()
         for worker in self.workers:
             if worker.client is not None:
-                try:
+                # A dead worker (ServeClientError is an OSError).
+                with contextlib.suppress(OSError):
                     await worker.client.drain()
-                except (ServeClientError, ConnectionError, OSError):
-                    pass
+        return reply
+
+    async def close(self) -> None:
+        """Drain, then stop every worker process.  Idempotent."""
+        if self._closed:
+            return
+        await super().close()
+        for task in self._loops:
+            task.cancel()
+        await asyncio.gather(*self._loops, return_exceptions=True)
+        for worker in self.workers:
+            if worker.client is not None:
                 await worker.client.close()
-            if worker.process is not None:
-                if worker.process.returncode is None:
-                    worker.process.terminate()
-                try:
-                    await asyncio.wait_for(worker.process.wait(), 10.0)
-                except asyncio.TimeoutError:
-                    worker.process.kill()
-                    await worker.process.wait()
+            process = worker.process
+            if process is None:
+                continue
+            if process.returncode is None:
+                process.terminate()
+            try:
+                await asyncio.wait_for(process.wait(), 10.0)
+            except asyncio.TimeoutError:
+                process.kill()
+                await process.wait()
 
     # -- worker process management -------------------------------------
 
     def _spawn_command(self, worker: _Worker) -> "list[str]":
+        limits = self.config
         return [
             self.python,
             str(self.daemon_path),
@@ -253,6 +327,11 @@ class WorkerSupervisor:
             "--port",
             "0",
             *self.worker_args,
+            # Last, so they win: derived from the frontend's limits.
+            "--max-queue-depth",
+            str(limits.max_queue_depth),
+            "--max-inflight",
+            str(limits.max_queue_depth * len(worker.shards)),
         ]
 
     async def _worker_loop(self, worker: _Worker) -> None:
@@ -260,12 +339,16 @@ class WorkerSupervisor:
         while not self._closed:
             process = await asyncio.create_subprocess_exec(
                 *self._spawn_command(worker),
+                stdin=asyncio.subprocess.PIPE,
                 stdout=asyncio.subprocess.PIPE,
                 stderr=None,
             )
             worker.process = process
             try:
+                assert process.stdin is not None
                 assert process.stdout is not None
+                process.stdin.write(f"{self._token}\n".encode())
+                process.stdin.close()
                 line = await asyncio.wait_for(
                     process.stdout.readline(), ANNOUNCE_TIMEOUT_S
                 )
@@ -280,14 +363,9 @@ class WorkerSupervisor:
                     worker.port,
                     client=f"supervisor-w{worker.index}",
                     max_frame_bytes=self.config.max_frame_bytes,
+                    token=self._token,
                 )
-            except (
-                asyncio.TimeoutError,
-                ValueError,
-                KeyError,
-                OSError,
-                ServeClientError,
-            ):
+            except (asyncio.TimeoutError, ValueError, KeyError, OSError):
                 if process.returncode is None:
                     process.kill()
                 await process.wait()
@@ -296,14 +374,12 @@ class WorkerSupervisor:
                 worker.respawns += 1
                 await asyncio.sleep(0.2)
                 continue
-            # The worker's WAL knows what survived; our counters must
-            # never go backwards past what any incarnation applied.
-            for shard, seq in applied.items():
-                if shard in self.next_seq:
-                    self.next_seq[shard] = max(
-                        self.next_seq[shard], seq + 1
-                    )
-            self._resend_pending(worker)
+            for remote in worker.shards:
+                # Never reuse a seq any incarnation already applied.
+                remote.next_seq = max(
+                    remote.next_seq, applied.get(remote.shard_id, -1) + 1
+                )
+                remote.resend()
             worker.ready.set()
             await process.wait()
             worker.ready.clear()
@@ -322,262 +398,3 @@ class WorkerSupervisor:
                 file=sys.stderr,
                 flush=True,
             )
-
-    def _resend_pending(self, worker: _Worker) -> None:
-        """Re-forward every unacknowledged op of this worker's shards.
-
-        Seq order per shard preserves per-user FIFO (the router
-        admitted them in order); the worker's reply cache answers the
-        prefix its WAL already holds.
-        """
-        assert worker.client is not None
-        for shard in worker.shards:
-            for seq in sorted(self.pending[shard]):
-                self._forward(worker, shard, self.pending[shard][seq])
-
-    def _forward(
-        self, worker: _Worker, shard: int, entry: _Pending
-    ) -> None:
-        assert worker.client is not None
-        try:
-            future = worker.client.post(entry.frame)
-        except ServeClientError:
-            return  # stays pending; the respawn loop will resend
-        seq = entry.frame.seq  # type: ignore[attr-defined]
-        future.add_done_callback(
-            lambda fut, shard=shard, seq=seq, entry=entry: (
-                self._on_reply(shard, seq, entry, fut)
-            )
-        )
-
-    def _on_reply(
-        self,
-        shard: int,
-        seq: int,
-        entry: _Pending,
-        future: "asyncio.Future[Frame]",
-    ) -> None:
-        if future.cancelled() or future.exception() is not None:
-            return  # connection died; the op stays pending for resend
-        if self.pending[shard].pop(seq, None) is None:
-            return  # a resent duplicate: the client was answered
-        entry.respond(clone_frame(future.result(), id=entry.client_id))
-
-    # -- session surface -----------------------------------------------
-
-    def open_session(self, client: str = "client") -> ClientSession:
-        self._session_seq += 1
-        session = ClientSession(f"s{self._session_seq}", client)
-        self._sessions[session.session_id] = session
-        self.telemetry.gauge("serve.connections", len(self._sessions))
-        return session
-
-    def close_session(self, session: ClientSession) -> None:
-        self._sessions.pop(session.session_id, None)
-        self.telemetry.gauge("serve.connections", len(self._sessions))
-
-    def welcome(self, session: ClientSession, hello: Hello) -> Frame:
-        if hello.version != PROTOCOL_VERSION:
-            return ErrorReply(
-                id=None,
-                code="bad_version",
-                message=(
-                    f"protocol version {hello.version} not supported; "
-                    f"server speaks {PROTOCOL_VERSION}"
-                ),
-            )
-        session.client = hello.client
-        return Welcome(
-            version=PROTOCOL_VERSION,
-            server=f"{self.config.server_name}-supervisor",
-            session=session.session_id,
-            max_inflight=self.config.max_inflight,
-            max_queue_depth=self.config.max_queue_depth,
-            trace=False,
-        )
-
-    def note_protocol_error(self) -> None:
-        self.protocol_errors += 1
-        self.telemetry.count("serve.protocol_errors")
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
-    def queue_depth(self) -> int:
-        return sum(len(entries) for entries in self.pending.values())
-
-    # -- op surface ----------------------------------------------------
-
-    async def submit(self, session: ClientSession, frame: Frame) -> Frame:
-        """Serve one frame of any op (see :meth:`TrustedServer.submit`)."""
-        if isinstance(frame, (LocationUpdate, ServiceRequest)):
-            return await await_admitted(self.admit, session, frame)
-        if isinstance(frame, Hello):
-            return self.welcome(session, frame)
-        if isinstance(frame, StatsRequest):
-            return await self._stats(frame)
-        if isinstance(frame, HealthRequest):
-            return await self._health(frame)
-        if isinstance(frame, DrainRequest):
-            return await self._drain(frame)
-        if isinstance(frame, (MetricsRequest, ProfileRequest)):
-            # Per-worker observability lives on the workers' own ports
-            # (the fleet scraper hits them directly); the supervisor
-            # proxies to its first worker as a convenience.
-            worker = self.workers[0]
-            if worker.client is None:
-                return ErrorReply(
-                    id=frame.id,
-                    code="unavailable",
-                    message="no worker connected",
-                )
-            out_id = self._allocate_out_id()
-            reply = await worker.client.post(
-                clone_frame(frame, id=out_id)
-            )
-            return clone_frame(reply, id=frame.id)
-        if isinstance(frame, TracesRequest):
-            return TracesReply(id=frame.id, body="[]")
-        self.note_protocol_error()
-        return ErrorReply(
-            id=getattr(frame, "id", None),
-            code="unknown_op",
-            message=f"frame {frame.op!r} is not servable",
-        )
-
-    def admit(
-        self,
-        session: ClientSession,
-        frame: "LocationUpdate | ServiceRequest",
-        respond: Respond,
-    ) -> None:
-        """Stamp and forward one servable frame without awaiting.
-
-        The contract of :meth:`TrustedServer.admit`: ``respond`` gets a
-        refusal at once, or the reply when the owning worker answers —
-        after a worker crash, when its respawn answers the resend.
-        """
-        if self._draining or self._closed:
-            respond(
-                ErrorReply(
-                    id=frame.id,
-                    code="draining",
-                    message="server is draining; no new work admitted",
-                )
-            )
-            return
-        shard = shard_of(frame.user_id, self.n_shards)
-        worker = self._owner[shard]
-        if self.queue_depth >= self.config.max_queue_depth:
-            self.telemetry.count(
-                "serve.shed", reason="queue", shard=shard
-            )
-            respond(
-                ErrorReply(
-                    id=frame.id,
-                    code="overloaded",
-                    message="supervisor pending window is full",
-                    retry_after=self.config.retry_after_floor_s,
-                )
-            )
-            return
-        seq = self.next_seq[shard]
-        self.next_seq[shard] = seq + 1
-        out_id = self._allocate_out_id()
-        stamped = clone_frame(frame, id=out_id, seq=seq)
-        entry = _Pending(stamped, respond, frame.id)
-        self.pending[shard][seq] = entry
-        if worker.client is not None:
-            self._forward(worker, shard, entry)
-        # else: the worker is mid-respawn; _resend_pending picks it up.
-
-    def _allocate_out_id(self) -> int:
-        self._next_out_id += 1
-        return self._next_out_id
-
-    async def _stats(self, frame: StatsRequest) -> Frame:
-        totals = dict.fromkeys(
-            ("accepted", "served", "shed", "rejected",
-             "protocol_errors", "queue_depth"), 0,
-        )
-        for worker in self.workers:
-            if worker.client is None:
-                continue
-            try:
-                stats = await worker.client.stats()
-            except (ServeClientError, ConnectionError, OSError):
-                continue
-            for key in totals:
-                totals[key] += getattr(stats, key)
-        return StatsReply(
-            id=frame.id,
-            accepted=totals["accepted"],
-            served=totals["served"],
-            shed=totals["shed"],
-            rejected=totals["rejected"],
-            protocol_errors=totals["protocol_errors"]
-            + self.protocol_errors,
-            queue_depth=totals["queue_depth"] + self.queue_depth,
-            sessions=len(self._sessions),
-        )
-
-    async def _health(self, frame: HealthRequest) -> Frame:
-        served = shed = 0
-        degraded = False
-        for worker in self.workers:
-            if worker.client is None:
-                degraded = True
-                continue
-            try:
-                health = await worker.client.health()
-            except (ServeClientError, ConnectionError, OSError):
-                degraded = True
-                continue
-            served += health.served
-            shed += health.shed
-            degraded = degraded or health.status == "degraded"
-        status = (
-            "draining"
-            if self._draining or self._closed
-            else ("degraded" if degraded else "ok")
-        )
-        return HealthReply(
-            id=frame.id,
-            status=status,
-            uptime_s=time.monotonic() - self.started_at,
-            queue_depth=self.queue_depth,
-            sessions=len(self._sessions),
-            served=served,
-            shed=shed,
-            slo_ok=not degraded,
-            breaches=0,
-        )
-
-    async def _drain(self, frame: DrainRequest) -> Frame:
-        self._draining = True
-        # Wait for our own pending window first: a worker drain while
-        # forwarded ops are still in flight would count them rejected.
-        deadline = time.monotonic() + 30.0
-        while self.queue_depth and time.monotonic() < deadline:
-            await asyncio.sleep(0.01)
-        served = shed = rejected = pending = 0
-        for worker in self.workers:
-            if worker.client is None:
-                continue
-            try:
-                drained = await worker.client.drain()
-            except (ServeClientError, ConnectionError, OSError):
-                continue
-            served += drained.served
-            shed += drained.shed
-            rejected += drained.rejected
-            pending += drained.pending
-        return DrainReply(
-            id=frame.id,
-            served=served,
-            shed=shed,
-            rejected=rejected,
-            pending=pending + self.queue_depth,
-        )

@@ -6,18 +6,37 @@ import asyncio
 import importlib.util
 import json
 import os
+import re
 import signal
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.serve.loadgen import LoadgenConfig, WorkloadConfig, run_loadgen
-from repro.serve.server import ServeConfig
+from repro.obs.config import TelemetryConfig
+from repro.serve.client import ServeClient, ServeClientError
+from repro.serve.loadgen import (
+    LoadgenConfig,
+    WorkloadConfig,
+    build_workload,
+    run_loadgen,
+)
+from repro.serve.protocol import (
+    ErrorReply,
+    Hello,
+    ServiceRequest,
+    StatsRequest,
+    TracesRequest,
+    clone_frame,
+)
+from repro.serve.server import ServeConfig, TrustedServer
+from repro.serve.shard import ShardRouter
 from repro.serve.supervisor import (
     WorkerSupervisor,
     announce,
     worker_shards,
 )
+from repro.serve.transports import LoopbackTransport
 
 DAEMON = Path(__file__).resolve().parents[2] / "tools" / "serve_daemon.py"
 WIDE_OPEN = ServeConfig(max_queue_depth=100_000, max_inflight=100_000)
@@ -67,6 +86,28 @@ class TestShardAssignment:
         assert info["repro_worker"] == 1
         assert info["port"] == 7411
         assert info["applied"] == {"0": -1, "2": 41}
+
+    def test_supervisor_is_the_trusted_server_frontend(self, tmp_path):
+        supervisor = WorkerSupervisor(2, 4, tmp_path)
+        assert isinstance(supervisor, TrustedServer)
+        assert sorted(supervisor.sequencers) == [0, 1, 2, 3]
+
+    def test_worker_limits_cover_what_the_frontend_admits(self, tmp_path):
+        """A worker's one session (the supervisor) may hold a full
+        queue on every shard it serves; the last flags win."""
+        supervisor = WorkerSupervisor(
+            2,
+            5,
+            tmp_path,
+            config=ServeConfig(max_queue_depth=7, max_inflight=3),
+            worker_args=["--max-inflight", "1"],
+        )
+        for worker, n_shards in zip(supervisor.workers, (3, 2)):
+            command = supervisor._spawn_command(worker)
+            assert command[-4:] == [
+                "--max-queue-depth", "7",
+                "--max-inflight", str(7 * n_shards),
+            ]
 
     def test_supervisor_validates_shape(self, tmp_path):
         with pytest.raises(ValueError, match="workers"):
@@ -123,14 +164,20 @@ class TestEndToEnd:
             )
             await kill_task
             respawns = [w.respawns for w in supervisor.workers]
+            stats = await supervisor.submit(
+                supervisor.open_session("probe"), StatsRequest(id=1)
+            )
             await supervisor.close()
-            return report, respawns
+            return report, respawns, stats
 
-        report, respawns = asyncio.run(run())
+        report, respawns, stats = asyncio.run(run())
         assert report.ok, report.to_dict()
         assert report.verified is True and report.mismatches == 0
         assert report.decisions == 200
         assert sum(respawns) >= 1, "the SIGKILL never landed"
+        # The frontend's counters balance across the respawn.
+        assert stats.accepted == stats.served + stats.shed + stats.rejected
+        assert stats.queue_depth == 0
         # The WAL directories exist per shard.
         shard_dirs = sorted(p.name for p in tmp_path.iterdir())
         assert shard_dirs == [f"shard-{i:03d}" for i in range(4)]
@@ -173,3 +220,155 @@ class TestEndToEnd:
         assert report.ok, report.to_dict()
         assert report.verified is True and report.mismatches == 0
         assert report.decisions == 150
+
+
+def _supervisor(tmp_path, config=None, telemetry=None):
+    return WorkerSupervisor(
+        2,
+        2,
+        tmp_path,
+        config=config,
+        telemetry=telemetry,
+        worker_args=["--seed", "11"],
+        daemon_path=DAEMON,
+    )
+
+
+def _requests(workload, count, start):
+    """``count`` timeline requests from ``start``, alternating shards."""
+    by_shard = [
+        [i for i in workload.timeline if i.is_request and i.user_id % 2 == s]
+        for s in (0, 1)
+    ]
+    return [
+        ServiceRequest(
+            id=n + 1,
+            user_id=item.user_id,
+            x=item.location.x,
+            y=item.location.y,
+            t=item.location.t,
+            service=item.service,
+        )
+        for n, item in enumerate(
+            by_shard[k % 2][start + k // 2] for k in range(count)
+        )
+    ]
+
+
+def _tally(reply):
+    if not isinstance(reply, ErrorReply):
+        return ("served", None)
+    reason = re.search(r"\((\w+)\)", reply.message)
+    return (reply.code, reason.group(1) if reason else None)
+
+
+async def _burst_tallies(server, bursts):
+    """Admit every burst of ``(client, frame)`` synchronously (no await
+    between ops, one session per client); tally all replies by code and
+    shed reason, burst by burst."""
+    tallies = []
+    for burst in bursts:
+        replies = []
+        sessions = {}
+        for client, frame in burst:
+            if client not in sessions:
+                sessions[client] = server.open_session(client)
+            server.admit(sessions[client], frame, replies.append)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 30
+        while len(replies) < len(burst) and loop.time() < deadline:
+            await asyncio.sleep(0.01)
+        tallies.append(Counter(_tally(reply) for reply in replies))
+    return tallies
+
+
+class TestFrontendParity:
+    """The supervisor applies the in-process frontend's admission rules:
+    one ``_refusal``, per-session ``max_inflight``, per-shard queues."""
+
+    CONFIG = ServeConfig(max_queue_depth=6, max_inflight=4)
+
+    def test_refusals_match_the_in_process_router(self, tmp_path):
+        workload_config = WorkloadConfig()
+        workload = build_workload(workload_config)
+        frames = _requests(workload, 34, 0)
+        bursts = [
+            # One client with 10 outstanding ops, over its limit of 4.
+            [("greedy", frame) for frame in frames[:10]],
+            # Eight clients with 3 each (under 4), over the queues.
+            [(f"c{n % 8}", frame) for n, frame in enumerate(frames[10:])],
+        ]
+
+        async def run(server):
+            await server.start()
+            try:
+                return await _burst_tallies(server, bursts)
+            finally:
+                await server.close()
+
+        local = asyncio.run(
+            run(
+                ShardRouter(
+                    workload, workload_config, n_shards=2,
+                    config=self.CONFIG,
+                )
+            )
+        )
+        remote = asyncio.run(run(_supervisor(tmp_path, self.CONFIG)))
+        assert local == [
+            Counter({("served", None): 4, ("overloaded", "inflight"): 6}),
+            Counter({("served", None): 12, ("overloaded", "queue"): 12}),
+        ]
+        assert remote == local
+
+
+class TestWorkerHop:
+    def test_worker_port_demands_the_supervisor_token(self, tmp_path):
+        async def run():
+            supervisor = _supervisor(tmp_path)
+            await supervisor.start()
+            try:
+                worker = supervisor.workers[0]
+                codes = []
+                for token in (None, "not-the-token"):
+                    with pytest.raises(ServeClientError) as refused:
+                        await ServeClient.connect(
+                            "127.0.0.1", worker.port, token=token
+                        )
+                    codes.append(refused.value.reply.code)
+                assert worker.client is not None
+                stats = await worker.client.stats()
+                return codes, stats
+            finally:
+                await supervisor.close()
+
+        codes, stats = asyncio.run(run())
+        assert codes == ["bad_token", "bad_token"]
+        # Refused at the gate: no sequencer saw a frame.
+        assert stats.accepted == 0 and stats.protocol_errors == 0
+
+    def test_tracing_works_behind_workers(self, tmp_path):
+        async def run():
+            supervisor = _supervisor(
+                tmp_path, telemetry=TelemetryConfig(enabled=True)
+            )
+            await supervisor.start()
+            try:
+                connection = LoopbackTransport(supervisor).connect()
+                welcome = await connection.send(Hello(trace=True))
+                wire = supervisor.telemetry.tracer.new_wire()
+                frame = _requests(build_workload(WorkloadConfig()), 1, 0)[0]
+                reply = await connection.send(
+                    clone_frame(frame, trace=wire)
+                )
+                traces = await connection.send(TracesRequest(id=9))
+                return welcome, wire, reply, json.loads(traces.body)
+            finally:
+                await supervisor.close()
+
+        welcome, wire, reply, traces = asyncio.run(run())
+        assert welcome.trace is True
+        assert reply.op == "decision" and reply.trace == wire
+        assert [(t["trace_id"], t["decision"]) for t in traces] == [
+            (wire.split("-")[0], reply.decision)
+        ]

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the Trusted Server as a long-running TCP daemon.
 
-Two deployment shapes, one sequencer path (a
-:class:`~repro.serve.shard.ShardRouter` over per-shard sequencers):
+Two deployment shapes, one frontend (a
+:class:`~repro.serve.server.TrustedServer`) and one :func:`serve` path:
 
 * **in-process** (default) — a router over ``--shards M`` shared-nothing
   shard engines in this process, one by default; add ``--data-dir``
@@ -13,20 +13,26 @@ Two deployment shapes, one sequencer path (a
           --data-dir /var/lib/repro
 
 * **multi-worker** (``--workers N --shards M --data-dir DIR``) — a
-  :class:`~repro.serve.supervisor.WorkerSupervisor` parent that spawns
-  N worker processes (each serving the shards ``i mod N == w`` with
-  durable WALs) and respawns any that die, replaying their logs::
+  :class:`~repro.serve.supervisor.WorkerSupervisor`: the same frontend,
+  whose shards are forwarded to N worker processes (each serving the
+  shards ``i mod N == w`` with durable WALs); it respawns any worker
+  that dies, and the worker replays its logs::
 
       PYTHONPATH=src python tools/serve_daemon.py \
           --workers 2 --shards 4 --data-dir /var/lib/repro
 
 ``--worker-index`` is the internal worker entry point the supervisor
-uses; workers announce ``{"repro_worker": w, "port": p, "applied":
-{shard: seq}}`` as one JSON line on stdout when ready.
+uses.  A worker reads its supervisor's per-boot token from the first
+line of stdin, admits only hellos that carry it, and announces
+``{"repro_worker": w, "port": p, "applied": {shard: seq}}`` as one JSON
+line on stdout when ready.  Each worker's queue and in-flight limits
+are derived from the supervisor's ``--max-queue-depth``.
 
 Both shapes serve the same NDJSON protocol and drain gracefully on
 SIGINT/SIGTERM or a client ``drain`` op.  ``--slo`` privacy rules
-need the one-shard in-process shape: the monitor audits one store.
+need the one-shard in-process shape: the monitor audits one store, and
+serving it over several shards or workers waits on a store design
+where anonymity sets span shards (ROADMAP item 3).
 
 Hardening flags apply to every shape and compose freely:
 ``--tls-cert/--tls-key`` serve TLS (generate a dev pair with
@@ -262,10 +268,17 @@ def _telemetry_config(
     )
 
 
-def _build_gate(args: argparse.Namespace, telemetry) -> (
-    "ConnectionGate | None"
-):
-    """The daemon's admission gate; None when every knob is off."""
+def _build_gate(
+    args: argparse.Namespace, telemetry, worker_token: "str | None"
+) -> "ConnectionGate | None":
+    """The daemon's admission gate; None when every knob is off.
+
+    A worker's gate admits its supervisor's token and nothing else.
+    """
+    if worker_token is not None:
+        return ConnectionGate(
+            GateConfig(tokens=(worker_token,)), telemetry=telemetry
+        )
     tokens = load_tokens(args.token, args.token_file)
     if (
         tokens is None
@@ -284,16 +297,16 @@ def _build_gate(args: argparse.Namespace, telemetry) -> (
     )
 
 
-async def _start_frontends(args: argparse.Namespace, server) -> (
-    "list[TcpTransport | HttpTransport]"
-):
+async def _start_frontends(
+    args: argparse.Namespace, server, worker_token: "str | None"
+) -> "list[TcpTransport | HttpTransport]":
     """Start the public frontends of one backend (any daemon shape).
 
     Always the NDJSON TCP listener; an HTTP listener too when
     ``--http-port`` was given.  Both share one TLS context and one
     gate, so policy is identical no matter how a client dials in.
     """
-    gate = _build_gate(args, server.telemetry)
+    gate = _build_gate(args, server.telemetry, worker_token)
     ssl_ctx = (
         server_ssl_context(args.tls_cert, args.tls_key)
         if args.tls_cert is not None
@@ -322,10 +335,10 @@ async def _start_frontends(args: argparse.Namespace, server) -> (
 def _frontend_banner(
     args: argparse.Namespace,
     transports: "list[TcpTransport | HttpTransport]",
-    label: str = "",
 ) -> str:
     tcp = transports[0]
     scheme = "tls" if args.tls_cert is not None else "tcp"
+    label = " supervisor" if args.workers else ""
     parts = [f"repro-ts{label} listening on {tcp.host}:{tcp.port}"]
     if scheme == "tls":
         parts.append("(tls)")
@@ -333,24 +346,38 @@ def _frontend_banner(
         parts.append("(auth)")
     for extra in transports[1:]:
         parts.append(f"http on {extra.host}:{extra.port}")
+    if args.workers:
+        parts.append(f"(workers={args.workers} shards={args.shards})")
     return " ".join(parts)
 
 
-async def serve_sharded(
-    args: argparse.Namespace, worker_index: "int | None" = None
-) -> int:
-    """The in-process router; doubles as the worker entry point."""
-    workload_config = WorkloadConfig(seed=args.seed)
-    workload = build_workload(workload_config)
-    shard_ids = None
-    worker_label = args.worker
-    if worker_index is not None:
-        shard_ids = worker_shards(
-            worker_index, args.workers, args.shards
+def _build_server(
+    args: argparse.Namespace,
+) -> "ShardRouter | WorkerSupervisor":
+    """The frontend of the daemon shape ``args`` select."""
+    if args.workers and args.worker_index is None:
+        worker_args = ["--seed", str(args.seed),
+                       "--wal-fsync", args.wal_fsync]
+        if args.trace_jsonl is not None:
+            worker_args += ["--trace-jsonl", args.trace_jsonl]
+        return WorkerSupervisor(
+            args.workers,
+            args.shards,
+            args.data_dir,
+            config=_serve_config(args),
+            telemetry=_telemetry_config(args),
+            worker_args=worker_args,
+            daemon_path=Path(__file__).resolve(),
         )
-        worker_label = str(worker_index)
-    router = ShardRouter(
-        workload,
+    shard_ids = worker_label = None
+    if args.worker_index is not None:
+        shard_ids = worker_shards(
+            args.worker_index, args.workers, args.shards
+        )
+        worker_label = str(args.worker_index)
+    workload_config = WorkloadConfig(seed=args.seed)
+    return ShardRouter(
+        build_workload(workload_config),
         workload_config,
         n_shards=args.shards,
         config=_serve_config(args),
@@ -360,26 +387,35 @@ async def serve_sharded(
         shard_ids=shard_ids,
         slo_rules=args.slo,
     )
-    await router.start()
-    transports = await _start_frontends(args, router)
+
+
+async def serve(
+    args: argparse.Namespace, worker_token: "str | None" = None
+) -> int:
+    """Every daemon shape: build the frontend, serve, drain, close.
+
+    ``worker_token`` is set only in a ``--worker-index`` process (read
+    from its stdin by :func:`main`): the worker serves its shard
+    subset behind a gate that admits only its supervisor.
+    """
+    server = _build_server(args)
+    await server.start()
+    transports = await _start_frontends(args, server, worker_token)
+    worker_index = args.worker_index
     if worker_index is not None:
-        print(
-            announce(
-                worker_index,
-                transports[0].port,
-                router.applied_seqs(),
-            ),
-            flush=True,
-        )
+        assert isinstance(server, ShardRouter)
+        port = transports[0].port
+        print(announce(worker_index, port, server.applied_seqs()),
+              flush=True)
     else:
         print(_frontend_banner(args, transports), flush=True)
     await _wait_for_stop()
     if worker_index is None:
         print("repro-ts draining", flush=True)
-    reply = await router.drain()
+    reply = await server.drain()
     for transport in transports:
         await transport.stop()
-    await router.close()
+    await server.close()
     if worker_index is None:
         print(
             f"repro-ts drained: served={reply.served} "
@@ -389,46 +425,17 @@ async def serve_sharded(
     return 0
 
 
-async def serve_supervised(args: argparse.Namespace) -> int:
-    """The multi-worker shape: supervisor parent + N shard workers."""
-    worker_args = ["--seed", str(args.seed), "--wal-fsync",
-                   args.wal_fsync,
-                   "--max-queue-depth", str(args.max_queue_depth),
-                   "--max-inflight", str(args.max_inflight)]
-    if args.trace_jsonl is not None:
-        worker_args += ["--trace-jsonl", args.trace_jsonl]
-    supervisor = WorkerSupervisor(
-        args.workers,
-        args.shards,
-        args.data_dir,
-        config=_serve_config(args),
-        telemetry=_telemetry_config(args),
-        worker_args=worker_args,
-        daemon_path=Path(__file__).resolve(),
-    )
-    await supervisor.start()
-    transports = await _start_frontends(args, supervisor)
-    print(
-        _frontend_banner(args, transports, label=" supervisor")
-        + f" (workers={args.workers} shards={args.shards})",
-        flush=True,
-    )
-    await _wait_for_stop()
-    print("repro-ts draining", flush=True)
-    for transport in transports:
-        await transport.stop()
-    await supervisor.close()
-    print("repro-ts drained", flush=True)
-    return 0
-
-
 def main(argv: "list[str] | None" = None) -> int:
     args = parse_args(argv)
+    worker_token = None
     if args.worker_index is not None:
-        return asyncio.run(serve_sharded(args, args.worker_index))
-    if args.workers:
-        return asyncio.run(serve_supervised(args))
-    return asyncio.run(serve_sharded(args))
+        # The supervisor's per-boot token is the first line of stdin.
+        worker_token = sys.stdin.readline().strip()
+        if not worker_token:
+            raise SystemExit(
+                "--worker-index reads its supervisor's token from stdin"
+            )
+    return asyncio.run(serve(args, worker_token))
 
 
 if __name__ == "__main__":
