@@ -68,8 +68,24 @@ class PersonalHistory:
         self._times.insert(index, point.t)
 
     def extend(self, points: Iterable[STPoint]) -> None:
-        """Record several location updates."""
-        for point in points:
+        """Record several location updates.
+
+        Same result as :meth:`add` per point.  A block in time order
+        that starts no earlier than the last stored sample (the usual
+        case: a bulk load, or a flush of fresh updates) is appended in
+        one step, since each ``bisect_right`` would land at the end.
+        """
+        block = list(points)
+        times = [p.t for p in block]
+        if (
+            times
+            and (not self._times or self._times[-1] <= times[0])
+            and all(a <= b for a, b in zip(times, times[1:]))
+        ):
+            self._points.extend(block)
+            self._times.extend(times)
+            return
+        for point in block:
             self.add(point)
 
     def points_between(self, t_start: float, t_end: float) -> list[STPoint]:

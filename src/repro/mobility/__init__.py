@@ -5,7 +5,8 @@ The paper's evaluation substrate.  Real carrier traces are proprietary, so
 city:
 
 * :mod:`repro.mobility.network` — a Manhattan-style grid road network with
-  shortest-path routing (built on ``networkx``);
+  shortest-path routing (a pure-Python bidirectional Dijkstra that
+  picks the same paths as ``networkx``, which is only its test oracle);
 * :mod:`repro.mobility.commuter` — home/work commuters whose weekday
   round-trips realize exactly the recurring pattern of the paper's
   Examples 1–2;

@@ -5,13 +5,20 @@ realistic (the paper's Section 5.2 mentions "probability-based techniques
 considering most common trajectories based on physical constraints like
 roads, crossings"), and it concentrates commuters onto shared corridors,
 which is what gives Algorithm 1 small anonymity boxes.
+
+Routing is a bidirectional Dijkstra over the implicit grid, written out
+in pure Python so that loading the network costs no graph library.  It
+is a step-for-step copy of ``networkx.bidirectional_dijkstra`` on
+``networkx.grid_2d_graph`` (same neighbour order, heap entries and float
+sums), so it picks the same path among the many equally short ones;
+``tests/mobility/test_network.py`` checks that against networkx.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-
-import networkx as nx
 
 from repro.geometry.point import Point
 
@@ -24,7 +31,8 @@ class RoadNetwork:
 
     Nodes are intersections identified by integer grid coordinates; edges
     are street segments weighted by length.  Routing is Dijkstra on
-    length, so routes are Manhattan shortest paths.
+    length, so routes are Manhattan shortest paths.  The graph is
+    implicit: :meth:`neighbors` derives each intersection's streets.
     """
 
     def __init__(
@@ -37,9 +45,6 @@ class RoadNetwork:
         self.nx_blocks = nx_blocks
         self.ny_blocks = ny_blocks
         self.block_size = block_size
-        self.graph = nx.grid_2d_graph(nx_blocks + 1, ny_blocks + 1)
-        for a, b in self.graph.edges:
-            self.graph.edges[a, b]["length"] = block_size
 
     @property
     def width(self) -> float:
@@ -61,12 +66,99 @@ class RoadNetwork:
         iy = min(max(round(point.y / self.block_size), 0), self.ny_blocks)
         return (ix, iy)
 
+    def neighbors(self, node: Node) -> list[Node]:
+        """Intersections one block away: west, east, south, north.
+
+        Only those on the grid are listed, in ``grid_2d_graph``'s
+        adjacency order, which the router's tie-breaks follow.
+        """
+        x, y = node
+        out = []
+        if x > 0:
+            out.append((x - 1, y))
+        if x < self.nx_blocks:
+            out.append((x + 1, y))
+        if y > 0:
+            out.append((x, y - 1))
+        if y < self.ny_blocks:
+            out.append((x, y + 1))
+        return out
+
+    def shortest_path(self, origin: Node, destination: Node) -> list[Node]:
+        """Intersections on the shortest street path, both ends included.
+
+        Bidirectional Dijkstra, stepping the forward and backward
+        searches in turn exactly as ``networkx.bidirectional_dijkstra``
+        does, so ties between equally short paths break the same way.
+        """
+        for node in (origin, destination):
+            x, y = node
+            if not (0 <= x <= self.nx_blocks and 0 <= y <= self.ny_blocks):
+                raise ValueError(f"node {node} is not on the grid")
+        if origin == destination:
+            return [origin]
+        block = self.block_size
+        counter = itertools.count()
+        # Per direction (0 = from the origin, 1 = from the destination):
+        # final distances, best distances so far, predecessors, heap.
+        dones: tuple[dict, dict] = ({}, {})
+        seens: tuple[dict, dict] = ({origin: 0}, {destination: 0})
+        preds: tuple[dict, dict] = ({origin: None}, {destination: None})
+        fringes: tuple[list, list] = (
+            [(0, next(counter), origin)],
+            [(0, next(counter), destination)],
+        )
+        best = meet = None
+        direction = 1
+        while fringes[0] and fringes[1]:
+            direction = 1 - direction
+            done, seen, pred = (
+                dones[direction], seens[direction], preds[direction]
+            )
+            dist, _, node = heapq.heappop(fringes[direction])
+            if node in done:
+                continue
+            done[node] = dist
+            if node in dones[1 - direction]:
+                return self._join(preds, meet)
+            seen_other = seens[1 - direction]
+            length = dist + block
+            for nxt in self.neighbors(node):
+                if nxt in done:
+                    continue
+                if nxt not in seen or length < seen[nxt]:
+                    seen[nxt] = length
+                    heapq.heappush(
+                        fringes[direction], (length, next(counter), nxt)
+                    )
+                    pred[nxt] = node
+                    if nxt in seen_other:
+                        total = length + seen_other[nxt]
+                        if best is None or best > total:
+                            best, meet = total, nxt
+        raise AssertionError("a grid is connected")  # pragma: no cover
+
+    @staticmethod
+    def _join(preds: tuple[dict, dict], meet: Node) -> list[Node]:
+        """The path through ``meet``: origin side, then destination side."""
+        path: list[Node] = []
+        node: "Node | None" = meet
+        while node is not None:
+            path.append(node)
+            node = preds[0][node]
+        path.reverse()
+        node = preds[1][meet]
+        while node is not None:
+            path.append(node)
+            node = preds[1][node]
+        return path
+
     def route(self, origin: Node, destination: Node) -> list[Point]:
         """Waypoints of the shortest street path between intersections."""
-        path = nx.shortest_path(
-            self.graph, origin, destination, weight="length"
-        )
-        return [self.node_position(node) for node in path]
+        return [
+            self.node_position(node)
+            for node in self.shortest_path(origin, destination)
+        ]
 
     def route_length(self, waypoints: list[Point]) -> float:
         """Total length of a waypoint polyline, in meters."""

@@ -1,6 +1,9 @@
 """Unit tests for Personal Histories of Locations (Definitions 6–7)."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.phl import PersonalHistory
 from repro.geometry.point import STPoint
@@ -25,6 +28,22 @@ class TestOrdering:
         h = history([])
         h.extend([STPoint(0, 0, 5), STPoint(0, 0, 1)])
         assert [p.t for p in h] == [1, 5]
+
+    def test_extend_appends_ties_after_stored_samples(self):
+        h = history([STPoint(0, 0, 1), STPoint(1, 0, 5)])
+        h.extend([STPoint(2, 0, 5), STPoint(3, 0, 5), STPoint(4, 0, 9)])
+        assert [p.x for p in h] == [0, 1, 2, 3, 4]
+
+    def test_extend_overlapping_block_interleaves(self):
+        h = history([STPoint(0, 0, 1), STPoint(1, 0, 5)])
+        h.extend([STPoint(2, 0, 3), STPoint(3, 0, 7)])
+        assert [p.x for p in h] == [0, 2, 1, 3]
+        assert h.points_between(3, 5) == [STPoint(2, 0, 3), STPoint(1, 0, 5)]
+
+    def test_extend_takes_an_iterator(self):
+        h = history([])
+        h.extend(STPoint(0, 0, t) for t in (1, 2, 2))
+        assert [p.t for p in h] == [1, 2, 2]
 
     def test_len_and_getitem(self):
         h = history([STPoint(1, 2, 3)])
@@ -134,4 +153,54 @@ class TestClosestPoint:
             got = h.closest_point_to(target, time_scale=1.5)
             assert st_distance(got, target, 1.5) == pytest.approx(
                 st_distance(expected, target, 1.5)
+            )
+
+
+@st.composite
+def ingest_blocks(draw):
+    """Blocks of sample times, relative or absolute.
+
+    ``after`` blocks are sorted offsets from the history's last sample
+    at the moment they are ingested (offset 0 ties with it);
+    ``overlap`` blocks are sorted absolute times that may start before
+    it; ``shuffled`` blocks are in any order.  Times come from a small
+    range so equal timestamps are common.
+    """
+    kind = draw(st.sampled_from(["after", "overlap", "shuffled"]))
+    times = draw(st.lists(st.integers(0, 6).map(float), max_size=8))
+    if kind != "shuffled":
+        times.sort()
+    return kind, times
+
+
+class TestExtendMatchesAdd:
+    """``extend`` leaves a history exactly as per-point ``add`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        initial=st.lists(st.integers(0, 6).map(float), max_size=6),
+        blocks=st.lists(ingest_blocks(), max_size=6),
+    )
+    def test_extend_equals_repeated_add(self, initial, blocks):
+        serial = itertools.count()
+
+        def tagged(times):
+            # x is a serial number, so tie order is visible.
+            return [STPoint(float(next(serial)), 0.0, t) for t in times]
+
+        start = tagged(initial)
+        extended = PersonalHistory(1, start)
+        added = PersonalHistory(1, start)
+        for kind, times in blocks:
+            if kind == "after":
+                last = added[-1].t if len(added) else 0.0
+                times = [last + offset for offset in times]
+            block = tagged(times)
+            extended.extend(block)
+            for point in block:
+                added.add(point)
+            assert list(extended) == list(added)
+        for t in {p.t for p in added}:
+            assert extended.points_between(t, t) == added.points_between(
+                t, t
             )

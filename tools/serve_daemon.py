@@ -41,16 +41,29 @@ bearer token in the hello, ``--gate-rate``/``--gate-burst``/
 ``--gate-max-connections`` rate-limit admitted clients, and
 ``--http-port`` adds an HTTP/1.1 frontend (``POST /v1/frame``) sharing
 the same TLS context and gate.
+
+Every shape records what its cold start cost, once, as the gauge
+``serve.boot_ms{phase}`` in its ``metrics`` scrape: ``import`` (loading
+this script's modules), ``workload`` (building the synthetic city; 0 in
+a supervisor, whose workers build it), ``shards`` (constructing and
+starting the shard engines, or spawning the workers) and ``listen``
+(opening the frontends).
 """
 
 from __future__ import annotations
 
-import argparse
-import asyncio
-import contextlib
-import signal
-import sys
-from pathlib import Path
+import time
+
+#: Taken before every other import, so ``serve.boot_ms{phase="import"}``
+#: covers what loading the daemon costs.
+BOOT_START = time.perf_counter()
+
+import argparse  # noqa: E402
+import asyncio  # noqa: E402
+import contextlib  # noqa: E402
+import signal  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -78,6 +91,8 @@ from repro.serve.transports import (  # noqa: E402
     server_ssl_context,
 )
 from repro.serve.wal import WalConfig  # noqa: E402
+
+IMPORT_MS = (time.perf_counter() - BOOT_START) * 1000.0
 
 
 def parse_args(argv: "list[str] | None" = None) -> argparse.Namespace:
@@ -351,10 +366,17 @@ def _frontend_banner(
     return " ".join(parts)
 
 
+def _ms_since(started: float) -> float:
+    return (time.perf_counter() - started) * 1000.0
+
+
 def _build_server(
-    args: argparse.Namespace,
+    args: argparse.Namespace, boot_ms: "dict[str, float]"
 ) -> "ShardRouter | WorkerSupervisor":
-    """The frontend of the daemon shape ``args`` select."""
+    """The frontend of the daemon shape ``args`` select.
+
+    Records the time spent building the workload in ``boot_ms``.
+    """
     if args.workers and args.worker_index is None:
         worker_args = ["--seed", str(args.seed),
                        "--wal-fsync", args.wal_fsync]
@@ -376,8 +398,11 @@ def _build_server(
         )
         worker_label = str(args.worker_index)
     workload_config = WorkloadConfig(seed=args.seed)
+    started = time.perf_counter()
+    workload = build_workload(workload_config)
+    boot_ms["workload"] = _ms_since(started)
     return ShardRouter(
-        build_workload(workload_config),
+        workload,
         workload_config,
         n_shards=args.shards,
         config=_serve_config(args),
@@ -398,9 +423,16 @@ async def serve(
     from its stdin by :func:`main`): the worker serves its shard
     subset behind a gate that admits only its supervisor.
     """
-    server = _build_server(args)
+    boot_ms = {"import": IMPORT_MS, "workload": 0.0}
+    started = time.perf_counter()
+    server = _build_server(args, boot_ms)
     await server.start()
+    boot_ms["shards"] = _ms_since(started) - boot_ms["workload"]
+    started = time.perf_counter()
     transports = await _start_frontends(args, server, worker_token)
+    boot_ms["listen"] = _ms_since(started)
+    for phase, ms in boot_ms.items():
+        server.telemetry.gauge("serve.boot_ms", ms, phase=phase)
     worker_index = args.worker_index
     if worker_index is not None:
         assert isinstance(server, ShardRouter)
