@@ -10,16 +10,22 @@ Layers (bottom-up):
 * :mod:`repro.serve.gate` — :class:`ConnectionGate`: bearer-token
   auth, connection caps, and per-client token-bucket rate limits ahead
   of every sequencer;
-* :mod:`repro.serve.transports` — TCP daemon (plaintext or TLS) and
+* :mod:`repro.serve.client` — :class:`FrameClient`, the surface all
+  three clients share (``post``/``send``/``close``, the control-op
+  wrappers, client trace minting), and the pipelined TCP
+  :class:`ServeClient` with token/TLS dialing and bounded-backoff
+  reconnect;
+* :mod:`repro.serve.transports` — :class:`FrameConnection`, the one
+  per-connection protocol (hello, gate, "hello first", admit) every
+  transport runs, under the TCP daemon (plaintext or TLS) and the
   in-process loopback;
-* :mod:`repro.serve.http` — the HTTP/1.1 binding of the same codec
-  (``POST /v1/frame``) plus its client;
-* :mod:`repro.serve.client` — pipelined async client with token/TLS
-  dialing and bounded-backoff reconnect;
+* :mod:`repro.serve.http` — the HTTP/1.1 binding of the same
+  protocol (``POST /v1/frame``) plus its client;
+* :mod:`repro.serve.fleet` — :func:`dial` (the socket client of a
+  transport name) and wire-level scraping behind the
+  :mod:`repro.obs.aggregate` fleet view;
 * :mod:`repro.serve.loadgen` — open-loop load generation and
   serving-vs-offline equivalence verification;
-* :mod:`repro.serve.fleet` — wire-level scraping behind the
-  :mod:`repro.obs.aggregate` fleet view;
 * :mod:`repro.serve.shard` — :class:`ShardRouter`: the same frontend
   over N shared-nothing shard engines built from a workload (one by
   default), with WAL crash/restore; decision-equivalent to the single
@@ -32,8 +38,13 @@ Layers (bottom-up):
   re-send.
 """
 
-from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.fleet import collect_fleet, parse_target, scrape_worker
+from repro.serve.client import FrameClient, ServeClient, ServeClientError
+from repro.serve.fleet import (
+    collect_fleet,
+    dial,
+    parse_target,
+    scrape_worker,
+)
 from repro.serve.gate import (
     ConnectionGate,
     GateConfig,
@@ -91,6 +102,7 @@ from repro.serve.server import (
 from repro.serve.shard import ShardRouter
 from repro.serve.supervisor import WorkerSupervisor, worker_shards
 from repro.serve.transports import (
+    FrameConnection,
     LoopbackConnection,
     LoopbackTransport,
     TcpTransport,
@@ -113,6 +125,8 @@ __all__ = [
     "DrainRequest",
     "ErrorReply",
     "Frame",
+    "FrameClient",
+    "FrameConnection",
     "GateConfig",
     "GatePass",
     "HealthReply",
@@ -157,6 +171,7 @@ __all__ = [
     "collect_fleet",
     "decision_key",
     "decode_reply",
+    "dial",
     "decode_request",
     "encode_frame",
     "load_tokens",

@@ -1,32 +1,48 @@
-"""Async client for the Trusted Server wire protocol.
+"""Async clients for the Trusted Server wire protocol.
 
-:class:`ServeClient` speaks the NDJSON protocol over TCP with full
-pipelining: :meth:`post` writes a frame synchronously (so the on-wire
-order of a single client is exactly its call order) and returns a
-future resolved by a background reader task when the correlated reply
-arrives.  The awaitable convenience wrappers (:meth:`request`,
-:meth:`update`, :meth:`stats`, :meth:`drain`) post and wait.
+Every client speaks one surface, written once in :class:`FrameClient`:
+:meth:`~FrameClient.post` puts one frame on the carrier and returns a
+future for its reply, :meth:`~FrameClient.send` posts and waits,
+:meth:`~FrameClient.next_id` numbers frames, :meth:`~FrameClient.close`
+is awaited, and the ``stats``/``drain``/``metrics``/``health``/
+``traces``/``profile`` wrappers send one control frame each.  Three
+clients implement it, one per transport:
+
+* :class:`ServeClient` — NDJSON over TCP (or TLS) with full
+  pipelining: :meth:`post` writes a frame synchronously (so the on-wire
+  order of a single client is exactly its call order) and a background
+  reader task resolves each future when the reply with its ``id``
+  arrives; it also re-dials dropped sockets (``reconnect=N``);
+* :class:`~repro.serve.http.HttpServeClient` — the same frames
+  coalesced into ``POST /v1/frame`` bodies;
+* :class:`~repro.serve.transports.LoopbackConnection` — in-process, no
+  sockets.
 
 Shed replies (``code="overloaded"``) are returned, not raised — they
 are the server's explicit backpressure signal and carry the
 ``retry_after`` hint; only transport failures and handshake rejections
-raise.  The awaitable wrappers optionally retry sheds with bounded
+raise :class:`ServeClientError`.  :meth:`ServeClient.request` and
+:meth:`ServeClient.update` optionally retry sheds with bounded
 exponential backoff honoring that hint (``retries=N``).
 
 Distributed tracing: pass an enabled ``telemetry`` and ``trace=True``
-to :meth:`connect` and every sampled request mints a ``client.request``
-root span whose context rides the frame's ``trace`` field — the root
-of the causal tree the server's admission/queue/dispatch/engine spans
-hang under.  Tracing is negotiated in hello/welcome; when either side
-declines, the client sends no contexts and pays no tracing cost.
+to ``connect`` and every sampled update/request gets a
+``client.request`` root span, minted in :meth:`FrameClient.post`, whose
+context rides the frame's ``trace`` field — the root of the causal
+tree the server's admission/queue/dispatch/engine spans hang under.
+Tracing is negotiated in hello/welcome; when either side declines, the
+client sends no contexts and pays no tracing cost.
 """
 
 from __future__ import annotations
 
 import asyncio
 import ssl as _ssl
+from collections import deque
+from typing import TypeVar
 
 from repro.obs.config import Telemetry
+from repro.obs.tracing import Span
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     DrainReply,
@@ -48,10 +64,13 @@ from repro.serve.protocol import (
     TracesReply,
     TracesRequest,
     Welcome,
+    clone_frame,
     decode_reply,
     encode_frame,
 )
-from repro.obs.tracing import Span
+
+_SERVABLE = (LocationUpdate, ServiceRequest)
+_Reply = TypeVar("_Reply", bound=Frame)
 
 
 class ServeClientError(ConnectionError):
@@ -70,7 +89,204 @@ class ServeClientError(ConnectionError):
         self.reply = reply
 
 
-class ServeClient:
+def welcomed(reply: Frame) -> Welcome:
+    """The hello's answer if it is a Welcome; else raise the refusal."""
+    if isinstance(reply, Welcome):
+        return reply
+    raise ServeClientError(
+        f"handshake rejected: {reply!r}",
+        reply=reply if isinstance(reply, ErrorReply) else None,
+    )
+
+
+def backoff_s(
+    attempt: int, base_s: float, cap_s: float, hint: float = 0.0
+) -> float:
+    """Bounded exponential backoff before retry number ``attempt + 1``.
+
+    The larger of the server's ``retry_after`` ``hint`` and
+    ``base_s · 2^attempt``, capped at ``cap_s``.
+    """
+    return min(cap_s, max(hint, base_s * 2.0**attempt))
+
+
+def _finish_span(span: Span, future: "asyncio.Future[Frame]") -> None:
+    """Close a client root span when its reply lands."""
+    if future.cancelled() or future.exception() is not None:
+        span.annotate(error="transport")
+    else:
+        reply = future.result()
+        decision = getattr(reply, "decision", None)
+        if decision is not None:
+            span.annotate(decision=decision)
+        elif isinstance(reply, ErrorReply):
+            span.annotate(error=reply.code)
+    span.end()
+
+
+class FrameClient:
+    """The call surface every client shares (see module doc).
+
+    A client supplies :meth:`_post` (put one frame on its carrier and
+    return the future of its reply) and :meth:`_shutdown`; socket
+    clients also override :meth:`_flush`.
+    """
+
+    def __init__(
+        self, welcome: Welcome, telemetry: "Telemetry | None"
+    ) -> None:
+        self.welcome = welcome
+        self._telemetry = telemetry
+        #: True only when tracing was negotiated (hello asked, welcome
+        #: agreed) *and* this client can record spans locally.
+        self.trace_enabled = bool(
+            welcome.trace and telemetry is not None and telemetry.enabled
+        )
+        self._next_id = 0
+        self._closed = False
+
+    @staticmethod
+    def hello(
+        client: str,
+        trace: bool,
+        telemetry: "Telemetry | None",
+        token: "str | None",
+    ) -> Hello:
+        """The hello every client opens with.
+
+        It asks for tracing only when this side can record spans.
+        """
+        return Hello(
+            client=client,
+            trace=bool(
+                trace and telemetry is not None and telemetry.enabled
+            ),
+            token=token,
+        )
+
+    def next_id(self) -> int:
+        self._next_id += 1
+        return self._next_id
+
+    def post(self, frame: Frame) -> "asyncio.Future[Frame]":
+        """Send one frame now; the future resolves with its reply.
+
+        When tracing was negotiated, a sampled update or request that
+        carries no context gets one here.  With a sink attached it is
+        the context of a ``client.request`` root span, ended when the
+        reply lands.  With no sink that span could never be delivered,
+        so only the wire identity is minted: the server still records
+        exemplars and introspection entries for the trace.
+        """
+        if self._closed:
+            raise ServeClientError("client is closed")
+        if not (
+            self.trace_enabled
+            and isinstance(frame, _SERVABLE)
+            and frame.trace is None
+        ):
+            return self._post(frame)
+        assert self._telemetry is not None
+        tracer = self._telemetry.tracer
+        if not tracer.sample():
+            return self._post(frame)
+        if not tracer.sinks:
+            return self._post(clone_frame(frame, trace=tracer.new_wire()))
+        span = self._telemetry.start_span("client.request", op=frame.op)
+        assert isinstance(span, Span)
+        future = self._post(
+            clone_frame(frame, trace=f"{span.trace_id}-{span.span_id}")
+        )
+        future.add_done_callback(lambda f: _finish_span(span, f))
+        return future
+
+    def _post(self, frame: Frame) -> "asyncio.Future[Frame]":
+        raise NotImplementedError
+
+    async def _flush(self) -> None:
+        """Wait until posted frames are handed to the carrier."""
+
+    async def _shutdown(self) -> None:
+        raise NotImplementedError
+
+    async def send(self, frame: Frame) -> Frame:
+        """Post one frame and wait for its reply."""
+        future = self.post(frame)
+        await self._flush()
+        return await future
+
+    async def close(self) -> None:
+        """Close the connection; replies still outstanding fail."""
+        if self._closed:
+            return
+        self._closed = True
+        await self._shutdown()
+
+    # -- control-op wrappers ------------------------------------------
+
+    async def _ask(self, frame: Frame, expected: type[_Reply]) -> _Reply:
+        reply = await self.send(frame)
+        if not isinstance(reply, expected):
+            raise ServeClientError(f"unexpected {frame.op} reply: {reply!r}")
+        return reply
+
+    async def stats(self) -> StatsReply:
+        """Fetch the server's live serving counters."""
+        return await self._ask(StatsRequest(id=self.next_id()), StatsReply)
+
+    async def drain(self) -> DrainReply:
+        """Ask the server to drain; resolves when the queue is empty."""
+        return await self._ask(DrainRequest(id=self.next_id()), DrainReply)
+
+    async def metrics(self, format: str = "prometheus") -> MetricsReply:
+        """Scrape the server's metrics registry (text exposition)."""
+        return await self._ask(
+            MetricsRequest(id=self.next_id(), format=format), MetricsReply
+        )
+
+    async def health(self) -> HealthReply:
+        """One-frame liveness/readiness probe."""
+        return await self._ask(HealthRequest(id=self.next_id()), HealthReply)
+
+    async def traces(self, limit: int = 20) -> TracesReply:
+        """Fetch the server's recent completed traces (JSON body)."""
+        return await self._ask(
+            TracesRequest(id=self.next_id(), limit=limit), TracesReply
+        )
+
+    async def profile(
+        self,
+        action: str = "status",
+        interval_ms: float = 5.0,
+        limit: int = 200,
+    ) -> ProfileReply:
+        """Drive the server's sampling profiler (``profile`` op).
+
+        Unlike sheds, a profiler error is a caller mistake or a server
+        without telemetry, so :class:`ErrorReply` raises
+        :class:`ServeClientError` carrying the server's code/message.
+        """
+        reply = await self.send(
+            ProfileRequest(
+                id=self.next_id(),
+                action=action,
+                interval_ms=interval_ms,
+                limit=limit,
+            )
+        )
+        if isinstance(reply, ErrorReply):
+            raise ServeClientError(
+                f"profile {action!r} failed: {reply.code}: "
+                f"{reply.message}"
+            )
+        if not isinstance(reply, ProfileReply):
+            raise ServeClientError(
+                f"unexpected profile reply: {reply!r}"
+            )
+        return reply
+
+
+class ServeClient(FrameClient):
     """One pipelined NDJSON connection to a Trusted Server."""
 
     def __init__(
@@ -85,11 +301,10 @@ class ServeClient:
         reconnect_base_s: float = 0.05,
         reconnect_cap_s: float = 2.0,
     ) -> None:
+        super().__init__(welcome, telemetry)
         self._reader = reader
         self._writer = writer
-        self.welcome = welcome
         self._max_frame_bytes = max_frame_bytes
-        self._telemetry = telemetry
         #: kwargs for :meth:`_handshake`, kept so a dropped socket can
         #: be re-dialed in place (None disables reconnection).
         self._connect_args = connect_args
@@ -102,16 +317,10 @@ class ServeClient:
         self._generation = 0
         #: Total successful reconnects over this client's lifetime.
         self.reconnects = 0
-        #: True only when tracing was negotiated (hello asked, welcome
-        #: agreed) *and* this client can record spans locally.
-        self.trace_enabled = bool(
-            welcome.trace
-            and telemetry is not None
-            and telemetry.enabled
-        )
         self._pending: dict[int, "asyncio.Future[Frame]"] = {}
-        self._next_id = 0
-        self._closed = False
+        #: Futures of id-less frames (a re-hello), answered in order
+        #: by the id-less replies.
+        self._unkeyed: "deque[asyncio.Future[Frame]]" = deque()
         self._reader_task = asyncio.create_task(
             self._read_loop(), name="repro-serve-client-reader"
         )
@@ -120,10 +329,8 @@ class ServeClient:
     async def _handshake(
         host: str,
         port: int,
-        client: str,
         max_frame_bytes: int,
-        want_trace: bool,
-        token: "str | None",
+        hello: Hello,
         ssl: "_ssl.SSLContext | None",
     ) -> "tuple[asyncio.StreamReader, asyncio.StreamWriter, Welcome]":
         """Dial, send hello, await welcome; one connection attempt.
@@ -136,12 +343,7 @@ class ServeClient:
         reader, writer = await asyncio.open_connection(
             host, port, limit=max_frame_bytes, ssl=ssl
         )
-        writer.write(
-            encode_frame(
-                Hello(client=client, trace=want_trace, token=token),
-                max_frame_bytes,
-            )
-        )
+        writer.write(encode_frame(hello, max_frame_bytes))
         await writer.drain()
         line = await reader.readline()
         if not line:
@@ -150,11 +352,28 @@ class ServeClient:
         reply = decode_reply(line, max_frame_bytes)
         if not isinstance(reply, Welcome):
             writer.close()
-            rejection = reply if isinstance(reply, ErrorReply) else None
-            raise ServeClientError(
-                f"handshake rejected: {reply!r}", reply=rejection
-            )
-        return reader, writer, reply
+        return reader, writer, welcomed(reply)
+
+    @classmethod
+    async def _dial(
+        cls, connect_args: dict, budget: int, base_s: float, cap_s: float
+    ) -> "tuple[asyncio.StreamReader, asyncio.StreamWriter, Welcome]":
+        """:meth:`_handshake`, re-dialed up to ``budget`` times.
+
+        Only transport failures are retried, after a bounded
+        exponential backoff; typed rejections raise at once.
+        """
+        attempt = 0
+        while True:
+            try:
+                return await cls._handshake(**connect_args)
+            except (ConnectionError, OSError) as exc:
+                if getattr(exc, "reply", None) is not None or (
+                    attempt >= budget
+                ):
+                    raise
+                await asyncio.sleep(backoff_s(attempt, base_s, cap_s))
+                attempt += 1
 
     @classmethod
     async def connect(
@@ -185,38 +404,16 @@ class ServeClient:
         with bounded exponential backoff.  Typed rejections
         (``bad_token``…) never retry.
         """
-        want_trace = bool(
-            trace and telemetry is not None and telemetry.enabled
-        )
         connect_args = dict(
             host=host,
             port=port,
-            client=client,
             max_frame_bytes=max_frame_bytes,
-            want_trace=want_trace,
-            token=token,
+            hello=cls.hello(client, trace, telemetry, token),
             ssl=ssl,
         )
-        attempt = 0
-        while True:
-            try:
-                reader, writer, welcome = await cls._handshake(
-                    **connect_args
-                )
-                break
-            except (ConnectionError, OSError) as exc:
-                if (
-                    getattr(exc, "reply", None) is not None
-                    or attempt >= reconnect
-                ):
-                    raise
-                await asyncio.sleep(
-                    min(
-                        reconnect_cap_s,
-                        reconnect_base_s * 2.0**attempt,
-                    )
-                )
-                attempt += 1
+        reader, writer, welcome = await cls._dial(
+            connect_args, reconnect, reconnect_base_s, reconnect_cap_s
+        )
         return cls(
             reader,
             writer,
@@ -231,69 +428,23 @@ class ServeClient:
 
     # -- pipelined sends ----------------------------------------------
 
-    def post(self, frame: Frame) -> "asyncio.Future[Frame]":
-        """Write one frame now; future resolves with its reply."""
-        if self._closed:
-            raise ServeClientError("client is closed")
+    def _post(self, frame: Frame) -> "asyncio.Future[Frame]":
+        if self._reader_task.done():
+            raise ServeClientError("connection closed")
+        line = encode_frame(frame, self._max_frame_bytes)
         future: "asyncio.Future[Frame]" = (
             asyncio.get_running_loop().create_future()
         )
         frame_id = getattr(frame, "id", None)
-        if frame_id is not None:
-            self._pending[int(frame_id)] = future
-        self._writer.write(encode_frame(frame, self._max_frame_bytes))
         if frame_id is None:
-            future.set_result(
-                ErrorReply(
-                    id=None,
-                    code="bad_frame",
-                    message="frame has no correlation id",
-                )
-            )
+            self._unkeyed.append(future)
+        else:
+            self._pending[int(frame_id)] = future
+        self._writer.write(line)
         return future
 
-    def next_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
-    def _mint_trace(self, op: str) -> "tuple[str | None, Span | None]":
-        """Wire context (+ root span when recording) for one send.
-
-        Returns ``(wire, span)``: ``wire`` goes on the frame's
-        ``trace`` field, ``span`` is the open ``client.request`` root
-        to finish when the reply lands.  With no sink attached the
-        root span record could never be delivered, so only the wire
-        identity is minted — the server still records exemplars and
-        introspection entries for the trace.
-        """
-        if not self.trace_enabled:
-            return None, None
-        assert self._telemetry is not None
-        tracer = self._telemetry.tracer
-        if not tracer.sample():
-            return None, None
-        if not tracer.sinks:
-            return tracer.new_wire(), None
-        span = self._telemetry.start_span("client.request", op=op)
-        if not isinstance(span, Span):
-            return None, None
-        return f"{span.trace_id}-{span.span_id}", span
-
-    @staticmethod
-    def _finish_span(
-        span: Span, future: "asyncio.Future[Frame]"
-    ) -> None:
-        """Close the client root span when its reply lands."""
-        if future.cancelled() or future.exception() is not None:
-            span.annotate(error="transport")
-        else:
-            reply = future.result()
-            decision = getattr(reply, "decision", None)
-            if decision is not None:
-                span.annotate(decision=decision)
-            elif isinstance(reply, ErrorReply):
-                span.annotate(error=reply.code)
-        span.end()
+    async def _flush(self) -> None:
+        await self._writer.drain()
 
     def post_request(
         self,
@@ -304,8 +455,7 @@ class ServeClient:
         service: str = "default",
     ) -> "asyncio.Future[Frame]":
         """Pipeline one service request (open-loop send)."""
-        wire, span = self._mint_trace("request")
-        future = self.post(
+        return self.post(
             ServiceRequest(
                 id=self.next_id(),
                 user_id=user_id,
@@ -313,35 +463,16 @@ class ServeClient:
                 y=y,
                 t=t,
                 service=service,
-                trace=wire,
             )
         )
-        if span is not None:
-            future.add_done_callback(
-                lambda f, s=span: self._finish_span(s, f)
-            )
-        return future
 
     def post_update(
         self, user_id: int, x: float, y: float, t: float
     ) -> "asyncio.Future[Frame]":
         """Pipeline one location update."""
-        wire, span = self._mint_trace("update")
-        future = self.post(
-            LocationUpdate(
-                id=self.next_id(),
-                user_id=user_id,
-                x=x,
-                y=y,
-                t=t,
-                trace=wire,
-            )
+        return self.post(
+            LocationUpdate(id=self.next_id(), user_id=user_id, x=x, y=y, t=t)
         )
-        if span is not None:
-            future.add_done_callback(
-                lambda f, s=span: self._finish_span(s, f)
-            )
-        return future
 
     # -- awaitable wrappers -------------------------------------------
 
@@ -409,7 +540,7 @@ class ServeClient:
             future: "asyncio.Future[Frame] | None" = None
             try:
                 future = send()
-                await self._writer.drain()
+                await self._flush()
                 reply = await future
             except (ConnectionError, OSError) as exc:
                 if future is not None and not future.done():
@@ -434,16 +565,18 @@ class ServeClient:
             shed = isinstance(reply, ErrorReply) and reply.is_shed
             if not shed or attempt >= retries:
                 return reply
-            hint = reply.retry_after or 0.0
-            delay = min(
-                backoff_cap_s,
-                max(hint, backoff_base_s * 2.0**attempt),
+            await asyncio.sleep(
+                backoff_s(
+                    attempt,
+                    backoff_base_s,
+                    backoff_cap_s,
+                    hint=reply.retry_after or 0.0,
+                )
             )
-            await asyncio.sleep(delay)
             attempt += 1
 
     async def _reconnect(self, generation: int) -> None:
-        """Re-dial and re-handshake in place (reconnect satellite).
+        """Re-dial and re-handshake in place.
 
         ``generation`` is what the failing sender observed: if another
         sender already restored the connection (generation moved on),
@@ -465,114 +598,22 @@ class ServeClient:
             self._fail_pending(
                 ServeClientError("connection lost; reconnecting")
             )
-            attempt = 0
-            while True:
-                try:
-                    reader, writer, welcome = await self._handshake(
-                        **self._connect_args
-                    )
-                    break
-                except (ConnectionError, OSError) as exc:
-                    if (
-                        getattr(exc, "reply", None) is not None
-                        or attempt >= self._reconnect_limit
-                    ):
-                        raise
-                    await asyncio.sleep(
-                        min(
-                            self._reconnect_cap_s,
-                            self._reconnect_base_s * 2.0**attempt,
-                        )
-                    )
-                    attempt += 1
-            self._reader = reader
-            self._writer = writer
-            self.welcome = welcome
+            self._reader, self._writer, self.welcome = await self._dial(
+                self._connect_args,
+                self._reconnect_limit,
+                self._reconnect_base_s,
+                self._reconnect_cap_s,
+            )
             self._generation += 1
             self.reconnects += 1
             self._reader_task = asyncio.create_task(
                 self._read_loop(), name="repro-serve-client-reader"
             )
 
-    async def stats(self) -> StatsReply:
-        """Fetch the server's live serving counters."""
-        reply = await self._roundtrip(StatsRequest(id=self.next_id()))
-        if not isinstance(reply, StatsReply):
-            raise ServeClientError(f"unexpected stats reply: {reply!r}")
-        return reply
-
-    async def drain(self) -> DrainReply:
-        """Ask the server to drain; resolves when the queue is empty."""
-        reply = await self._roundtrip(DrainRequest(id=self.next_id()))
-        if not isinstance(reply, DrainReply):
-            raise ServeClientError(f"unexpected drain reply: {reply!r}")
-        return reply
-
-    async def metrics(self, format: str = "prometheus") -> MetricsReply:
-        """Scrape the server's metrics registry (text exposition)."""
-        reply = await self._roundtrip(
-            MetricsRequest(id=self.next_id(), format=format)
-        )
-        if not isinstance(reply, MetricsReply):
-            raise ServeClientError(f"unexpected metrics reply: {reply!r}")
-        return reply
-
-    async def health(self) -> HealthReply:
-        """One-frame liveness/readiness probe."""
-        reply = await self._roundtrip(HealthRequest(id=self.next_id()))
-        if not isinstance(reply, HealthReply):
-            raise ServeClientError(f"unexpected health reply: {reply!r}")
-        return reply
-
-    async def traces(self, limit: int = 20) -> TracesReply:
-        """Fetch the server's recent completed traces (JSON body)."""
-        reply = await self._roundtrip(
-            TracesRequest(id=self.next_id(), limit=limit)
-        )
-        if not isinstance(reply, TracesReply):
-            raise ServeClientError(f"unexpected traces reply: {reply!r}")
-        return reply
-
-    async def profile(
-        self,
-        action: str = "status",
-        interval_ms: float = 5.0,
-        limit: int = 200,
-    ) -> ProfileReply:
-        """Drive the server's sampling profiler (``profile`` op).
-
-        Unlike sheds, a profiler error is a caller mistake or a server
-        without telemetry, so :class:`ErrorReply` raises
-        :class:`ServeClientError` carrying the server's code/message.
-        """
-        reply = await self._roundtrip(
-            ProfileRequest(
-                id=self.next_id(),
-                action=action,
-                interval_ms=interval_ms,
-                limit=limit,
-            )
-        )
-        if isinstance(reply, ErrorReply):
-            raise ServeClientError(
-                f"profile {action!r} failed: {reply.code}: "
-                f"{reply.message}"
-            )
-        if not isinstance(reply, ProfileReply):
-            raise ServeClientError(
-                f"unexpected profile reply: {reply!r}"
-            )
-        return reply
-
-    async def _roundtrip(self, frame: Frame) -> Frame:
-        future = self.post(frame)
-        await self._writer.drain()
-        return await future
-
     @property
     def pending(self) -> int:
         """Posted frames still waiting for a reply."""
-        return len(self._pending)
+        return len(self._pending) + len(self._unkeyed)
 
     # -- reader and teardown ------------------------------------------
 
@@ -590,13 +631,16 @@ class ServeClient:
                     )
                     break
                 reply_id = getattr(reply, "id", None)
-                if reply_id is None:
+                if reply_id is not None:
+                    future = self._pending.pop(int(reply_id), None)
+                elif self._unkeyed:
+                    future = self._unkeyed.popleft()
+                else:
                     # Connection-level error: fail everything pending.
                     self._fail_pending(
                         ServeClientError(f"connection error: {reply!r}")
                     )
                     continue
-                future = self._pending.pop(int(reply_id), None)
                 if future is not None and not future.done():
                     future.set_result(reply)
         except (ConnectionError, OSError, asyncio.CancelledError):
@@ -607,16 +651,14 @@ class ServeClient:
             )
 
     def _fail_pending(self, error: Exception) -> None:
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
+        futures = [*self._pending.values(), *self._unkeyed]
+        self._pending = {}
+        self._unkeyed.clear()
+        for future in futures:
             if not future.done():
                 future.set_exception(error)
 
-    async def close(self) -> None:
-        """Close the connection; pending futures fail."""
-        if self._closed:
-            return
-        self._closed = True
+    async def _shutdown(self) -> None:
         self._reader_task.cancel()
         try:
             await self._reader_task

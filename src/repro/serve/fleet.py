@@ -3,9 +3,10 @@
 :mod:`repro.obs.aggregate` defines the transport-free merge semantics
 and :class:`~repro.obs.aggregate.MetricsCollector`; this module
 supplies the concrete scrape callable that talks the NDJSON protocol:
-:func:`scrape_worker` opens one :class:`~repro.serve.client.ServeClient`
-connection and pulls the ``health``, ``metrics``, and ``traces`` ops
-into a :class:`~repro.obs.aggregate.WorkerScrape`, and
+:func:`scrape_worker` opens one connection through :func:`dial`
+(which picks the client of the transport) and pulls the ``health``,
+``metrics``, and ``traces`` ops into a
+:class:`~repro.obs.aggregate.WorkerScrape`, and
 :func:`collect_fleet` polls every ``host:port`` target concurrently
 into one merged :class:`~repro.obs.aggregate.FleetView`.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import json
 import ssl
+from typing import Any
 
 from repro.obs.aggregate import (
     FleetView,
@@ -47,6 +49,23 @@ def parse_target(target: str) -> tuple[str, int]:
     return host, port
 
 
+async def dial(
+    host: str, port: int, transport: str = "tcp", **options: Any
+) -> "ServeClient | HttpServeClient":
+    """Connect the socket client of ``transport``.
+
+    ``"http"`` dials an :class:`~repro.serve.http.HttpServeClient`;
+    ``"tcp"`` and ``"tls"`` dial a
+    :class:`~repro.serve.client.ServeClient` (TLS when ``options``
+    carry an ``ssl`` context).  ``options`` go to the client's
+    ``connect``.
+    """
+    client_class: "type[ServeClient] | type[HttpServeClient]" = (
+        HttpServeClient if transport == "http" else ServeClient
+    )
+    return await client_class.connect(host, port, **options)
+
+
 async def scrape_worker(
     host: str,
     port: int,
@@ -69,23 +88,14 @@ async def scrape_worker(
     ``ssl_context`` pins the daemon's cert, ``token`` rides the hello.
     """
     scrape = WorkerScrape(worker=worker or f"{host}:{port}")
-    client: "ServeClient | HttpServeClient"
-    if transport == "http":
-        client = await HttpServeClient.connect(
-            host,
-            port,
-            client=client_name,
-            ssl=ssl_context,
-            token=token,
-        )
-    else:
-        client = await ServeClient.connect(
-            host,
-            port,
-            client=client_name,
-            ssl=ssl_context,
-            token=token,
-        )
+    client = await dial(
+        host,
+        port,
+        transport=transport,
+        client=client_name,
+        ssl=ssl_context,
+        token=token,
+    )
     try:
         health = await client.health()
         scrape.health = {

@@ -9,15 +9,16 @@ keep-alive, so a client pays the HTTP header tax per *batch*, not per
 operation; :class:`HttpServeClient` exploits that by coalescing every
 frame queued while a POST is in flight into the next one.
 
-Everything else is shared with the TCP transport, deliberately:
+Everything else is shared with the TCP transport, because every line
+of a body goes through the same
+:class:`~repro.serve.transports.FrameConnection`:
 
-* the same :func:`~repro.serve.protocol.decode_request` /
-  :func:`~repro.serve.protocol.encode_frame` strict codec judges every
-  line (an undecodable line earns its :class:`ErrorReply` *line*, not
-  an HTTP error — the body stays length-delimited, so unlike raw TCP
-  there is a safe resynchronization point at the next newline);
+* the same strict codec judges every line (an undecodable line earns
+  its :class:`~repro.serve.protocol.ErrorReply` *line*, not an HTTP
+  error);
 * the same hello/welcome handshake starts every connection (first
-  frame of the first POST must be ``hello``);
+  frame of the first POST must be ``hello``), and a refused hello
+  ends the body and the connection;
 * the same :class:`~repro.serve.gate.ConnectionGate` screens hellos
   and charges servable ops *before* :meth:`TrustedServer.admit`, so
   gate rejections never touch a sequencer over this transport either;
@@ -26,6 +27,13 @@ Everything else is shared with the TCP transport, deliberately:
 * the same :func:`~repro.serve.transports.server_ssl_context` /
   :func:`~repro.serve.transports.client_ssl_context` upgrade it to
   HTTPS.
+
+Two things differ from TCP, both because a body is length-delimited
+and answered as a whole.  An oversized line is answered and the body
+carries on at the next line, since unlike a raw byte stream there is
+a safe resynchronization point at the next newline.  Control ops
+(``stats``, ``drain``, …) are answered in line order, not in a task
+each.
 
 HTTP status codes are reserved for *transport* misuse — ``404``/``405``
 for the wrong target or method, ``411`` for a missing Content-Length,
@@ -41,32 +49,18 @@ import ssl
 from typing import Callable, Set
 
 from repro.obs.config import Telemetry
-from repro.serve.gate import ConnectionGate, GatePass
+from repro.serve.client import FrameClient, ServeClientError, welcomed
+from repro.serve.gate import ConnectionGate
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
-    DrainReply,
-    DrainRequest,
-    ErrorReply,
     Frame,
-    HealthReply,
-    HealthRequest,
-    Hello,
-    LocationUpdate,
-    MetricsReply,
-    MetricsRequest,
     ProtocolError,
-    ServiceRequest,
-    StatsReply,
-    StatsRequest,
-    TracesReply,
-    TracesRequest,
     Welcome,
     decode_reply,
-    decode_request,
     encode_frame,
 )
-from repro.serve.client import ServeClientError
 from repro.serve.server import TrustedServer
+from repro.serve.transports import FrameConnection
 
 TARGET = "/v1/frame"
 #: Frames the client coalesces into one POST (bounds body size).
@@ -190,8 +184,9 @@ class HttpTransport:
             self._handlers.add(task)
             task.add_done_callback(self._handlers.discard)
         peer = writer.get_extra_info("peername")
-        session = self.server.open_session(client=f"http:{peer}")
-        state = _ConnectionState()
+        frames = FrameConnection(
+            self.server, self.gate, f"http:{peer}", oversize_closes=False
+        )
         try:
             while True:
                 try:
@@ -212,22 +207,18 @@ class HttpTransport:
                     break
                 except asyncio.IncompleteReadError:
                     break
-                reply_body, keep_alive = await self._serve_body(
-                    session, state, body
-                )
+                reply_body = await self._serve_body(frames, body)
                 writer.write(
-                    _response(200, "OK", reply_body, keep_alive)
+                    _response(200, "OK", reply_body, not frames.closing)
                 )
                 try:
                     await writer.drain()
                 except (ConnectionError, OSError):
                     break
-                if not keep_alive:
+                if frames.closing:
                     break
         finally:
-            if self.gate is not None:
-                self.gate.release(state.ticket)
-            self.server.close_session(session)
+            frames.close()
             writer.close()
             try:
                 await writer.wait_closed()
@@ -272,95 +263,37 @@ class HttpTransport:
         return await reader.readexactly(length)
 
     async def _serve_body(
-        self,
-        session,
-        state: "_ConnectionState",
-        body: bytes,
-    ) -> tuple[bytes, bool]:
-        """One POST body in, one NDJSON reply body (+ keep-alive?) out.
+        self, frames: FrameConnection, body: bytes
+    ) -> bytes:
+        """One POST body in, one NDJSON reply body out.
 
-        Lines are judged in order; admitted servable ops go through
-        :meth:`TrustedServer.admit` (so a batch pipelines through the
-        sequencer exactly like pipelined TCP frames, with no task per
-        frame) and their replies land back on the line positions the
-        requests came from.  The body is written once the last slot
-        is answered.
+        Each line goes through the connection's
+        :class:`~repro.serve.transports.FrameConnection` with a reply
+        slot of its own, so a batch pipelines through the sequencer
+        exactly like pipelined TCP frames (no task per frame) and every
+        reply lands on the position its line came from.  Control ops
+        are answered in line order, so ops admitted before a ``drain``
+        are flushed by it.  The body is written once the last slot is
+        answered.
         """
-        max_bytes = self.server.config.max_frame_bytes
         batch = _Batch()
-        keep_alive = True
         for line in body.split(b"\n"):
             if not line.strip():
                 continue
-            if not keep_alive:
-                # A fatal line (gate/handshake refusal) voids the rest
-                # of the batch; unanswered lines are dropped with the
-                # connection, exactly like post-refusal TCP frames.
+            if frames.closing:
+                # A refused hello voids the rest of the batch;
+                # unanswered lines are dropped with the connection,
+                # exactly like post-refusal TCP frames.
                 break
-            if len(line) > max_bytes:
-                self.server.note_protocol_error()
-                batch.answer(
-                    ErrorReply(
-                        id=None,
-                        code="frame_too_large",
-                        message=(
-                            f"frame exceeds the {max_bytes}-byte limit"
-                        ),
-                    )
-                )
-                continue
-            try:
-                frame = decode_request(line + b"\n", max_bytes)
-            except ProtocolError as exc:
-                self.server.note_protocol_error()
-                batch.answer(
-                    ErrorReply(
-                        id=None, code=exc.code, message=exc.message
-                    )
-                )
-                continue
-            if isinstance(frame, Hello):
-                if self.gate is not None:
-                    verdict = self.gate.admit_connection(frame)
-                    if isinstance(verdict, ErrorReply):
-                        batch.answer(verdict)
-                        keep_alive = False
-                        continue
-                    self.gate.release(state.ticket)
-                    state.ticket = verdict
-                reply = self.server.welcome(session, frame)
-                batch.answer(reply)
-                if not isinstance(reply, Welcome):
-                    keep_alive = False
-                    continue
-                state.greeted = True
-                continue
-            if not state.greeted:
-                self.server.note_protocol_error()
-                batch.answer(
-                    ErrorReply(
-                        id=getattr(frame, "id", None),
-                        code="hello_required",
-                        message="first frame must be 'hello'",
-                    )
-                )
-                continue
-            if not isinstance(frame, (LocationUpdate, ServiceRequest)):
-                # Control ops (stats, drain, …) are answered in line
-                # order; ops admitted before a drain are flushed by it.
-                batch.answer(await self.server.submit(session, frame))
-                continue
-            if self.gate is not None and state.ticket is not None:
-                rejection = self.gate.admit_op(state.ticket, frame.id)
-                if rejection is not None:
-                    batch.answer(rejection)
-                    continue
-            self.server.admit(session, frame, batch.slot())
+            slot = batch.slot()
+            control = frames.serve_line(line + b"\n", slot, slot)
+            if control is not None:
+                slot(await self.server.submit(frames.session, control))
         await batch.complete()
-        body = b"".join(
+        max_bytes = frames.max_bytes
+        return b"".join(
             encode_frame(reply, max_bytes) for reply in batch.replies
         )
-        return body, keep_alive
 
 
 class _Batch:
@@ -372,10 +305,6 @@ class _Batch:
         self.replies: "list[Frame | None]" = []
         self._waiting = 0
         self._done: "asyncio.Future[None] | None" = None
-
-    def answer(self, reply: Frame) -> None:
-        """Fill the next slot now."""
-        self.replies.append(reply)
 
     def slot(self) -> "Callable[[Frame], None]":
         """Reserve the next slot; returns the callback that fills it."""
@@ -397,16 +326,6 @@ class _Batch:
         if self._waiting:
             self._done = asyncio.get_running_loop().create_future()
             await self._done
-
-
-class _ConnectionState:
-    """Per-connection handshake/gate state of the HTTP handler."""
-
-    __slots__ = ("greeted", "ticket")
-
-    def __init__(self) -> None:
-        self.greeted = False
-        self.ticket: "GatePass | None" = None
 
 
 # ---------------------------------------------------------------------
@@ -441,14 +360,14 @@ async def _read_response(
     return status, body
 
 
-class HttpServeClient:
+class HttpServeClient(FrameClient):
     """Pipelined client for :class:`HttpTransport` (see module doc).
 
-    Same call surface as :class:`~repro.serve.client.ServeClient` —
-    ``post`` returns a reply future, plus the awaitable introspection
-    wrappers — so loadgen and the fleet scraper drive either transport
-    through one facade.  Batching is automatic: one background sender
-    runs one POST at a time and sweeps everything posted in the
+    The shared :class:`~repro.serve.client.FrameClient` surface —
+    ``post`` returns a reply future, ``send`` waits for it, plus the
+    awaitable introspection wrappers — so loadgen and the fleet scraper
+    drive every transport alike.  Batching is automatic: one background
+    sender runs one POST at a time and sweeps everything posted in the
     meantime (up to :data:`MAX_BATCH_FRAMES`) into the next body.
     """
 
@@ -460,18 +379,12 @@ class HttpServeClient:
         max_frame_bytes: int = MAX_FRAME_BYTES,
         telemetry: "Telemetry | None" = None,
     ) -> None:
+        super().__init__(welcome, telemetry)
         self._reader = reader
         self._writer = writer
-        self.welcome = welcome
         self._max_frame_bytes = max_frame_bytes
-        self._telemetry = telemetry
-        #: Client-side trace minting is a TCP-client feature; over
-        #: HTTP the server still traces everything behind the POST.
-        self.trace_enabled = False
         self._outbox: "list[tuple[Frame, asyncio.Future[Frame]]]" = []
         self._wake = asyncio.Event()
-        self._next_id = 0
-        self._closed = False
         self._sender_task = asyncio.create_task(
             self._send_loop(), name="repro-serve-http-sender"
         )
@@ -488,16 +401,17 @@ class HttpServeClient:
         ssl: "ssl.SSLContext | None" = None,
         token: "str | None" = None,
     ) -> "HttpServeClient":
-        """Open a keep-alive connection; hello rides the first POST."""
-        del trace  # accepted for signature parity with ServeClient
+        """Open a keep-alive connection; hello rides the first POST.
+
+        ``trace``, ``ssl`` and ``token`` mean what they mean for
+        :meth:`ServeClient.connect <repro.serve.client.ServeClient.connect>`.
+        """
         reader, writer = await asyncio.open_connection(
             host, port, limit=max_frame_bytes, ssl=ssl
         )
-        hello = encode_frame(
-            Hello(client=client, token=token), max_frame_bytes
-        )
+        hello = cls.hello(client, trace, telemetry, token)
         writer.write(
-            _post_bytes(host, port, hello)
+            _post_bytes(host, port, encode_frame(hello, max_frame_bytes))
         )
         await writer.drain()
         status, body = await _read_response(
@@ -512,30 +426,23 @@ class HttpServeClient:
         reply = decode_reply(lines[0] + b"\n", max_frame_bytes)
         if not isinstance(reply, Welcome):
             writer.close()
-            rejection = reply if isinstance(reply, ErrorReply) else None
-            raise ServeClientError(
-                f"handshake rejected: {reply!r}", reply=rejection
-            )
         return cls(
-            reader, writer, reply, max_frame_bytes, telemetry=telemetry
+            reader,
+            writer,
+            welcomed(reply),
+            max_frame_bytes,
+            telemetry=telemetry,
         )
 
     # -- pipelined sends ----------------------------------------------
 
-    def post(self, frame: Frame) -> "asyncio.Future[Frame]":
-        """Queue one frame for the next POST; future gets its reply."""
-        if self._closed:
-            raise ServeClientError("client is closed")
+    def _post(self, frame: Frame) -> "asyncio.Future[Frame]":
         future: "asyncio.Future[Frame]" = (
             asyncio.get_running_loop().create_future()
         )
         self._outbox.append((frame, future))
         self._wake.set()
         return future
-
-    def next_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
 
     async def _send_loop(self) -> None:
         try:
@@ -574,7 +481,7 @@ class HttpServeClient:
                 for line in reply_body.split(b"\n")
                 if line.strip()
             ]
-            if len(lines) != len(batch):
+            if len(lines) > len(batch):
                 raise ServeClientError(
                     f"reply body holds {len(lines)} lines for a "
                     f"{len(batch)}-frame batch"
@@ -588,6 +495,12 @@ class HttpServeClient:
                             line + b"\n", self._max_frame_bytes
                         )
                     )
+            if len(lines) < len(batch):
+                # A refused hello voids the rest of its body.
+                raise ServeClientError(
+                    "connection closed with "
+                    f"{len(batch) - len(lines)} frames unanswered"
+                )
         except (
             ConnectionError,
             OSError,
@@ -603,55 +516,7 @@ class HttpServeClient:
                 if not future.done():
                     future.set_exception(error)
 
-    # -- awaitable wrappers (fleet scrape surface) --------------------
-
-    async def _roundtrip(self, frame: Frame) -> Frame:
-        return await self.post(frame)
-
-    async def stats(self) -> StatsReply:
-        reply = await self._roundtrip(StatsRequest(id=self.next_id()))
-        if not isinstance(reply, StatsReply):
-            raise ServeClientError(f"unexpected stats reply: {reply!r}")
-        return reply
-
-    async def drain(self) -> DrainReply:
-        reply = await self._roundtrip(DrainRequest(id=self.next_id()))
-        if not isinstance(reply, DrainReply):
-            raise ServeClientError(f"unexpected drain reply: {reply!r}")
-        return reply
-
-    async def metrics(self, format: str = "prometheus") -> MetricsReply:
-        reply = await self._roundtrip(
-            MetricsRequest(id=self.next_id(), format=format)
-        )
-        if not isinstance(reply, MetricsReply):
-            raise ServeClientError(f"unexpected metrics reply: {reply!r}")
-        return reply
-
-    async def health(self) -> HealthReply:
-        reply = await self._roundtrip(HealthRequest(id=self.next_id()))
-        if not isinstance(reply, HealthReply):
-            raise ServeClientError(f"unexpected health reply: {reply!r}")
-        return reply
-
-    async def traces(self, limit: int = 20) -> TracesReply:
-        reply = await self._roundtrip(
-            TracesRequest(id=self.next_id(), limit=limit)
-        )
-        if not isinstance(reply, TracesReply):
-            raise ServeClientError(f"unexpected traces reply: {reply!r}")
-        return reply
-
-    @property
-    def pending(self) -> int:
-        """Frames queued but not yet answered."""
-        return len(self._outbox)
-
-    async def close(self) -> None:
-        """Close the connection; queued futures fail."""
-        if self._closed:
-            return
-        self._closed = True
+    async def _shutdown(self) -> None:
         self._sender_task.cancel()
         try:
             await self._sender_task

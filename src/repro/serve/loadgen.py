@@ -44,26 +44,23 @@ from repro.experiments.workloads import make_policy
 from repro.mobility.population import CityConfig, SyntheticCity
 from repro.mod.store import TrajectoryStore
 from repro.obs.config import Telemetry, TelemetryConfig
-from repro.serve.client import ServeClient
+from repro.serve.client import FrameClient, backoff_s
+from repro.serve.fleet import dial
 from repro.serve.gate import ConnectionGate, GateConfig
-from repro.serve.http import HttpServeClient, HttpTransport
+from repro.serve.http import HttpTransport
 from repro.serve.protocol import (
     DecisionReply,
     DrainRequest,
     ErrorReply,
     Frame,
-    Hello,
     LocationUpdate,
     ProfileReply,
     ProfileRequest,
     ServiceRequest,
     StatsRequest,
-    Welcome,
-    clone_frame,
 )
 from repro.serve.server import ServeConfig, TrustedServer, shard_of
 from repro.serve.transports import (
-    LoopbackConnection,
     LoopbackTransport,
     TcpTransport,
     client_ssl_context,
@@ -315,6 +312,8 @@ class LoadgenConfig:
             raise ValueError(
                 "self-hosted tls transport needs tls_cert and tls_key"
             )
+        if self.reconnect and self.transport not in ("tcp", "tls"):
+            raise ValueError("reconnect re-dials tcp and tls sockets only")
         if self.clients < 1:
             raise ValueError(f"clients must be >= 1, got {self.clients}")
         if self.rate <= 0:
@@ -452,55 +451,6 @@ class LoadReport:
         )
 
 
-class _Connection:
-    """Uniform facade over the three client shapes (TCP/HTTP/loopback)."""
-
-    def __init__(
-        self,
-        raw: "ServeClient | HttpServeClient | LoopbackConnection",
-        index: int,
-    ) -> None:
-        self.raw = raw
-        self.index = index
-        self._next_id = 0
-
-    def next_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
-    def post(self, frame: Frame) -> "asyncio.Future[Frame]":
-        # Loadgen builds frames itself, bypassing the client's traced
-        # post_request/post_update wrappers — mint the root span here
-        # so traced TCP runs still carry contexts on every frame.
-        raw = self.raw
-        if (
-            isinstance(raw, ServeClient)
-            and raw.trace_enabled
-            and isinstance(frame, (LocationUpdate, ServiceRequest))
-            and frame.trace is None
-        ):
-            wire, span = raw._mint_trace(frame.op)
-            if wire is not None:
-                future = raw.post(clone_frame(frame, trace=wire))
-                if span is not None:
-                    future.add_done_callback(
-                        lambda f, s=span: ServeClient._finish_span(s, f)
-                    )
-                return future
-        return raw.post(frame)
-
-    async def roundtrip(self, frame: Frame) -> Frame:
-        if isinstance(self.raw, LoopbackConnection):
-            return await self.raw.send(frame)
-        return await self.raw.post(frame)
-
-    async def close(self) -> None:
-        if isinstance(self.raw, LoopbackConnection):
-            self.raw.close()
-        else:
-            await self.raw.close()
-
-
 def _percentiles(samples: "list[float]") -> dict[str, float]:
     if not samples:
         return {}
@@ -519,7 +469,7 @@ def _percentiles(samples: "list[float]") -> dict[str, float]:
     }
 
 
-def _frame_for(item: BatchItem, conn: _Connection) -> Frame:
+def _frame_for(item: BatchItem, conn: FrameClient) -> Frame:
     """Build the wire frame of one timeline item (fresh id per send)."""
     if item.is_request:
         return ServiceRequest(
@@ -540,7 +490,7 @@ def _frame_for(item: BatchItem, conn: _Connection) -> Frame:
 
 
 async def _client_run(
-    conn: _Connection,
+    conn: FrameClient,
     items: "Sequence[tuple[int, BatchItem]]",
     t0: float,
     rate: float,
@@ -570,7 +520,7 @@ async def _client_run(
 
 
 async def _retry_shed(
-    flat: "list[tuple[BatchItem, _Connection]]",
+    flat: "list[tuple[BatchItem, FrameClient]]",
     replies: "list[object]",
     retries: int,
     report: LoadReport,
@@ -597,7 +547,7 @@ async def _retry_shed(
             for index in shed_idx
         )
         await asyncio.sleep(
-            min(backoff_cap_s, max(hint, backoff_base_s * 2.0**attempt))
+            backoff_s(attempt, backoff_base_s, backoff_cap_s, hint=hint)
         )
         futures = []
         for index in shed_idx:
@@ -680,7 +630,7 @@ async def run_loadgen(
             )
         host, port = await transport.start()
 
-    connections: "list[_Connection]" = []
+    connections: "list[FrameClient]" = []
     try:
         client_telemetry: "Telemetry | None" = None
         if config.trace:
@@ -691,56 +641,38 @@ async def run_loadgen(
                 TelemetryConfig(enabled=True).build()
             )
         for index in range(config.clients):
-            raw: "ServeClient | HttpServeClient | LoopbackConnection"
-            if config.transport in ("tcp", "tls"):
-                assert host is not None and port is not None
-                raw = await ServeClient.connect(
+            name = f"loadgen-{index}"
+            if config.transport == "loopback":
+                assert server is not None
+                connections.append(
+                    LoopbackTransport(server, gate=gate).connect(
+                        name, trace=config.trace, token=config.token
+                    )
+                )
+                continue
+            assert host is not None and port is not None
+            redial = (
+                {"reconnect": config.reconnect} if config.reconnect else {}
+            )
+            connections.append(
+                await dial(
                     host,
                     port,
-                    client=f"loadgen-{index}",
+                    transport=config.transport,
+                    client=name,
                     telemetry=client_telemetry,
                     trace=config.trace,
                     ssl=client_ctx,
                     token=config.token,
-                    reconnect=config.reconnect,
+                    **redial,
                 )
-            elif config.transport == "http":
-                assert host is not None and port is not None
-                raw = await HttpServeClient.connect(
-                    host,
-                    port,
-                    client=f"loadgen-{index}",
-                    telemetry=client_telemetry,
-                    ssl=client_ctx,
-                    token=config.token,
-                )
-            else:
-                assert server is not None
-                raw = LoopbackTransport(server, gate=gate).connect(
-                    client=f"loadgen-{index}", trace=config.trace
-                )
-            connections.append(_Connection(raw, index))
-
-        if config.transport == "loopback" and gate is not None:
-            # Loopback has no dial-time handshake; a gated run sends
-            # the hello explicitly so each connection earns a ticket.
-            for conn in connections:
-                greeting = await conn.roundtrip(
-                    Hello(
-                        client=f"loadgen-{conn.index}",
-                        token=config.token,
-                    )
-                )
-                if not isinstance(greeting, Welcome):
-                    raise ValueError(
-                        f"gated loopback hello rejected: {greeting!r}"
-                    )
+            )
 
         if config.profile:
             # Driven over the wire so the op is exercised end-to-end
             # and external daemons can be profiled the same way.
             profile_conn = connections[0]
-            started_reply = await profile_conn.roundtrip(
+            started_reply = await profile_conn.send(
                 ProfileRequest(
                     id=profile_conn.next_id(),
                     action="start",
@@ -759,12 +691,11 @@ async def run_loadgen(
             user_id: connections[rank % len(connections)]
             for rank, user_id in enumerate(workload.user_ids)
         }
-        slices: "dict[int, list[tuple[int, BatchItem]]]" = {
-            conn.index: [] for conn in connections
+        slices: "dict[FrameClient, list[tuple[int, BatchItem]]]" = {
+            conn: [] for conn in connections
         }
         for global_index, item in enumerate(workload.timeline):
-            conn = owner[item.user_id]
-            slices[conn.index].append((global_index, item))
+            slices[owner[item.user_id]].append((global_index, item))
 
         latencies: "list[float]" = []
         loop = asyncio.get_running_loop()
@@ -774,7 +705,7 @@ async def run_loadgen(
             *(
                 _client_run(
                     conn,
-                    slices[conn.index],
+                    slices[conn],
                     t0,
                     config.rate,
                     latencies,
@@ -783,7 +714,7 @@ async def run_loadgen(
             )
         )
         flat: "list[tuple[BatchItem, asyncio.Future[Frame]]]" = []
-        flat_conn: "list[_Connection]" = []
+        flat_conn: "list[FrameClient]" = []
         for conn, batch in zip(connections, results):
             for item, future in batch:
                 flat.append((item, future))
@@ -845,12 +776,12 @@ async def run_loadgen(
 
         if config.profile:
             profile_conn = connections[0]
-            await profile_conn.roundtrip(
+            await profile_conn.send(
                 ProfileRequest(
                     id=profile_conn.next_id(), action="stop"
                 )
             )
-            stages = await profile_conn.roundtrip(
+            stages = await profile_conn.send(
                 ProfileRequest(
                     id=profile_conn.next_id(), action="stages"
                 )
@@ -860,10 +791,10 @@ async def run_loadgen(
                 report.profile_samples = stages.samples
 
         stats_conn = connections[0]
-        stats = await stats_conn.roundtrip(
+        stats = await stats_conn.send(
             StatsRequest(id=stats_conn.next_id())
         )
-        drained = await stats_conn.roundtrip(
+        drained = await stats_conn.send(
             DrainRequest(id=stats_conn.next_id())
         )
         report.clean_shutdown = (

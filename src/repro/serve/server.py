@@ -743,11 +743,10 @@ class TrustedServer:
 
     ``TrustedServer(engine)`` serves one prebuilt engine as the only
     shard; :class:`~repro.serve.shard.ShardRouter` builds its shards
-    from a workload.  Transports
-    (:class:`~repro.serve.transports.TcpTransport`,
-    :class:`~repro.serve.transports.LoopbackTransport`, the HTTP
-    binding) and ``run_loadgen(server=...)`` drive either through
-    ``open_session``/``welcome``/``admit``/``submit``/``drain``.
+    from a workload.  Every transport (TCP, HTTP, loopback) drives
+    either through one :class:`~repro.serve.transports.FrameConnection`
+    per connection, which calls
+    ``open_session``/``welcome``/``admit``/``submit``/``close_session``.
     """
 
     #: Whether a frame's own ``seq`` is executed as sent.  Only a
@@ -961,10 +960,9 @@ class TrustedServer:
         """Serve one decoded frame of any op; resolves to its reply.
 
         Control ops are answered here; a servable op goes through
-        :meth:`admit` with a future as its reply callback.  The
-        loopback connection, the HTTP binding's control ops and
-        ``run_loadgen(server=...)`` land here, so admission control
-        and shedding behave identically with and without sockets.
+        :meth:`admit` with a future as its reply callback.  Every
+        transport runs its connections' control ops through here;
+        servable ops reach :meth:`admit` directly.
         """
         if not isinstance(frame, _SERVABLE):
             return await self._control(session, frame)

@@ -1,24 +1,38 @@
 """Transports binding :class:`TrustedServer` to actual connections.
 
-Two implementations of the same connection contract:
+Every transport runs one per-connection protocol,
+:class:`FrameConnection`, which judges the lines a connection carries
+without doing any I/O: decode, hello and version check, the gate's
+token and rate check, the "hello first" rule, and the hand-off of each
+servable op to :meth:`TrustedServer.admit`.  A transport adds only
+framing and writing on top:
 
 * :class:`TcpTransport` — the production daemon: one asyncio listener
   whose connections are :class:`TcpConnection` protocols.  A
-  connection splits what it receives on newlines and handles every
-  complete line synchronously: a servable op is handed to
+  connection splits what it receives on newlines and hands every
+  complete line to its :class:`FrameConnection`; a servable op goes to
   :meth:`TrustedServer.admit` with the connection's
   :meth:`~TcpConnection.respond` as its reply callback, so its reply
   is written the moment the op executes — no task, future or write
-  lock per op.  A connection can
-  pipeline many outstanding operations; responses correlate by
-  ``id`` (control ops such as ``stats`` or ``drain`` are served in a
-  task each, so their replies may overtake queued ops), while each
-  shard's FIFO queue keeps replies of one shard in submission order;
-* :class:`LoopbackTransport` — the same protocol with no sockets: every
-  frame still round-trips through :func:`encode_frame` /
-  :func:`decode_request` (and the reply through the reply codec), so
-  tests exercise the exact wire bytes while staying in-process and
-  deterministic.
+  lock per op.  A connection can pipeline many outstanding operations;
+  responses correlate by ``id`` (control ops such as ``stats`` or
+  ``drain`` are served in a task each, so their replies may overtake
+  queued ops), while each shard's FIFO queue keeps replies of one
+  shard in submission order;
+* :class:`~repro.serve.http.HttpTransport` — the same lines carried in
+  ``POST`` bodies (see :mod:`repro.serve.http`);
+* :class:`LoopbackTransport` — the same protocol with no sockets: a
+  :class:`LoopbackConnection` encodes every frame to its wire line,
+  hands it to its :class:`FrameConnection` and round-trips each reply
+  through the reply codec, so tests exercise the exact wire bytes
+  while staying in-process and deterministic.
+
+Two differences between transports are deliberate.  An oversized line
+closes a TCP connection — the byte stream may be mid-garbage and has
+no safe resynchronization point inside the truncated line — while an
+HTTP body is length-delimited, so HTTP answers the line and carries on
+at the next one.  TCP runs control ops in a task each, while HTTP
+answers them in line order within a body.
 
 Backpressure on TCP: when a client stops reading and the socket's
 write buffer passes its high-water mark, the connection stops reading
@@ -27,12 +41,10 @@ bound shed whatever it pipelined before that.
 
 Framing errors are answered, not fatal: an undecodable line produces an
 :class:`ErrorReply` with ``id=None`` and the connection continues at
-the next newline.  The exceptions that do close the connection are
-oversized frames — a line longer than ``max_frame_bytes`` (newline
-included), or an unterminated tail that already reaches it (the stream
-may be mid-garbage; there is no safe resynchronization point within
-the truncated line) — a failed
-version handshake, and a gate rejection of the hello itself.
+the next newline.  The lines that do close the connection are a
+refused hello (a gate rejection or a failed version handshake) and,
+on TCP, an oversized frame — a line longer than ``max_frame_bytes``
+(newline included), or an unterminated tail that already reaches it.
 
 Hardening (both optional, off by default):
 
@@ -44,7 +56,7 @@ Hardening (both optional, off by default):
   hellos are judged (token, connection cap) before the server's
   welcome, and every servable op is charged to the client's token
   bucket *before* :meth:`TrustedServer.admit` — a rejected op is
-  answered right here and never touches a queue or an engine.
+  answered at the door and never touches a queue or an engine.
 """
 
 from __future__ import annotations
@@ -53,6 +65,7 @@ import asyncio
 import ssl
 from typing import Set
 
+from repro.serve.client import FrameClient, welcomed
 from repro.serve.gate import ConnectionGate, GatePass
 from repro.serve.protocol import (
     ErrorReply,
@@ -62,12 +75,11 @@ from repro.serve.protocol import (
     ProtocolError,
     ServiceRequest,
     Welcome,
-    clone_frame,
     decode_reply,
     decode_request,
     encode_frame,
 )
-from repro.serve.server import ClientSession, TrustedServer
+from repro.serve.server import Respond, TrustedServer
 
 
 def server_ssl_context(
@@ -96,123 +108,169 @@ def client_ssl_context(cafile: str) -> ssl.SSLContext:
     return context
 
 
-class LoopbackConnection:
-    """One in-process client connection (see :class:`LoopbackTransport`).
+class FrameConnection:
+    """The per-connection protocol every transport runs (see module doc).
 
-    With ``trace=True`` (and enabled server telemetry) the connection
-    behaves like a traced :class:`~repro.serve.client.ServeClient`:
-    each sampled update/request frame gets a ``client.request`` root
-    span (recorded on the *server's* tracer — loopback is in-process)
-    and carries its context on the wire, so loopback tests reconstruct
-    the same causal trees the TCP daemon produces.
+    It owns the connection's session, whether it has greeted and its
+    gate ticket, and judges one line at a time in
+    :meth:`serve_line`.  ``oversize_closes`` says whether an oversized
+    line ends the connection (a byte stream) or is answered like any
+    other bad line (a length-delimited body).
     """
+
+    __slots__ = (
+        "server",
+        "gate",
+        "session",
+        "max_bytes",
+        "oversize_closes",
+        "greeted",
+        "ticket",
+        "closing",
+    )
 
     def __init__(
         self,
         server: TrustedServer,
-        session: ClientSession,
-        trace: bool = False,
-        gate: "ConnectionGate | None" = None,
-    ):
-        self._server = server
-        self.session = session
-        self._closed = False
-        self._gate = gate
-        self._ticket: "GatePass | None" = None
-        self.trace = bool(trace and server.telemetry.enabled)
-        if self.trace:
-            session.trace = True
+        gate: "ConnectionGate | None",
+        client: str,
+        oversize_closes: bool = True,
+    ) -> None:
+        self.server = server
+        self.gate = gate
+        self.session = server.open_session(client)
+        self.max_bytes = server.config.max_frame_bytes
+        self.oversize_closes = oversize_closes
+        self.greeted = False
+        self.ticket: "GatePass | None" = None
+        #: Set by a fatal line; the transport then closes the
+        #: connection and judges nothing more.
+        self.closing = False
 
-    def _screen(self, frame: Frame) -> "Frame | None":
-        """The gate verdict on one decoded frame (None = admitted).
+    def serve_line(
+        self, line: bytes, respond: Respond, answer: Respond
+    ) -> "Frame | None":
+        """Judge one newline-terminated line.
 
-        Mirrors the TCP handler: hellos are judged for token and
-        connection cap, servable ops are charged to the bucket, and a
-        gated connection that never greeted gets ``hello_required``.
+        A servable op that passes the door goes to
+        :meth:`TrustedServer.admit` with ``respond``.  Everything
+        judged at the door — a codec error, the hello's verdict, a
+        gate refusal, ``hello_required`` — is passed to ``answer``.  A
+        greeted connection's control frame is returned instead: the
+        transport decides when to run it, and its reply goes to
+        ``respond``.
         """
-        gate = self._gate
-        if gate is None:
-            return None
-        if isinstance(frame, Hello):
-            verdict = gate.admit_connection(frame)
-            if isinstance(verdict, ErrorReply):
-                return verdict
-            gate.release(self._ticket)  # a re-hello replaces the ticket
-            self._ticket = verdict
-            return None
-        if not isinstance(frame, (LocationUpdate, ServiceRequest)):
-            return None
-        if self._ticket is None:
-            return ErrorReply(
-                id=frame.id,
-                code="hello_required",
-                message="gated connection: first frame must be 'hello'",
-            )
-        return gate.admit_op(self._ticket, frame.id)
-
-    async def send(self, frame: Frame) -> Frame:
-        """Submit one frame through the full codec path; await reply."""
-        if self._closed:
-            raise ConnectionError("loopback connection is closed")
-        span = None
-        if (
-            self.trace
-            and isinstance(frame, (LocationUpdate, ServiceRequest))
-            and frame.trace is None
-            and self._server.telemetry.tracer.sample()
-        ):
-            tracer = self._server.telemetry.tracer
-            if tracer.sinks:
-                span = self._server.telemetry.start_span(
-                    "client.request", op=frame.op
-                )
-                wire = f"{span.trace_id}-{span.span_id}"
-            else:
-                # No sink: the root record is undeliverable — mint the
-                # wire identity only (same fast path as ServeClient).
-                wire = tracer.new_wire()
-            frame = clone_frame(frame, trace=wire)
-        max_bytes = self._server.config.max_frame_bytes
+        server = self.server
         try:
-            decoded = decode_request(
-                encode_frame(frame, max_bytes), max_bytes
-            )
+            frame = decode_request(line, self.max_bytes)
         except ProtocolError as exc:
-            self._server.note_protocol_error()
-            if span is not None:
-                span.annotate(error=exc.code).end()
-            return ErrorReply(id=None, code=exc.code, message=exc.message)
-        rejection = self._screen(decoded)
-        if rejection is not None:
-            if span is not None:
-                span.annotate(error=rejection.code).end()
-            return decode_reply(
-                encode_frame(rejection, max_bytes), max_bytes
+            server.note_protocol_error()
+            answer(ErrorReply(id=None, code=exc.code, message=exc.message))
+            if exc.code == "frame_too_large" and self.oversize_closes:
+                self.closing = True
+            return None
+        if isinstance(frame, (LocationUpdate, ServiceRequest)):
+            if self.greeted:
+                ticket = self.ticket
+                if ticket is not None:  # a gate issued it
+                    assert self.gate is not None
+                    rejection = self.gate.admit_op(ticket, frame.id)
+                    if rejection is not None:
+                        answer(rejection)
+                        return None
+                server.admit(self.session, frame, respond)
+                return None
+        elif isinstance(frame, Hello):
+            self._hello(frame, answer)
+            return None
+        elif self.greeted:
+            return frame
+        server.note_protocol_error()
+        answer(
+            ErrorReply(
+                id=getattr(frame, "id", None),
+                code="hello_required",
+                message="first frame must be 'hello'",
             )
-        reply = await self._server.submit(self.session, decoded)
-        if span is not None:
-            decision = getattr(reply, "decision", None)
-            if decision is not None:
-                span.annotate(decision=decision)
-            elif isinstance(reply, ErrorReply):
-                span.annotate(error=reply.code)
-            span.end()
-        return decode_reply(encode_frame(reply, max_bytes), max_bytes)
+        )
+        return None
 
-    def post(self, frame: Frame) -> "asyncio.Task[Frame]":
-        """Fire-and-collect variant of :meth:`send` (open-loop sends).
-
-        Scheduling is FIFO, so frames posted in order are admitted in
-        order — the property the determinism test leans on.
-        """
-        return asyncio.get_running_loop().create_task(self.send(frame))
+    def _hello(self, hello: Hello, answer: Respond) -> None:
+        gate = self.gate
+        if gate is not None:
+            verdict = gate.admit_connection(hello)
+            if isinstance(verdict, ErrorReply):
+                # Auth/cap refusal: answered before the server ever
+                # sees the hello.
+                answer(verdict)
+                self.closing = True
+                return
+            gate.release(self.ticket)  # a re-hello replaces the ticket
+            self.ticket = verdict
+        reply = self.server.welcome(self.session, hello)
+        answer(reply)
+        if isinstance(reply, Welcome):
+            self.greeted = True
+        else:
+            self.closing = True
 
     def close(self) -> None:
-        if not self._closed:
+        """Release the gate ticket and the session (idempotent)."""
+        if self.gate is not None:
+            self.gate.release(self.ticket)
+        self.server.close_session(self.session)
+
+
+def _over_the_wire(reply: Frame, max_bytes: int) -> Frame:
+    """``reply`` as the peer decodes it from its encoded line."""
+    return decode_reply(encode_frame(reply, max_bytes), max_bytes)
+
+
+class LoopbackConnection(FrameClient):
+    """One in-process client connection (see :class:`LoopbackTransport`).
+
+    A servable op is judged and admitted synchronously in :meth:`post`
+    — no task per op — so frames posted in order are admitted in
+    order, the property the determinism tests lean on.  Control ops
+    run in a task each, as on TCP.  With ``trace=True`` (and enabled
+    server telemetry) the ``client.request`` roots are recorded on the
+    *server's* tracer, loopback being in-process, so loopback tests
+    reconstruct the same causal trees the TCP daemon produces.
+    """
+
+    def __init__(self, frames: FrameConnection, welcome: Welcome) -> None:
+        super().__init__(welcome, frames.server.telemetry)
+        self._frames = frames
+        self.session = frames.session
+
+    def _post(self, frame: Frame) -> "asyncio.Future[Frame]":
+        frames = self._frames
+        max_bytes = frames.max_bytes
+        future: "asyncio.Future[Frame]" = (
+            asyncio.get_running_loop().create_future()
+        )
+
+        def respond(reply: Frame) -> None:
+            if not future.done():
+                future.set_result(_over_the_wire(reply, max_bytes))
+
+        control = frames.serve_line(
+            encode_frame(frame, max_bytes), respond, respond
+        )
+        if control is not None:
+            return asyncio.ensure_future(self._control(control))
+        if frames.closing:
             self._closed = True
-            if self._gate is not None:
-                self._gate.release(self._ticket)
-            self._server.close_session(self.session)
+            frames.close()
+        return future
+
+    async def _control(self, frame: Frame) -> Frame:
+        frames = self._frames
+        reply = await frames.server.submit(frames.session, frame)
+        return _over_the_wire(reply, frames.max_bytes)
+
+    async def _shutdown(self) -> None:
+        self._frames.close()
 
 
 class LoopbackTransport:
@@ -227,14 +285,31 @@ class LoopbackTransport:
         self.gate = gate
 
     def connect(
-        self, client: str = "loopback", trace: bool = False
+        self,
+        client: str = "loopback",
+        trace: bool = False,
+        token: "str | None" = None,
     ) -> LoopbackConnection:
-        return LoopbackConnection(
-            self.server,
-            self.server.open_session(client),
-            trace=trace,
-            gate=self.gate,
+        """Open one connection with the hello the socket clients send.
+
+        A refused hello raises
+        :class:`~repro.serve.client.ServeClientError` carrying the
+        typed reply, and leaves no session behind.
+        """
+        frames = FrameConnection(self.server, self.gate, client)
+        hello = FrameClient.hello(
+            client, trace, self.server.telemetry, token
         )
+        replies: "list[Frame]" = []
+        frames.serve_line(
+            encode_frame(hello, frames.max_bytes),
+            replies.append,
+            replies.append,
+        )
+        reply = _over_the_wire(replies[0], frames.max_bytes)
+        if not isinstance(reply, Welcome):
+            frames.close()
+        return LoopbackConnection(frames, welcomed(reply))
 
 
 class TcpTransport:
@@ -296,16 +371,12 @@ class TcpConnection(asyncio.Protocol):
 
     def __init__(self, owner: TcpTransport) -> None:
         self._owner = owner
-        self._server = owner.server
-        self._gate = owner.gate
         self._max_bytes = owner.server.config.max_frame_bytes
         self._transport: asyncio.Transport
-        self.session: ClientSession
+        self._frames: FrameConnection
         #: The unterminated tail of the received bytes.
         self._buffer = b""
-        self._greeted = False
-        self._ticket: "GatePass | None" = None
-        #: Ops handed to the server and not yet answered.
+        #: Lines judged and not yet answered.
         self._outstanding = 0
         #: Whether the client half-closed its side.
         self._eof = False
@@ -320,16 +391,17 @@ class TcpConnection(asyncio.Protocol):
         assert isinstance(transport, asyncio.Transport)
         self._transport = transport
         peer = transport.get_extra_info("peername")
-        self.session = self._server.open_session(client=f"tcp:{peer}")
-        self._owner._connections.add(self)
+        owner = self._owner
+        self._frames = FrameConnection(
+            owner.server, owner.gate, f"tcp:{peer}"
+        )
+        owner._connections.add(self)
 
     def connection_lost(self, exc: "Exception | None") -> None:
         # Ops still queued execute (and are logged) as usual; their
         # replies are dropped by :meth:`respond`.
         self._owner._connections.discard(self)
-        if self._gate is not None:
-            self._gate.release(self._ticket)
-        self._server.close_session(self.session)
+        self._frames.close()
         self.closed.set_result(None)
 
     def pause_writing(self) -> None:
@@ -349,29 +421,46 @@ class TcpConnection(asyncio.Protocol):
     def data_received(self, data: bytes) -> None:
         if self._buffer:
             data = self._buffer + data
-        transport = self._transport
+        frames = self._frames
+        respond, answer = self.respond, self._answer
         start = 0
         while True:
             end = data.find(b"\n", start)
             if end < 0:
                 break
-            self._serve_line(data[start : end + 1])
+            self._outstanding += 1
+            control = frames.serve_line(
+                data[start : end + 1], respond, answer
+            )
             start = end + 1
-            if transport.is_closing():
+            if control is not None:
+                task = asyncio.get_running_loop().create_task(
+                    self._serve_control(control)
+                )
+                self._owner._tasks.add(task)
+                task.add_done_callback(self._owner._tasks.discard)
+            elif frames.closing:
+                self._transport.close()
                 return  # a fatal line: the rest is not read
         rest = data[start:]
         if len(rest) >= self._max_bytes:
             # The line already exceeds the frame limit; the remainder
             # of the stream is unframed garbage — report, close.
-            self._server.note_protocol_error()
-            self._send(
-                ErrorReply(
-                    id=None,
-                    code="frame_too_large",
-                    message=f"frame exceeds the {self._max_bytes}-byte limit",
+            self._owner.server.note_protocol_error()
+            self._transport.write(
+                encode_frame(
+                    ErrorReply(
+                        id=None,
+                        code="frame_too_large",
+                        message=(
+                            f"frame exceeds the {self._max_bytes}-byte "
+                            "limit"
+                        ),
+                    ),
+                    self._max_bytes,
                 )
             )
-            transport.close()
+            self._transport.close()
             return
         self._buffer = rest
 
@@ -387,72 +476,13 @@ class TcpConnection(asyncio.Protocol):
         if self._eof and not self._outstanding:
             transport.close()
 
-    def _send(self, reply: Frame) -> None:
-        """Write a reply produced here (errors, gate refusals, welcome)."""
+    def _answer(self, reply: Frame) -> None:
+        """Write a reply judged at the door (a codec error, the hello's
+        verdict, a gate refusal)."""
+        self._outstanding -= 1
         self._transport.write(encode_frame(reply, self._max_bytes))
-
-    # -- one line ------------------------------------------------------
-
-    def _serve_line(self, line: bytes) -> None:
-        server = self._server
-        try:
-            frame = decode_request(line, self._max_bytes)
-        except ProtocolError as exc:
-            server.note_protocol_error()
-            self._send(ErrorReply(id=None, code=exc.code, message=exc.message))
-            if exc.code == "frame_too_large":
-                self._transport.close()
-            return
-        if isinstance(frame, (LocationUpdate, ServiceRequest)):
-            if self._greeted:
-                if self._ticket is not None:  # a gate issued it
-                    assert self._gate is not None
-                    rejection = self._gate.admit_op(self._ticket, frame.id)
-                    if rejection is not None:
-                        self._send(rejection)
-                        return
-                self._outstanding += 1
-                server.admit(self.session, frame, self.respond)
-                return
-        elif isinstance(frame, Hello):
-            self._hello(frame)
-            return
-        elif self._greeted:
-            self._outstanding += 1
-            task = asyncio.get_running_loop().create_task(
-                self._serve_control(frame)
-            )
-            self._owner._tasks.add(task)
-            task.add_done_callback(self._owner._tasks.discard)
-            return
-        server.note_protocol_error()
-        self._send(
-            ErrorReply(
-                id=getattr(frame, "id", None),
-                code="hello_required",
-                message="first frame must be 'hello'",
-            )
-        )
-
-    def _hello(self, hello: Hello) -> None:
-        gate = self._gate
-        if gate is not None:
-            verdict = gate.admit_connection(hello)
-            if isinstance(verdict, ErrorReply):
-                # Auth/cap refusal: answer and close before the server
-                # ever sees the hello.
-                self._send(verdict)
-                self._transport.close()
-                return
-            gate.release(self._ticket)  # a re-hello replaces the ticket
-            self._ticket = verdict
-        reply = self._server.welcome(self.session, hello)
-        self._send(reply)
-        if isinstance(reply, Welcome):
-            self._greeted = True
-        else:
-            self._transport.close()
 
     async def _serve_control(self, frame: Frame) -> None:
         """Control ops (``stats``, ``drain``, …) await the server."""
-        self.respond(await self._server.submit(self.session, frame))
+        frames = self._frames
+        self.respond(await frames.server.submit(frames.session, frame))

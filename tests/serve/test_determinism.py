@@ -123,7 +123,7 @@ def test_eight_concurrent_loopback_clients_match_offline(
                     )
         await server.close()
         for conn in conns:
-            conn.close()
+            await conn.close()
         return served
 
     served = asyncio.run(run())
@@ -239,7 +239,7 @@ def test_eight_clients_survive_shard_kill_and_wal_restore(
         ), "restore did not replay from the WAL"
         await router.close()
         for conn in conns:
-            conn.close()
+            await conn.close()
         return served
 
     served = asyncio.run(run())
@@ -267,7 +267,7 @@ def test_two_runs_identical(workload, workload_config, n_shards):
         ]
         replies = await asyncio.gather(*futures)
         await server.close()
-        conn.close()
+        await conn.close()
         return [
             decision_key(r)
             for r in replies

@@ -49,7 +49,7 @@ async def _drive(target, workload, n, trace=None, telemetry=None):
         for frame in request_frames(workload, n):
             if trace is not None:
                 frame = dataclasses.replace(frame, trace=trace)
-            await client._roundtrip(frame)
+            await client.send(frame)
     finally:
         await client.close()
 

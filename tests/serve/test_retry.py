@@ -8,7 +8,6 @@ from repro.engine.pipeline import BatchItem
 from repro.serve.client import ServeClient
 from repro.serve.loadgen import (
     LoadReport,
-    _Connection,
     _retry_shed,
     build_engine,
 )
@@ -133,7 +132,7 @@ def test_loadgen_retry_recovers_real_shed(workload, workload_config):
 
     async def run():
         server = TrustedServer(engine, ServeConfig(max_queue_depth=1))
-        conn = _Connection(LoopbackTransport(server).connect(), 0)
+        conn = LoopbackTransport(server).connect()
         first, second = request_frames(workload, 2)
         items = [
             BatchItem(

@@ -165,7 +165,7 @@ def test_interleaved_loopback_clients_no_orphans(
         replies = await asyncio.gather(*futures)
         await drain_task
         for conn in conns:
-            conn.close()
+            await conn.close()
         await server.close()
         return replies
 

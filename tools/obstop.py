@@ -50,9 +50,8 @@ from repro.obs.export import (  # noqa: E402
     parse_prometheus,
     quantile_from_buckets,
 )
-from repro.serve.client import ServeClient, ServeClientError  # noqa: E402
-from repro.serve.fleet import collect_fleet  # noqa: E402
-from repro.serve.http import HttpServeClient  # noqa: E402
+from repro.serve.client import ServeClientError  # noqa: E402
+from repro.serve.fleet import collect_fleet, dial  # noqa: E402
 from repro.serve.transports import client_ssl_context  # noqa: E402
 
 #: Canonical engine stage order (the pipeline's six stages) — stages
@@ -284,23 +283,14 @@ async def run(args: argparse.Namespace) -> int:
         if args.tls_ca is not None
         else None
     )
-    client: Any
-    if args.transport == "http":
-        client = await HttpServeClient.connect(
-            args.host,
-            args.port,
-            client="obstop",
-            ssl=ssl_context,
-            token=args.token,
-        )
-    else:
-        client = await ServeClient.connect(
-            args.host,
-            args.port,
-            client="obstop",
-            ssl=ssl_context,
-            token=args.token,
-        )
+    client = await dial(
+        args.host,
+        args.port,
+        transport=args.transport,
+        client="obstop",
+        ssl=ssl_context,
+        token=args.token,
+    )
     healthy = True
     try:
         prev: dict | None = None
