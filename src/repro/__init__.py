@@ -31,7 +31,9 @@ Quickstart (the README's, abridged)::
     event = engine.process(1, STPoint(50, 50, time_at(hour=7.5)), "poi")
 
 See ``examples/quickstart.py`` for a complete runnable scenario and
-DESIGN.md for the full system inventory.
+DESIGN.md for the full system inventory.  The names below resolve on
+first use, so ``import repro.serve.server`` does not load the mining
+or simulation layers.
 """
 
 import logging as _logging
@@ -42,100 +44,61 @@ import logging as _logging
 # NullHandler keeps the library silent.
 _logging.getLogger("repro").addHandler(_logging.NullHandler())
 
-from repro.geometry import Interval, Point, Rect, STBox, STPoint
-from repro.granularity import (
-    DAY,
-    HOUR,
-    MINUTE,
-    WEEK,
-    RecurrenceFormula,
-    UnanchoredInterval,
-    time_at,
-)
-from repro.core import (
-    LBQID,
-    AlwaysUnlink,
-    LBQIDElement,
-    LBQIDMonitor,
-    NeverUnlink,
-    PersonalHistory,
-    PolicyTable,
-    PrivacyLevel,
-    PrivacyProfile,
-    ProbabilisticUnlink,
-    PseudonymLink,
-    Request,
-    SPRequest,
-    SpatioTemporalGeneralizer,
-    ToleranceConstraint,
-    historical_anonymity_set,
-    is_link_connected,
-    request_set_matches,
-    satisfies_historical_k,
-    theta_components,
-)
-from repro.core.lbqid import commute_lbqid
-from repro.core.randomization import BoxRandomizer
-from repro.engine import (
-    AnonymitySetScope,
-    AnonymizerEvent,
-    BatchItem,
-    Decision,
-    Engine,
-    InMemorySessionStore,
-    PipelineBuilder,
-)
-from repro.mining import mine_commute_lbqid
-from repro.mod import TrajectoryStore
-from repro.obs import Telemetry, TelemetryConfig
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Point",
-    "STPoint",
-    "Rect",
-    "Interval",
-    "STBox",
-    "MINUTE",
-    "HOUR",
-    "DAY",
-    "WEEK",
-    "time_at",
-    "UnanchoredInterval",
-    "RecurrenceFormula",
-    "LBQID",
-    "LBQIDElement",
-    "commute_lbqid",
-    "LBQIDMonitor",
-    "request_set_matches",
-    "PseudonymLink",
-    "is_link_connected",
-    "theta_components",
-    "PersonalHistory",
-    "historical_anonymity_set",
-    "satisfies_historical_k",
-    "Request",
-    "SPRequest",
-    "ToleranceConstraint",
-    "SpatioTemporalGeneralizer",
-    "PrivacyLevel",
-    "PrivacyProfile",
-    "PolicyTable",
-    "AlwaysUnlink",
-    "NeverUnlink",
-    "ProbabilisticUnlink",
-    "Engine",
-    "PipelineBuilder",
-    "BatchItem",
-    "InMemorySessionStore",
-    "AnonymitySetScope",
-    "Decision",
-    "AnonymizerEvent",
-    "BoxRandomizer",
-    "mine_commute_lbqid",
-    "TrajectoryStore",
-    "Telemetry",
-    "TelemetryConfig",
-    "__version__",
-]
+#: Each public name and the module it comes from, imported on first use.
+_EXPORTS = {
+    "repro.geometry": ("Point", "STPoint", "Rect", "Interval", "STBox"),
+    "repro.granularity": (
+        "MINUTE",
+        "HOUR",
+        "DAY",
+        "WEEK",
+        "time_at",
+        "UnanchoredInterval",
+        "RecurrenceFormula",
+    ),
+    "repro.core": (
+        "LBQID",
+        "LBQIDElement",
+        "LBQIDMonitor",
+        "request_set_matches",
+        "PseudonymLink",
+        "is_link_connected",
+        "theta_components",
+        "PersonalHistory",
+        "historical_anonymity_set",
+        "satisfies_historical_k",
+        "Request",
+        "SPRequest",
+        "ToleranceConstraint",
+        "SpatioTemporalGeneralizer",
+        "PrivacyLevel",
+        "PrivacyProfile",
+        "PolicyTable",
+        "AlwaysUnlink",
+        "NeverUnlink",
+        "ProbabilisticUnlink",
+    ),
+    "repro.core.lbqid": ("commute_lbqid",),
+    "repro.core.randomization": ("BoxRandomizer",),
+    "repro.engine": (
+        "Engine",
+        "PipelineBuilder",
+        "BatchItem",
+        "InMemorySessionStore",
+        "AnonymitySetScope",
+        "Decision",
+        "AnonymizerEvent",
+    ),
+    "repro.mining": ("mine_commute_lbqid",),
+    "repro.mod": ("TrajectoryStore",),
+    "repro.obs": ("Telemetry", "TelemetryConfig"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__all__.append("__version__")
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -88,6 +88,14 @@ class PersonalHistory:
         for point in block:
             self.add(point)
 
+    def copy(self) -> "PersonalHistory":
+        """An independent history holding the same samples."""
+        clone = PersonalHistory.__new__(PersonalHistory)
+        clone.user_id = self.user_id
+        clone._points = self._points.copy()
+        clone._times = self._times.copy()
+        return clone
+
     def points_between(self, t_start: float, t_end: float) -> list[STPoint]:
         """Samples with timestamps in the closed interval."""
         lo = bisect.bisect_left(self._times, t_start)

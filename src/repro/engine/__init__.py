@@ -20,7 +20,7 @@ The Section 6.1 preservation strategy, as an explicit architecture:
 
 :class:`Engine` is the one way to build a Trusted Server: the offline
 simulation (:class:`~repro.ts.simulation.LBSSimulation`), every serving
-shard (:func:`~repro.serve.loadgen.build_engine`) and the examples all
+shard (:func:`~repro.serve.city.build_engine`) and the examples all
 construct it directly.  See DESIGN.md § "Engine architecture".
 """
 

@@ -144,13 +144,16 @@ class Commuter:
                     )
                 )
                 continue
-            morning = day_start + HOUR * rng.normal(
-                self.schedule.morning_departure_hour,
-                self.schedule.departure_std_hours,
+            # Both departures in one draw: ``mean + std * z`` is what
+            # ``rng.normal(mean, std)`` returns, bit for bit, and the
+            # generator ends in the same state.
+            z_morning, z_evening = rng.standard_normal(2).tolist()
+            std = self.schedule.departure_std_hours
+            morning = day_start + HOUR * (
+                self.schedule.morning_departure_hour + std * z_morning
             )
-            evening = day_start + HOUR * rng.normal(
-                self.schedule.evening_departure_hour,
-                self.schedule.departure_std_hours,
+            evening = day_start + HOUR * (
+                self.schedule.evening_departure_hour + std * z_evening
             )
             # Early-morning pings at home, the trip out, pings at work,
             # the trip back, evening pings at home.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.geometry.point import Point
+from repro.geometry.point import Point, STPoint
 from repro.geometry.region import Rect
 from repro.granularity.timeline import DAY, HOUR
 from repro.mobility.commuter import Commuter, CommuterSchedule
@@ -99,23 +99,28 @@ class SyntheticCity:
         )
         store = store if store is not None else TrajectoryStore()
         commuters = cls._make_commuters(config, network, rng)
-        for commuter in commuters:
-            store.add_points(
-                commuter.user_id, commuter.trajectory(config.days, rng)
-            )
+        # Every user's history is generated first and loaded in one
+        # bulk ingest; the draws keep their order.
+        histories: list[tuple[int, list[STPoint]]] = [
+            (commuter.user_id, commuter.trajectory(config.days, rng))
+            for commuter in commuters
+        ]
         bounds = Rect(0.0, 0.0, network.width, network.height)
         for offset in range(config.n_wanderers):
-            user_id = config.n_commuters + offset
+            # The days are disjoint and in order: one time-ordered
+            # block per user.
+            trajectory: list[STPoint] = []
             for day in range(config.days):
                 day_start = day * DAY
-                trajectory = random_waypoint_trajectory(
+                trajectory += random_waypoint_trajectory(
                     bounds,
                     day_start + config.wanderer_day_start_hour * HOUR,
                     day_start + config.wanderer_day_end_hour * HOUR,
                     rng,
                     sample_period=config.wanderer_sample_period,
                 )
-                store.add_points(user_id, trajectory)
+            histories.append((config.n_commuters + offset, trajectory))
+        store.add_histories(histories)
         return cls(config, network, commuters, store)
 
     @staticmethod

@@ -143,6 +143,24 @@ class ColumnarView:
             self._uid_arr[slot] = user_id
         return slot
 
+    def copy(self) -> "ColumnarView":
+        """An independent view over the same rows, consolidated.
+
+        Flushes and merges this view first, so both views start with a
+        sorted segment and an empty tail.
+        """
+        self._flush(merge=True)
+        self._consolidate()
+        clone = ColumnarView.__new__(ColumnarView)
+        for name in ("_x", "_y", "_t", "_slot", "_uid_arr"):
+            setattr(clone, name, getattr(self, name).copy())
+        clone._n = clone._sorted_n = self._n
+        clone._pending = []
+        clone._pending_slots = []
+        clone._uid_of_slot = self._uid_of_slot.copy()
+        clone._slot_of_uid = self._slot_of_uid.copy()
+        return clone
+
     # -- ingest ----------------------------------------------------------
 
     def _reserve(self, needed: int) -> None:
@@ -199,6 +217,21 @@ class ColumnarView:
         self._pending_slots.extend([self._slot_for(user_id)] * len(points))
         if len(points) >= self.BLOCK_MERGE_MIN:
             self._flush(merge=True)
+
+    def append_blocks(
+        self, blocks: "Sequence[tuple[int, Sequence[STPoint]]]"
+    ) -> None:
+        """Buffer several users' samples and write them at once.
+
+        A bulk load: one column write and at most one merge for all
+        the blocks, instead of one per block.
+        """
+        for user_id, points in blocks:
+            self._pending.extend(points)
+            self._pending_slots.extend(
+                [self._slot_for(user_id)] * len(points)
+            )
+        self._flush(merge=True)
 
     def _flush(self, merge: bool = False) -> None:
         """Write the buffered samples into the columns.

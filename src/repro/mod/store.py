@@ -83,9 +83,28 @@ class TrajectoryStore:
         ``lt_consistent_users`` paths — identical results, array speed.
         """
         store = cls(time_scale=time_scale)
-        for user_id, history in histories.items():
-            store.add_points(user_id, list(history))
+        store.add_histories(histories.items())
         return store
+
+    def copy(
+        self, telemetry: "Telemetry | TelemetryConfig | None" = None
+    ) -> "TrajectoryStore":
+        """An independent store with the same histories and index.
+
+        One step instead of a re-ingest: the histories' lists and the
+        view's columns are copied as they stand, so the copy answers
+        every query exactly as this store does.  The view is
+        consolidated first (sorted, empty tail), so neither store pays
+        for a merge later.  ``telemetry`` is the copy's own.
+        """
+        clone = TrajectoryStore(self.time_scale, telemetry)
+        clone.version = self.version
+        clone._histories = {
+            user_id: history.copy()
+            for user_id, history in self._histories.items()
+        }
+        clone._view = self._view.copy()
+        return clone
 
     def __len__(self) -> int:
         return len(self._histories)
@@ -137,6 +156,27 @@ class TrajectoryStore:
             self._view.append_block(user_id, batch)
             self.version += 1
         return len(batch)
+
+    def add_histories(
+        self, batches: "Iterable[tuple[int, Iterable[STPoint]]]"
+    ) -> int:
+        """Bulk-ingest ``(user_id, points)`` batches, in order.
+
+        Equivalent to :meth:`add_points` per batch (``version`` is
+        bumped once per non-empty batch), except that the view is
+        written and merged once for all of them.  Returns the number
+        of points ingested.
+        """
+        blocks = []
+        for user_id, points in batches:
+            history = self.history(user_id)
+            batch = points if isinstance(points, list) else list(points)
+            if batch:
+                history.extend(batch)
+                blocks.append((user_id, batch))
+                self.version += 1
+        self._view.append_blocks(blocks)
+        return sum(len(batch) for _, batch in blocks)
 
     # -- Algorithm 1 line 2 ----------------------------------------------
 

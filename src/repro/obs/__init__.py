@@ -33,135 +33,93 @@ Everything is zero-dependency stdlib Python (plus the ``repro``
 *value* layers — geometry, granularity — which the SLO estimators
 need); nothing here imports the pipeline packages (``core``, ``ts``,
 ``attack``), so any layer can be instrumented without cycles.
+Exports resolve on first use: importing :mod:`repro.obs.config` alone
+loads neither the benchmark nor the fleet modules.
 """
 
-from repro.obs.bench import (
-    BenchArtifact,
-    BenchComparison,
-    BenchDelta,
-    compare_artifacts,
-    export_bench,
-    load_bench_artifact,
-)
-from repro.obs.config import (
-    NULL_TELEMETRY,
-    Telemetry,
-    TelemetryConfig,
-    resolve_telemetry,
-)
-from repro.obs.aggregate import (
-    Exemplars,
-    FleetTrace,
-    FleetView,
-    MetricsCollector,
-    WorkerScrape,
-    assemble_traces,
-    merge_exemplars,
-    merge_rule,
-    merge_samples,
-)
-from repro.obs.export import (
-    parse_exposition,
-    parse_prometheus,
-    quantile_from_buckets,
-    render_prometheus,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramSummary,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
-from repro.obs.profile import (
-    ActivitySlot,
-    CollapsedStack,
-    ProfileReport,
-    SamplingProfiler,
-    StageRow,
-    TraceRow,
-    render_stage_table,
-    report_from_dict,
-)
-from repro.obs.render import render_summary
-from repro.obs.sinks import (
-    JSONL_READ_STATS,
-    ConsoleSink,
-    JsonlReadStats,
-    JsonlSink,
-    RingBufferSink,
-    TelemetrySink,
-    read_jsonl,
-    read_jsonl_rotated,
-    rotated_paths,
-)
-from repro.obs.slo import (
-    PrivacyMonitor,
-    SloAlert,
-    SloRule,
-    SloStatus,
-    parse_slo,
-)
-from repro.obs.tracing import Span, SpanRecord, TraceContext, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TelemetryConfig",
-    "Telemetry",
-    "NULL_TELEMETRY",
-    "resolve_telemetry",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HistogramSummary",
-    "DEFAULT_BUCKETS",
-    "Tracer",
-    "Span",
-    "SpanRecord",
-    "TraceContext",
-    "render_prometheus",
-    "parse_prometheus",
-    "parse_exposition",
-    "quantile_from_buckets",
-    "ActivitySlot",
-    "SamplingProfiler",
-    "ProfileReport",
-    "CollapsedStack",
-    "StageRow",
-    "TraceRow",
-    "render_stage_table",
-    "report_from_dict",
-    "Exemplars",
-    "FleetTrace",
-    "FleetView",
-    "MetricsCollector",
-    "WorkerScrape",
-    "assemble_traces",
-    "merge_exemplars",
-    "merge_rule",
-    "merge_samples",
-    "TelemetrySink",
-    "RingBufferSink",
-    "JsonlSink",
-    "ConsoleSink",
-    "JsonlReadStats",
-    "JSONL_READ_STATS",
-    "read_jsonl",
-    "read_jsonl_rotated",
-    "rotated_paths",
-    "render_summary",
-    "PrivacyMonitor",
-    "SloRule",
-    "SloAlert",
-    "SloStatus",
-    "parse_slo",
-    "BenchArtifact",
-    "BenchComparison",
-    "BenchDelta",
-    "compare_artifacts",
-    "export_bench",
-    "load_bench_artifact",
-]
+#: Each public name and the module it comes from, imported on first use.
+_EXPORTS = {
+    "repro.obs.bench": (
+        "BenchArtifact",
+        "BenchComparison",
+        "BenchDelta",
+        "compare_artifacts",
+        "export_bench",
+        "load_bench_artifact",
+    ),
+    "repro.obs.config": (
+        "NULL_TELEMETRY",
+        "Telemetry",
+        "TelemetryConfig",
+        "resolve_telemetry",
+    ),
+    "repro.obs.aggregate": (
+        "Exemplars",
+        "FleetTrace",
+        "FleetView",
+        "MetricsCollector",
+        "WorkerScrape",
+        "assemble_traces",
+        "merge_exemplars",
+        "merge_rule",
+        "merge_samples",
+    ),
+    "repro.obs.export": (
+        "parse_exposition",
+        "parse_prometheus",
+        "quantile_from_buckets",
+        "render_prometheus",
+    ),
+    "repro.obs.metrics": (
+        "DEFAULT_BUCKETS",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "HistogramSummary",
+        "MetricsRegistry",
+        "MetricsSnapshot",
+    ),
+    "repro.obs.activity": ("ActivitySlot",),
+    "repro.obs.profile": (
+        "CollapsedStack",
+        "ProfileReport",
+        "SamplingProfiler",
+        "StageRow",
+        "TraceRow",
+        "render_stage_table",
+        "report_from_dict",
+    ),
+    "repro.obs.render": (
+        "render_summary",
+    ),
+    "repro.obs.sinks": (
+        "JSONL_READ_STATS",
+        "ConsoleSink",
+        "JsonlReadStats",
+        "JsonlSink",
+        "RingBufferSink",
+        "TelemetrySink",
+        "read_jsonl",
+        "read_jsonl_rotated",
+        "rotated_paths",
+    ),
+    "repro.obs.slo": (
+        "PrivacyMonitor",
+        "SloAlert",
+        "SloRule",
+        "SloStatus",
+        "parse_slo",
+    ),
+    "repro.obs.tracing": (
+        "Span",
+        "SpanRecord",
+        "TraceContext",
+        "Tracer",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -24,14 +24,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
+from repro.obs.activity import ActivitySlot
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
-from repro.obs.profile import (
-    ActivitySlot,
-    ProfileReport,
-    SamplingProfiler,
-)
 from repro.obs.sinks import (
     ConsoleSink,
     JsonlSink,
@@ -39,6 +35,9 @@ from repro.obs.sinks import (
     TelemetrySink,
 )
 from repro.obs.tracing import Span, TraceContext, Tracer
+
+if TYPE_CHECKING:
+    from repro.obs.profile import ProfileReport, SamplingProfiler
 
 
 class _NullSpan:
@@ -257,6 +256,9 @@ class Telemetry:
             )
         if self.profiler is not None and self.profiler.running:
             raise RuntimeError("a profiler is already running")
+        # Loaded by the first profile: no other op pays for it.
+        from repro.obs.profile import SamplingProfiler
+
         profiler = SamplingProfiler(
             slot=self.activity,
             interval_s=interval_s,

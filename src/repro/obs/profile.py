@@ -30,9 +30,10 @@ Output formats:
 * :meth:`ProfileReport.to_dict` / :func:`report_from_dict` — the JSON
   form the ``profile`` protocol op ships over the wire.
 
-Everything here is stdlib-only and imports nothing else from
-``repro`` — :mod:`repro.obs.config` wires the profiler into the
-:class:`~repro.obs.config.Telemetry` facade, not the other way around.
+Everything here is stdlib-only apart from the slot
+(:mod:`repro.obs.activity`) — :mod:`repro.obs.config` wires the
+profiler into the :class:`~repro.obs.config.Telemetry` facade, not the
+other way around, and loads this module only when a profiler starts.
 """
 
 from __future__ import annotations
@@ -45,35 +46,11 @@ from pathlib import Path
 from types import CodeType
 from typing import Iterable, Mapping
 
+from repro.obs.activity import ActivitySlot
+
 #: Activity labels for samples outside any engine stage.
 OTHER_LABEL = "(other)"
 IDLE_LABEL = "(idle)"
-
-
-class ActivitySlot:
-    """What the profiled thread is doing *right now*.
-
-    A tiny mutable beacon shared between the profiled thread (writer)
-    and the sampler thread (reader).  Reads and writes are single
-    attribute operations — atomic under the GIL — so no lock is
-    needed; a torn read across fields merely attributes one 5 ms
-    sample to a neighbouring stage.
-    """
-
-    __slots__ = ("in_request", "stage", "trace_id")
-
-    def __init__(self) -> None:
-        #: True while the engine is processing a service request.
-        self.in_request = False
-        #: Name of the stage currently in ``handle()``, else None.
-        self.stage: str | None = None
-        #: Wire trace id of the active request, else None.
-        self.trace_id: str | None = None
-
-    def clear(self) -> None:
-        self.in_request = False
-        self.stage = None
-        self.trace_id = None
 
 
 @dataclass(frozen=True)

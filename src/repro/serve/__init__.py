@@ -24,10 +24,12 @@ Layers (bottom-up):
 * :mod:`repro.serve.fleet` — :func:`dial` (the socket client of a
   transport name) and wire-level scraping behind the
   :mod:`repro.obs.aggregate` fleet view;
+* :mod:`repro.serve.city` — the city a daemon serves and
+  :func:`build_engine`, the warm-store engine every shard starts from;
 * :mod:`repro.serve.loadgen` — open-loop load generation and
   serving-vs-offline equivalence verification;
 * :mod:`repro.serve.shard` — :class:`ShardRouter`: the same frontend
-  over N shared-nothing shard engines built from a workload (one by
+  over N shared-nothing shard engines built from a served city (one by
   default), with WAL crash/restore; decision-equivalent to the single
   engine;
 * :mod:`repro.serve.wal` — per-shard JSONL write-ahead log and
@@ -36,150 +38,107 @@ Layers (bottom-up):
   frontend over shards in token-gated worker subprocesses
   (:class:`RemoteShard`), with WAL-backed respawn and pending-op
   re-send.
+
+Exports resolve on first use, so importing one submodule (as the
+daemon does) loads no sibling.
 """
 
-from repro.serve.client import FrameClient, ServeClient, ServeClientError
-from repro.serve.fleet import (
-    collect_fleet,
-    dial,
-    parse_target,
-    scrape_worker,
-)
-from repro.serve.gate import (
-    ConnectionGate,
-    GateConfig,
-    GatePass,
-    TokenBucket,
-    load_tokens,
-)
-from repro.serve.http import HttpServeClient, HttpTransport
-from repro.serve.loadgen import (
-    LoadgenConfig,
-    LoadReport,
-    WorkloadConfig,
-    build_engine,
-    build_workload,
-    decision_key,
-    offline_replay,
-    run_loadgen,
-)
-from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    DecisionReply,
-    DrainReply,
-    DrainRequest,
-    ErrorReply,
-    Frame,
-    HealthReply,
-    HealthRequest,
-    Hello,
-    LocationUpdate,
-    MetricsReply,
-    MetricsRequest,
-    ProfileReply,
-    ProfileRequest,
-    ProtocolError,
-    ServiceRequest,
-    StatsReply,
-    StatsRequest,
-    TracesReply,
-    TracesRequest,
-    UpdateAck,
-    Welcome,
-    decode_reply,
-    decode_request,
-    encode_frame,
-)
-from repro.serve.server import (
-    ClientSession,
-    ServeConfig,
-    ShardRuntime,
-    ShardSequencer,
-    TrustedServer,
-    shard_of,
-)
-from repro.serve.shard import ShardRouter
-from repro.serve.supervisor import WorkerSupervisor, worker_shards
-from repro.serve.transports import (
-    FrameConnection,
-    LoopbackConnection,
-    LoopbackTransport,
-    TcpTransport,
-    client_ssl_context,
-    server_ssl_context,
-)
-from repro.serve.wal import (
-    ShardWal,
-    WalConfig,
-    WalCorruptionError,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MAX_FRAME_BYTES",
-    "PROTOCOL_VERSION",
-    "ClientSession",
-    "ConnectionGate",
-    "DecisionReply",
-    "DrainReply",
-    "DrainRequest",
-    "ErrorReply",
-    "Frame",
-    "FrameClient",
-    "FrameConnection",
-    "GateConfig",
-    "GatePass",
-    "HealthReply",
-    "HealthRequest",
-    "Hello",
-    "HttpServeClient",
-    "HttpTransport",
-    "LoadReport",
-    "MetricsReply",
-    "MetricsRequest",
-    "ProfileReply",
-    "ProfileRequest",
-    "TracesReply",
-    "TracesRequest",
-    "LoadgenConfig",
-    "LocationUpdate",
-    "LoopbackConnection",
-    "LoopbackTransport",
-    "ProtocolError",
-    "ServeClient",
-    "ServeClientError",
-    "ServeConfig",
-    "ServiceRequest",
-    "ShardRouter",
-    "ShardRuntime",
-    "ShardSequencer",
-    "ShardWal",
-    "StatsReply",
-    "StatsRequest",
-    "TcpTransport",
-    "TokenBucket",
-    "TrustedServer",
-    "UpdateAck",
-    "WalConfig",
-    "WalCorruptionError",
-    "Welcome",
-    "WorkerSupervisor",
-    "WorkloadConfig",
-    "build_engine",
-    "build_workload",
-    "client_ssl_context",
-    "collect_fleet",
-    "decision_key",
-    "decode_reply",
-    "dial",
-    "decode_request",
-    "encode_frame",
-    "load_tokens",
-    "offline_replay",
-    "server_ssl_context",
-    "parse_target",
-    "run_loadgen",
-    "scrape_worker",
-    "shard_of",
-    "worker_shards",
-]
+#: Each public name and the module it comes from, imported on first use.
+_EXPORTS = {
+    "repro.serve.client": (
+        "FrameClient",
+        "ServeClient",
+        "ServeClientError",
+    ),
+    "repro.serve.fleet": (
+        "collect_fleet",
+        "dial",
+        "parse_target",
+        "scrape_worker",
+    ),
+    "repro.serve.gate": (
+        "ConnectionGate",
+        "GateConfig",
+        "GatePass",
+        "TokenBucket",
+        "load_tokens",
+    ),
+    "repro.serve.http": (
+        "HttpServeClient",
+        "HttpTransport",
+    ),
+    "repro.serve.city": (
+        "WorkloadConfig",
+        "build_engine",
+    ),
+    "repro.serve.loadgen": (
+        "LoadgenConfig",
+        "LoadReport",
+        "build_workload",
+        "decision_key",
+        "offline_replay",
+        "run_loadgen",
+    ),
+    "repro.serve.protocol": (
+        "MAX_FRAME_BYTES",
+        "PROTOCOL_VERSION",
+        "DecisionReply",
+        "DrainReply",
+        "DrainRequest",
+        "ErrorReply",
+        "Frame",
+        "HealthReply",
+        "HealthRequest",
+        "Hello",
+        "LocationUpdate",
+        "MetricsReply",
+        "MetricsRequest",
+        "ProfileReply",
+        "ProfileRequest",
+        "ProtocolError",
+        "ServiceRequest",
+        "StatsReply",
+        "StatsRequest",
+        "TracesReply",
+        "TracesRequest",
+        "UpdateAck",
+        "Welcome",
+        "decode_reply",
+        "decode_request",
+        "encode_frame",
+    ),
+    "repro.serve.server": (
+        "ClientSession",
+        "ServeConfig",
+        "ShardRuntime",
+        "ShardSequencer",
+        "TrustedServer",
+        "shard_of",
+    ),
+    "repro.serve.shard": (
+        "ShardRouter",
+    ),
+    "repro.serve.supervisor": (
+        "WorkerSupervisor",
+        "worker_shards",
+    ),
+    "repro.serve.transports": (
+        "FrameConnection",
+        "LoopbackConnection",
+        "LoopbackTransport",
+        "TcpTransport",
+        "client_ssl_context",
+        "server_ssl_context",
+    ),
+    "repro.serve.wal": (
+        "ShardWal",
+        "WalConfig",
+        "WalCorruptionError",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -431,11 +431,15 @@ class ServeClient(FrameClient):
     def _post(self, frame: Frame) -> "asyncio.Future[Frame]":
         if self._reader_task.done():
             raise ServeClientError("connection closed")
+        frame_id = getattr(frame, "id", None)
+        if frame_id is not None and int(frame_id) in self._pending:
+            # Replies are matched by id: a second frame under a pending
+            # id would leave the first future unresolved forever.
+            raise ServeClientError(f"id {frame_id} is already pending")
         line = encode_frame(frame, self._max_frame_bytes)
         future: "asyncio.Future[Frame]" = (
             asyncio.get_running_loop().create_future()
         )
-        frame_id = getattr(frame, "id", None)
         if frame_id is None:
             self._unkeyed.append(future)
         else:

@@ -1,20 +1,16 @@
 """Load generation and serving-equivalence verification.
 
 The harness has three layers, shared by ``tools/loadgen.py``, benchmark
-E17, and the serving tests:
+E17, perfbench and the serving tests:
 
-* **workload** — :func:`build_workload` turns a seeded
-  :class:`~repro.mobility.population.SyntheticCity` into a
-  per-user-ordered timeline of :class:`~repro.engine.pipeline.BatchItem`
-  entries (every ``request_stride``-th sample becomes a service
-  request).  :func:`build_engine` builds the engine that serves it:
-  LBQIDs registered and sessions pre-opened in sorted user order, and —
-  crucially — the store **pre-seeded with the full city history**.
-  Against a warm store every ingest during serving duplicates an
-  already-present sample, and Algorithm 1's selection is
-  distance/membership-based, so per-user decisions become invariant to
-  how concurrent clients interleave (the determinism the acceptance
-  test pins);
+* **workload** — the serving half lives in :mod:`repro.serve.city`
+  (re-exported here): :class:`~repro.serve.city.WorkloadConfig`, the
+  city a daemon serves and :func:`~repro.serve.city.build_engine`, the
+  engine that serves it from a warm store.  A daemon loads only that
+  module.  :func:`build_workload` is the same city plus what only
+  clients read: a per-user-ordered timeline of
+  :class:`~repro.engine.pipeline.BatchItem` entries (every
+  ``request_stride``-th sample becomes a service request);
 * **open-loop driver** — :func:`run_loadgen` partitions users across N
   concurrent client connections and fires each item at its scheduled
   arrival time (global index / rate) *without waiting for replies* —
@@ -35,15 +31,17 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.generalization import ToleranceConstraint
-from repro.core.unlinking import AlwaysUnlink
 from repro.engine.context import AnonymizerEvent
-from repro.engine.pipeline import BatchItem, Engine
-from repro.engine.session import InMemorySessionStore
-from repro.experiments.workloads import make_policy
-from repro.mobility.population import CityConfig, SyntheticCity
-from repro.mod.store import TrajectoryStore
+from repro.engine.pipeline import BatchItem
+from repro.mobility.population import SyntheticCity
 from repro.obs.config import Telemetry, TelemetryConfig
+from repro.serve.city import (
+    SERVICE,
+    ServingCity,
+    WorkloadConfig,
+    build_city,
+    build_engine,
+)
 from repro.serve.client import FrameClient, backoff_s
 from repro.serve.fleet import dial
 from repro.serve.gate import ConnectionGate, GateConfig
@@ -59,7 +57,7 @@ from repro.serve.protocol import (
     ServiceRequest,
     StatsRequest,
 )
-from repro.serve.server import ServeConfig, TrustedServer, shard_of
+from repro.serve.server import ServeConfig, TrustedServer
 from repro.serve.transports import (
     LoopbackTransport,
     TcpTransport,
@@ -67,58 +65,29 @@ from repro.serve.transports import (
     server_ssl_context,
 )
 
-SERVICE = "poi"
-
-
 # ---------------------------------------------------------------------
 # workload
 # ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WorkloadConfig:
-    """Shape of the serving workload (all seeded, fully deterministic)."""
+class ServingWorkload(ServingCity):
+    """A served city plus the load generator's timeline of it.
 
-    seed: int = 11
-    n_commuters: int = 12
-    n_wanderers: int = 6
-    days: int = 7
-    #: Every Nth sample of a user becomes a service request.
-    request_stride: int = 3
-    k: int = 4
-    tolerance_side: float = 700.0
-    tolerance_duration: float = 1800.0
-    quiet_period: float = 900.0
+    Its engines serve only the users the (possibly truncated) timeline
+    reaches.
+    """
 
-    def tolerance(self) -> ToleranceConstraint:
-        return ToleranceConstraint.square(
-            self.tolerance_side, self.tolerance_duration
-        )
-
-    def city_config(self) -> CityConfig:
-        return CityConfig(
-            seed=self.seed,
-            n_commuters=self.n_commuters,
-            n_wanderers=self.n_wanderers,
-            nx_blocks=10,
-            ny_blocks=10,
-            days=self.days,
-        )
-
-
-@dataclass
-class ServingWorkload:
-    """A city timeline ready to serve, plus its ground truth."""
-
-    city: SyntheticCity
-    #: Global timeline in timestamp order (the offline replay order).
-    timeline: list[BatchItem]
-    #: Each user's items, in that user's time order.
-    per_user: dict[int, list[BatchItem]]
-
-    @property
-    def user_ids(self) -> list[int]:
-        return sorted(self.per_user)
+    def __init__(
+        self,
+        city: SyntheticCity,
+        timeline: list[BatchItem],
+        per_user: dict[int, list[BatchItem]],
+    ) -> None:
+        super().__init__(city, per_user)
+        #: Global timeline in timestamp order (the offline replay order).
+        self.timeline = timeline
+        #: Each user's items, in that user's time order.
+        self.per_user = per_user
 
     @property
     def n_requests(self) -> int:
@@ -129,8 +98,10 @@ def build_workload(
     config: WorkloadConfig,
     max_requests: int | None = None,
 ) -> ServingWorkload:
-    """Generate the serving timeline (truncated after ``max_requests``)."""
-    city = SyntheticCity.generate(config.city_config())
+    """The served city plus its timeline (truncated after
+    ``max_requests``): every ``request_stride``-th sample of a user is
+    a service request."""
+    city = build_city(config).city
     samples = [
         (user_id, sample)
         for user_id in city.store.user_ids()
@@ -160,54 +131,7 @@ def build_workload(
     per_user: dict[int, list[BatchItem]] = {}
     for item in timeline:
         per_user.setdefault(item.user_id, []).append(item)
-    return ServingWorkload(city=city, timeline=timeline, per_user=per_user)
-
-
-def build_engine(
-    workload: ServingWorkload,
-    config: WorkloadConfig,
-    telemetry: "Telemetry | TelemetryConfig | None" = None,
-    shard_id: int = 0,
-    n_shards: int = 1,
-) -> Engine:
-    """An engine ready to serve ``workload`` (warm store, see module doc).
-
-    Identical construction backs the online server, every shard of a
-    sharded one, and the offline replay, so the runs differ only in
-    how operations arrive.  Shard ``shard_id`` of ``n_shards`` opens
-    sessions, LBQIDs, and pseudonyms (prefixed ``p<i>.``) only for the
-    users it owns, yet its store still holds EVERY user's history —
-    anonymity sets are store-wide, and this is what keeps per-shard
-    decisions equal to the global offline replay.
-    """
-    engine = Engine(
-        TrajectoryStore(telemetry=telemetry),
-        policy=make_policy(
-            config.k, tolerance=config.tolerance(), service=SERVICE
-        ),
-        unlinker=AlwaysUnlink(),
-        quiet_period=config.quiet_period,
-        telemetry=telemetry,
-        sessions=InMemorySessionStore(
-            pseudonym_prefix=f"p{shard_id}." if n_shards > 1 else "p"
-        ),
-    )
-    for commuter in sorted(
-        workload.city.commuters, key=lambda c: c.user_id
-    ):
-        if shard_of(commuter.user_id, n_shards) == shard_id:
-            engine.register_lbqid(commuter.user_id, commuter.lbqid())
-    for user_id in workload.user_ids:
-        if shard_of(user_id, n_shards) == shard_id:
-            # Pre-open sessions in sorted order so session creation
-            # (and initial pseudonym issue) is independent of arrival
-            # order.
-            engine.session(user_id)
-            engine.sessions.pseudonym(user_id)
-        engine.store.add_points(
-            user_id, workload.city.store.history(user_id)
-        )
-    return engine
+    return ServingWorkload(city, timeline, per_user)
 
 
 def offline_replay(
@@ -578,12 +502,13 @@ async def run_loadgen(
         config.workload, max_requests=config.requests
     )
     if not config.include_updates:
-        workload.timeline = [
-            item for item in workload.timeline if item.is_request
-        ]
-        workload.per_user = {}
-        for item in workload.timeline:
-            workload.per_user.setdefault(item.user_id, []).append(item)
+        timeline = [item for item in workload.timeline if item.is_request]
+        per_user: dict[int, list[BatchItem]] = {}
+        for item in timeline:
+            per_user.setdefault(item.user_id, []).append(item)
+        # Served users are those the timeline reaches: rebuild, so the
+        # engines are seeded with exactly these.
+        workload = ServingWorkload(workload.city, timeline, per_user)
 
     transport: "TcpTransport | HttpTransport | None" = None
     own_server = server is None and config.host is None

@@ -61,13 +61,12 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol
 
 from repro.engine.pipeline import Engine
 from repro.geometry.point import STPoint
 from repro.obs.config import Telemetry
 from repro.obs.export import render_prometheus
-from repro.obs.slo import PrivacyMonitor, SloRule
 from repro.obs.tracing import TraceContext
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -100,6 +99,16 @@ from repro.serve.wal import (
     WalConfig,
     frame_of_record,
     op_record,
+)
+
+if TYPE_CHECKING:
+    from repro.obs.slo import PrivacyMonitor, SloRule
+
+#: The fields of one ``recent_traces`` entry (the ``traces`` op's
+#: objects).  The ring holds plain tuples in this order, built on every
+#: traced op; only a ``traces`` read turns them into dicts.
+TRACE_ENTRY_FIELDS = (
+    "trace_id", "op", "decision", "queue_ms", "total_ms", "shed",
 )
 
 #: The state-mutating frame types the data plane serves.
@@ -323,7 +332,7 @@ class ShardRuntime:
     cache keyed by the router-assigned ``seq``, so re-sent operations
     after a crash are answered without re-executing.  Without a WAL a
     restart loses all state anyway, so nothing is cached.  ``engine``
-    comes from :func:`repro.serve.loadgen.build_engine`; with
+    comes from :func:`repro.serve.city.build_engine`; with
     ``wal_dir`` set, the log found there is replayed into it before
     the writer opens.
     """
@@ -368,7 +377,12 @@ class ShardRuntime:
 
     # -- op execution --------------------------------------------------
 
-    def execute(self, frame: Frame, seq: int | None = None) -> Frame:
+    def execute(
+        self,
+        frame: Frame,
+        seq: int | None = None,
+        trace: str | None = None,
+    ) -> Frame:
         """Apply one state-mutating frame, WAL-first, seq-deduplicated.
 
         ``seq`` (or ``frame.seq``) must be the router-assigned shard
@@ -379,7 +393,8 @@ class ShardRuntime:
         cache, and a re-sent request answers ``stale_seq``).  Passing
         ``seq`` explicitly spares the serving paths a frame clone per
         op (:func:`~repro.serve.wal.op_record` stamps the WAL record
-        from the argument, never from the frame).
+        from the argument, never from the frame).  ``trace`` is the wire
+        context the reply echoes, built into it rather than cloned on.
         """
         if seq is None:
             seq = frame.seq
@@ -390,10 +405,10 @@ class ShardRuntime:
             # ``UpdateAck(id)``), so duplicates are re-acked without a
             # cache lookup — the cache holds only decision replies.
             if type(frame) is LocationUpdate:
-                return UpdateAck(id=frame.id)
+                return UpdateAck(id=frame.id, trace=trace)
             cached = self.replies.get(seq)
             if cached is not None:
-                return clone_frame(cached, id=frame.id)
+                return clone_frame(cached, id=frame.id, trace=trace)
             return ErrorReply(
                 id=frame.id,
                 code="stale_seq",
@@ -401,10 +416,11 @@ class ShardRuntime:
                     f"seq {seq} was applied but its reply has aged "
                     "out of the cache"
                 ),
+                trace=trace,
             )
         if self.wal is not None:
             self.wal.append(op_record(frame, seq))
-        reply = execute_op(self.engine, frame)
+        reply = execute_op(self.engine, frame, trace)
         self.applied_seq = seq
         if self.wal is not None:
             self._cache_reply(seq, reply)
@@ -561,7 +577,7 @@ class ShardSequencer:
         runtime: ShardRuntime,
         config: ServeConfig,
         telemetry: Telemetry,
-        recent_traces: "deque[dict]",
+        recent_traces: "deque[tuple]",
     ) -> None:
         self.runtime = runtime
         self.shard_id = runtime.shard_id
@@ -689,22 +705,26 @@ class ShardSequencer:
             telemetry.observe(
                 "serve.request_ms", total_ms, trace_id, **self.labels
             )
-        if ctx is None:
-            return reply
-        self.recent_traces.append(
-            {
-                "trace_id": trace_id,
-                "op": frame.op,
-                "decision": getattr(reply, "decision", None),
-                "queue_ms": wait_ms,
-                "total_ms": total_ms,
-                "shed": False,
-            }
-        )
-        return clone_frame(reply, trace=ctx.to_wire())
+        if ctx is not None:
+            self.recent_traces.append(
+                (
+                    trace_id,
+                    frame.op,
+                    getattr(reply, "decision", None),
+                    wait_ms,
+                    total_ms,
+                    False,
+                )
+            )
+        return reply
 
     def _execute_traced(self, job: ShardJob, start: float) -> Frame:
-        """Run a traced job under its wire context (see module doc)."""
+        """Run a traced job under its wire context (see module doc).
+
+        The reply echoes the frame's own wire text: admission parsed it
+        into ``job.trace`` without changing it, so it is the context's
+        wire form, already encoded.
+        """
         telemetry = self.telemetry
         ctx = job.trace
         assert ctx is not None
@@ -715,7 +735,7 @@ class ShardSequencer:
             # introspection ring still see the trace.
             token = telemetry.tracer.activate(ctx)
             try:
-                return self.runtime.execute(frame, job.seq)
+                return self.runtime.execute(frame, job.seq, frame.trace)
             finally:
                 telemetry.tracer.deactivate(token)
         telemetry.emit_span(
@@ -731,7 +751,7 @@ class ShardSequencer:
         with telemetry.span(
             "serve.dispatch", parent=ctx, op=frame.op
         ) as dispatch:
-            reply = self.runtime.execute(frame, job.seq)
+            reply = self.runtime.execute(frame, job.seq, frame.trace)
             decision = getattr(reply, "decision", None)
             if decision is not None:
                 dispatch.annotate(decision=decision)
@@ -778,7 +798,7 @@ class TrustedServer:
         """Shared construction (``telemetry``/``n_shards`` already set)."""
         self.config = config or ServeConfig()
         #: Ring of recently completed traced requests (``traces`` op).
-        self.recent_traces: deque[dict] = deque(maxlen=64)
+        self.recent_traces: "deque[tuple]" = deque(maxlen=64)
         self.sequencers: dict[int, Shard] = {
             runtime.shard_id: self._sequencer(runtime)
             for runtime in runtimes
@@ -793,6 +813,9 @@ class TrustedServer:
         self.started_at = time.monotonic()
         self.privacy_monitor: PrivacyMonitor | None = None
         if slo_rules is not None:
+            # Loaded only by ``--slo``: no other shape pays for it.
+            from repro.obs.slo import PrivacyMonitor
+
             if self.n_shards != 1:
                 raise ValueError(
                     "slo_rules need a one-shard server: the privacy "
@@ -1053,16 +1076,9 @@ class TrustedServer:
             respond(refusal)
             return
         self.recent_traces.append(
-            {
-                "trace_id": ctx.trace_id,
-                "op": frame.op,
-                "decision": None,
-                "queue_ms": 0.0,
-                "total_ms": 0.0,
-                "shed": refusal.is_shed,
-            }
+            (ctx.trace_id, frame.op, None, 0.0, 0.0, refusal.is_shed)
         )
-        respond(clone_frame(refusal, trace=ctx.to_wire()))
+        respond(clone_frame(refusal, trace=frame.trace))
 
     def _refusal(
         self,
@@ -1124,7 +1140,12 @@ class TrustedServer:
             return self._health_reply(frame)
         if isinstance(frame, TracesRequest):
             limit = max(0, min(frame.limit, len(self.recent_traces)))
-            entries = list(self.recent_traces)[-limit:][::-1] if limit else []
+            entries = [
+                dict(zip(TRACE_ENTRY_FIELDS, entry))
+                for entry in (
+                    list(self.recent_traces)[-limit:][::-1] if limit else []
+                )
+            ]
             return TracesReply(
                 id=frame.id,
                 body=json.dumps(entries, separators=(",", ":")),
@@ -1178,11 +1199,14 @@ class TrustedServer:
         )
 
 
-def execute_op(engine: Engine, frame: Frame) -> Frame:
+def execute_op(
+    engine: Engine, frame: Frame, trace: str | None = None
+) -> Frame:
     """Run one state-mutating frame through an engine; build its reply.
 
     The single reply-construction path shared by live serving and WAL
     replay, so a decision crosses the wire identically either way.
+    ``trace`` is the wire context the reply echoes.
     """
     # Replies are built by installing a complete ``__dict__`` on a bare
     # instance — the frames are frozen dataclasses without slots or
@@ -1221,7 +1245,7 @@ def execute_op(engine: Engine, frame: Frame) -> Frame:
                 "step": event.step,
                 "required_k": event.required_k,
                 "rotated": event.pseudonym_rotated,
-                "trace": None,
+                "trace": trace,
             },
         )
         return reply
@@ -1230,5 +1254,5 @@ def execute_op(engine: Engine, frame: Frame) -> Frame:
         frame.user_id, STPoint(frame.x, frame.y, frame.t)
     )
     ack = object.__new__(UpdateAck)
-    object.__setattr__(ack, "__dict__", {"id": frame.id, "trace": None})
+    object.__setattr__(ack, "__dict__", {"id": frame.id, "trace": trace})
     return ack

@@ -8,7 +8,7 @@ with the ``p<i>.`` pseudonym prefix, its own
 :class:`~repro.mod.store.TrajectoryStore`), and :class:`ShardRouter`
 forwards each frame to the owning shard's sequencer.  The router *is*
 the :class:`~repro.serve.server.TrustedServer` frontend — admission,
-tracing, drain, and every op are shared — built from a workload
+tracing, drain, and every op are shared — built from a served city
 instead of one prebuilt engine, plus what only a sharded deployment
 needs: per-shard write-ahead logs, crash/restore, and a worker's shard
 subset.  One shard is the daemon's default shape; with ``--workers``
@@ -16,18 +16,20 @@ the frontend is a :class:`~repro.serve.supervisor.WorkerSupervisor`,
 whose shards live in worker processes that each run a router.
 
 **Decision equivalence.**  Every shard's trajectory store is warmed
-with the *full* city history (:func:`repro.serve.loadgen.build_engine`
-with the shard's id), while sessions and LBQID monitors exist only for
-owned users.  Algorithm 1's anonymity-set selection reads the store
-(identical everywhere) and the requester's own session (owned by
-exactly one shard), so per-user decision streams are identical to the
-single-engine offline replay — ``loadgen --verify`` passes against a
-sharded frontend with zero changes, and the determinism tests pin it.
+with the *full* city history (:func:`repro.serve.city.build_engine`
+with the shard's id: one copy of the city's store), while sessions
+and LBQID monitors exist only for owned users.  Algorithm 1's
+anonymity-set selection reads the store (identical everywhere) and the
+requester's own session (owned by exactly one shard), so per-user
+decision streams are identical to the single-engine offline replay —
+``loadgen --verify`` passes against a sharded frontend with zero
+changes, and the determinism tests pin it.
 
 **Durability.**  The WAL records op *commands* in dispatch order;
-recovery rebuilds the warm engine from the seeded workload config and
-replays the log, reconstructing sessions, pseudonyms, and trajectory
-columns byte-equivalently
+recovery rebuilds the warm engine from the served city (itself a
+function of the seeded workload config) and replays the log,
+reconstructing sessions, pseudonyms, and trajectory columns
+byte-equivalently
 (:meth:`~repro.serve.server.ShardRuntime.fingerprint`).  The router
 stamps each forwarded op with a per-shard monotonic ``seq``; a worker
 restored mid-stream answers already-applied seqs from its reply cache,
@@ -44,15 +46,10 @@ supervisor's per-boot token.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.obs.config import Telemetry, TelemetryConfig, resolve_telemetry
-from repro.obs.slo import SloRule
-from repro.serve.loadgen import (
-    ServingWorkload,
-    WorkloadConfig,
-    build_engine,
-)
+from repro.serve.city import ServingCity, WorkloadConfig, build_engine
 from repro.serve.server import (
     ServeConfig,
     ShardJob,
@@ -61,6 +58,9 @@ from repro.serve.server import (
     TrustedServer,
 )
 from repro.serve.wal import WalConfig
+
+if TYPE_CHECKING:
+    from repro.obs.slo import SloRule
 
 
 class ShardRouter(TrustedServer):
@@ -78,7 +78,7 @@ class ShardRouter(TrustedServer):
 
     def __init__(
         self,
-        workload: ServingWorkload,
+        city: ServingCity,
         workload_config: WorkloadConfig,
         n_shards: int = 4,
         config: ServeConfig | None = None,
@@ -93,7 +93,7 @@ class ShardRouter(TrustedServer):
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.n_shards = n_shards
         self.telemetry = resolve_telemetry(telemetry)
-        self.workload = workload
+        self.city = city
         self.workload_config = workload_config
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.wal_config = wal_config
@@ -116,7 +116,7 @@ class ShardRouter(TrustedServer):
         """A fresh shard runtime, replaying its WAL if there is one."""
         return ShardRuntime(
             build_engine(
-                self.workload,
+                self.city,
                 self.workload_config,
                 self.telemetry,
                 shard_id=shard_id,

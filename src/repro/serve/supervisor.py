@@ -185,18 +185,18 @@ class RemoteShard:
             job.respond(clone_frame(reply, id=frame.id))
             return
         self.recent_traces.append(
-            {
-                "trace_id": trace_id,
-                "op": frame.op,
-                "decision": getattr(reply, "decision", None),
+            (
+                trace_id,
+                frame.op,
+                getattr(reply, "decision", None),
                 # The worker's queue is out of sight from here: the
                 # frontend's wait is the whole round trip.
-                "queue_ms": total_ms,
-                "total_ms": total_ms,
-                "shed": False,
-            }
+                total_ms,
+                total_ms,
+                False,
+            )
         )
-        job.respond(clone_frame(reply, id=frame.id, trace=ctx.to_wire()))
+        job.respond(clone_frame(reply, id=frame.id, trace=frame.trace))
 
 
 class _Worker:

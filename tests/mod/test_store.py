@@ -400,3 +400,82 @@ class TestTelemetryDoesNotChangeAnswers:
         assert quiet.lt_consistent_users([box]) == loud.lt_consistent_users(
             [box]
         )
+
+
+def _loaded_store(**kwargs) -> TrajectoryStore:
+    """Six users with interleaved timestamps: per-user blocks arrive out
+    of global time order, so the view has a tail to merge."""
+    store = TrajectoryStore(**kwargs)
+    for user_id in (5, 0, 3, 1, 4, 2):
+        store.add_points(
+            user_id,
+            [
+                STPoint(40.0 * user_id + t, 7.0 * t, 30.0 * t + user_id)
+                for t in range(200)
+            ],
+        )
+    return store
+
+
+def _answers(store: TrajectoryStore) -> tuple:
+    box = STBox(Rect(0, 0, 120, 700), Interval(100, 3000))
+    target = STPoint(90.0, 300.0, 1500.0)
+    return (
+        list(store.user_ids()),
+        {uid: list(history) for uid, history in store.histories.items()},
+        store.nearest_users(target, 4),
+        store.nearest_users_brute(target, 4),
+        store.users_in_box(box),
+        store.lt_consistent_users([box]),
+        store.closest_points(store.user_ids(), target),
+    )
+
+
+class TestBulkLoad:
+    def test_add_histories_matches_add_points(self):
+        batches = [
+            (user_id, list(history))
+            for user_id, history in _loaded_store().histories.items()
+        ] + [(9, [])]
+        bulk = TrajectoryStore()
+        assert bulk.add_histories(iter(batches)) == 1200
+        one_by_one = TrajectoryStore()
+        for user_id, points in batches:
+            one_by_one.add_points(user_id, points)
+        assert _answers(bulk) == _answers(one_by_one)
+        # One bump per non-empty batch; the empty one still opens a PHL.
+        assert bulk.version == one_by_one.version == 6
+        assert 9 in bulk
+
+
+class TestCopy:
+    def test_copy_answers_like_the_source(self):
+        source = _loaded_store(time_scale=2.0)
+        copy = source.copy()
+        assert copy.time_scale == 2.0
+        assert copy.version == source.version
+        assert _answers(copy) == _answers(source)
+
+    def test_copy_is_consolidated(self):
+        source = _loaded_store()
+        source.add_point(0, STPoint(1.0, 1.0, 5.0))  # buffered, unsorted
+        view = source.copy()._view
+        assert not view._pending
+        assert view._sorted_n == view._n == 1201
+        assert bool((view._t[1:1201] >= view._t[:1200]).all())
+
+    def test_copy_is_independent(self):
+        source = _loaded_store()
+        before = _answers(source)
+        copy = source.copy()
+        copy.add_points(7, [STPoint(95.0, 300.0, 1500.0)])
+        copy.add_point(0, STPoint(90.0, 300.0, 1500.0))
+        assert _answers(source) == before
+        assert copy.nearest_users(STPoint(90.0, 300.0, 1500.0), 1)[0][0] == 0
+        assert 7 not in source
+
+    def test_copy_takes_its_own_telemetry(self):
+        telemetry = TelemetryConfig(enabled=True).build()
+        copy = _loaded_store().copy(telemetry=telemetry)
+        copy.nearest_users(STPoint(0.0, 0.0, 0.0), 2)
+        assert telemetry.metrics.snapshot().counters

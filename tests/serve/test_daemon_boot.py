@@ -24,6 +24,35 @@ DAEMON = REPO / "tools" / "serve_daemon.py"
 #: for the road router, and scipy serves only offline mix-zone
 #: assignment.
 HEAVY = ("networkx", "scipy")
+#: What the daemon never loads: the client half of the load harness
+#: (``repro.serve.city`` is its serving half), the fleet view, the
+#: simulation and mining layers, benchmark artifacts and rendering.
+CLIENT_SIDE = (
+    "repro.serve.loadgen",
+    "repro.serve.fleet",
+    "repro.experiments",
+    "repro.ts",
+    "repro.mining",
+    "repro.obs.bench",
+    "repro.obs.aggregate",
+    "repro.obs.render",
+)
+#: Loaded only by the flag that needs them: ``--http-port``,
+#: ``--workers`` and ``--slo``.  No ``hello``, ``update``, ``request``
+#: or ``metrics`` op may load one.
+BY_FLAG = ("repro.serve.http", "repro.serve.supervisor", "repro.obs.slo")
+#: Loaded by the first ``profile`` op, which starts the sampler.
+BY_PROFILE = ("repro.obs.profile",)
+LOAD_DAEMON = f"""
+import importlib.util
+import sys
+
+spec = importlib.util.spec_from_file_location(
+    "serve_daemon", {str(DAEMON)!r}
+)
+daemon = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(daemon)  # defines main, does not run it
+"""
 
 
 def _env() -> "dict[str, str]":
@@ -32,33 +61,82 @@ def _env() -> "dict[str, str]":
     return env
 
 
+def _run(script: str) -> str:
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
 class TestImportGraph:
-    def test_daemon_and_loadgen_load_without_heavy_modules(self):
+    def test_daemon_loads_only_what_serving_needs(self):
+        script = LOAD_DAEMON + textwrap.dedent(
+            f"""
+            assert "repro.serve.server" in sys.modules
+            assert "repro.serve.city" in sys.modules
+            print(sorted(
+                name
+                for name in sys.modules
+                for banned in {HEAVY + CLIENT_SIDE + BY_FLAG + BY_PROFILE!r}
+                if name == banned or name.startswith(banned + ".")
+            ))
+            """
+        )
+        assert _run(script) == "[]"
+
+    def test_loadgen_loads_without_heavy_modules(self):
         script = textwrap.dedent(
             f"""
-            import importlib.util
             import sys
-
-            spec = importlib.util.spec_from_file_location(
-                "serve_daemon", {str(DAEMON)!r}
-            )
-            daemon = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(daemon)  # defines main, does not run it
             import repro.serve.loadgen
 
-            assert "repro.serve.server" in sys.modules
             print(sorted(m for m in {HEAVY!r} if m in sys.modules))
             """
         )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            env=_env(),
-            capture_output=True,
-            text=True,
-            timeout=120,
+        assert _run(script) == "[]"
+
+    def test_serving_ops_load_no_flag_module(self):
+        """A booted default daemon answers hello, update, request and
+        metrics without importing anything it left out at boot."""
+        script = LOAD_DAEMON + textwrap.dedent(
+            f"""
+            import asyncio
+
+            from repro.serve.client import ServeClient
+
+            async def main():
+                args = daemon.parse_args(["--port", "0"])
+                server = daemon._build_server(args, {{}})
+                await server.start()
+                transports = await daemon._start_frontends(
+                    args, server, None
+                )
+                client = await ServeClient.connect(
+                    "127.0.0.1", transports[0].port
+                )
+                await client.update(0, 100.0, 100.0, 3600.0)
+                await client.request(0, 100.0, 100.0, 3700.0, service="poi")
+                await client.metrics()
+                await client.close()
+                for transport in transports:
+                    await transport.stop()
+                await server.close()
+
+            asyncio.run(main())
+            print(sorted(
+                name
+                for name in sys.modules
+                for banned in {CLIENT_SIDE + BY_FLAG + BY_PROFILE!r}
+                if name == banned or name.startswith(banned + ".")
+            ))
+            """
         )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert _run(script) == "[]"
 
 
 class TestBootGauges:

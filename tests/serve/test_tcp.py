@@ -15,6 +15,7 @@ from repro.serve.protocol import (
     DecisionReply,
     ErrorReply,
     Hello,
+    LocationUpdate,
     ServiceRequest,
     StatsReply,
     StatsRequest,
@@ -505,3 +506,41 @@ def test_mid_burst_disconnect_executes_and_logs_queued_ops(
     assert asyncio.run(run()) == []
     records = list(ShardWal.recover(tmp_path / "shard-000"))
     assert [record["s"] for record in records] == list(range(burst))
+
+
+def test_post_refuses_an_id_already_pending(engine, workload):
+    """A second frame under a pending id must not orphan the first.
+
+    Before the check, the second future replaced the first in the
+    pending table, so the first never resolved and this test timed
+    out waiting for it.
+    """
+
+    async def run():
+        server, transport, host, port = await _serving(engine)
+        client = await ServeClient.connect(host, port, client="dup-id")
+        update = first_update(workload)
+        frame = LocationUpdate(
+            id=7,
+            user_id=update.user_id,
+            x=update.location.x,
+            y=update.location.y,
+            t=update.location.t,
+        )
+        first = client.post(frame)
+        try:
+            client.post(frame)
+        except ServeClientError:
+            refused = True
+        else:
+            refused = False
+        try:
+            reply = await asyncio.wait_for(first, timeout=10)
+        finally:
+            await client.close()
+            await transport.stop()
+            await server.close()
+        assert isinstance(reply, UpdateAck) and reply.id == 7
+        assert refused
+
+    asyncio.run(run())

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,65 @@ class TestSubpackages:
         module = importlib.import_module(module_name)
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.{name}"
+
+
+#: Packages whose ``__init__`` resolves its exports on first use.
+LAZY_PACKAGES = ["repro", "repro.obs", "repro.serve"]
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+class TestLazyExports:
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+    def test_every_export_resolves_in_a_fresh_interpreter(
+        self, package, order
+    ):
+        """Every name resolves with nothing imported before, in either
+        order, and a star import still binds all of ``__all__``."""
+        script = textwrap.dedent(
+            f"""
+            import importlib
+            import sys
+
+            package = importlib.import_module({package!r})
+            names = package.__all__
+            assert all(
+                getattr(package, name) is not None
+                for name in names[::{order}]
+            )
+            namespace = {{}}
+            exec("from {package} import *", namespace)
+            print(sorted(set(names) - set(namespace) - set(dir(package))))
+            """
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_importing_the_package_loads_no_export(self, package):
+        script = (
+            f"import sys, {package}; "
+            f"print(sorted(m for m in sys.modules "
+            f"if m.startswith('repro.') and m != 'repro._lazy' "
+            f"and m != {package!r}))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+    def test_unknown_name_raises_attribute_error(self, package):
+        module = importlib.import_module(package)
+        with pytest.raises(AttributeError):
+            getattr(module, "no_such_export")
 
 
 class TestDocumentation:

@@ -52,11 +52,19 @@ starting the shard engines, or spawning the workers) and ``listen``
 
 from __future__ import annotations
 
+import gc
 import time
 
 #: Taken before every other import, so ``serve.boot_ms{phase="import"}``
 #: covers what loading the daemon costs.
 BOOT_START = time.perf_counter()
+if __name__ == "__main__":
+    # Boot makes tens of thousands of long-lived objects (modules, the
+    # city, the shard engines) and almost no garbage, so cyclic
+    # collection finds nothing to free until the frontends are up.  It
+    # is off until then; :func:`serve` freezes what boot made and turns
+    # it back on.
+    gc.disable()
 
 import argparse  # noqa: E402
 import asyncio  # noqa: E402
@@ -64,33 +72,28 @@ import contextlib  # noqa: E402
 import signal  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import TYPE_CHECKING  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.obs.config import TelemetryConfig  # noqa: E402
+from repro.serve.city import WorkloadConfig, build_city  # noqa: E402
 from repro.serve.gate import (  # noqa: E402
     ConnectionGate,
     GateConfig,
     load_tokens,
 )
-from repro.serve.http import HttpTransport  # noqa: E402
-from repro.serve.loadgen import (  # noqa: E402
-    WorkloadConfig,
-    build_workload,
-)
-from repro.serve.server import ServeConfig  # noqa: E402
+from repro.serve.server import ServeConfig, TrustedServer  # noqa: E402
 from repro.serve.shard import ShardRouter  # noqa: E402
-from repro.serve.supervisor import (  # noqa: E402
-    WorkerSupervisor,
-    announce,
-    worker_shards,
-)
 from repro.serve.transports import (  # noqa: E402
     TcpTransport,
     server_ssl_context,
 )
 from repro.serve.wal import WalConfig  # noqa: E402
+
+if TYPE_CHECKING:
+    from repro.serve.http import HttpTransport
 
 IMPORT_MS = (time.perf_counter() - BOOT_START) * 1000.0
 
@@ -333,6 +336,8 @@ async def _start_frontends(
         )
     ]
     if args.http_port is not None:
+        from repro.serve.http import HttpTransport
+
         transports.append(
             HttpTransport(
                 server,
@@ -372,12 +377,14 @@ def _ms_since(started: float) -> float:
 
 def _build_server(
     args: argparse.Namespace, boot_ms: "dict[str, float]"
-) -> "ShardRouter | WorkerSupervisor":
+) -> TrustedServer:
     """The frontend of the daemon shape ``args`` select.
 
-    Records the time spent building the workload in ``boot_ms``.
+    Records the time spent building the served city in ``boot_ms``.
     """
     if args.workers and args.worker_index is None:
+        from repro.serve.supervisor import WorkerSupervisor
+
         worker_args = ["--seed", str(args.seed),
                        "--wal-fsync", args.wal_fsync]
         if args.trace_jsonl is not None:
@@ -393,16 +400,18 @@ def _build_server(
         )
     shard_ids = worker_label = None
     if args.worker_index is not None:
+        from repro.serve.supervisor import worker_shards
+
         shard_ids = worker_shards(
             args.worker_index, args.workers, args.shards
         )
         worker_label = str(args.worker_index)
     workload_config = WorkloadConfig(seed=args.seed)
     started = time.perf_counter()
-    workload = build_workload(workload_config)
+    city = build_city(workload_config)
     boot_ms["workload"] = _ms_since(started)
     return ShardRouter(
-        workload,
+        city,
         workload_config,
         n_shards=args.shards,
         config=_serve_config(args),
@@ -433,8 +442,15 @@ async def serve(
     boot_ms["listen"] = _ms_since(started)
     for phase, ms in boot_ms.items():
         server.telemetry.gauge("serve.boot_ms", ms, phase=phase)
+    if not gc.isenabled():
+        # Boot's objects live as long as the daemon: move them out of
+        # the collector's generations, so no later pass walks them.
+        gc.freeze()
+        gc.enable()
     worker_index = args.worker_index
     if worker_index is not None:
+        from repro.serve.supervisor import announce
+
         assert isinstance(server, ShardRouter)
         port = transports[0].port
         print(announce(worker_index, port, server.applied_seqs()),
