@@ -204,34 +204,24 @@ class ColumnarView:
         self._pending.append(point)
         self._pending_slots.append(self._slot_for(user_id))
 
-    def append_block(
-        self, user_id: int, points: Sequence[STPoint]
-    ) -> None:
-        """Buffer one user's samples; see :meth:`append`.
-
-        A block of at least ``BLOCK_MERGE_MIN`` samples is a bulk load,
-        read-heavy afterwards: it is written and merged at once, so
-        queries never pay for it.
-        """
-        self._pending.extend(points)
-        self._pending_slots.extend([self._slot_for(user_id)] * len(points))
-        if len(points) >= self.BLOCK_MERGE_MIN:
-            self._flush(merge=True)
-
     def append_blocks(
         self, blocks: "Sequence[tuple[int, Sequence[STPoint]]]"
     ) -> None:
-        """Buffer several users' samples and write them at once.
+        """Buffer ``(user_id, points)`` blocks; see :meth:`append`.
 
-        A bulk load: one column write and at most one merge for all
-        the blocks, instead of one per block.
+        Blocks of at least ``BLOCK_MERGE_MIN`` samples in all are a
+        bulk load, read-heavy afterwards: they are written and merged
+        at once, so queries never pay for them.
         """
+        total = 0
         for user_id, points in blocks:
             self._pending.extend(points)
             self._pending_slots.extend(
                 [self._slot_for(user_id)] * len(points)
             )
-        self._flush(merge=True)
+            total += len(points)
+        if total >= self.BLOCK_MERGE_MIN:
+            self._flush(merge=True)
 
     def _flush(self, merge: bool = False) -> None:
         """Write the buffered samples into the columns.

@@ -149,23 +149,16 @@ class TrajectoryStore:
         :attr:`version`).  Returns the number of points ingested; an
         empty batch ingests nothing and does not bump ``version``.
         """
-        history = self.history(user_id)
-        batch = points if isinstance(points, list) else list(points)
-        if batch:
-            history.extend(batch)
-            self._view.append_block(user_id, batch)
-            self.version += 1
-        return len(batch)
+        return self.add_histories([(user_id, points)])
 
     def add_histories(
         self, batches: "Iterable[tuple[int, Iterable[STPoint]]]"
     ) -> int:
         """Bulk-ingest ``(user_id, points)`` batches, in order.
 
-        Equivalent to :meth:`add_points` per batch (``version`` is
-        bumped once per non-empty batch), except that the view is
-        written and merged once for all of them.  Returns the number
-        of points ingested.
+        ``version`` is bumped once per non-empty batch (see
+        :attr:`version`), and the view takes all the batches as one
+        block.  Returns the number of points ingested.
         """
         blocks = []
         for user_id, points in batches:

@@ -71,32 +71,11 @@ class Frame:
     """Base class of all wire frames.
 
     :func:`_frame` sets ``op`` and ``_schema``, the decoder's field
-    table in declaration order.  Frames are frozen dataclasses whose
-    ``__eq__``, ``__hash__`` and ``__repr__`` are these three, written
-    once from ``_schema`` and equal to what ``dataclass`` would
-    generate per class: every daemon start would otherwise compile
-    three methods for each of the 19 frame classes.
+    table in declaration order.
     """
 
     op: ClassVar[str] = ""
     _schema: ClassVar[tuple[_Field, ...]] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name, _, _ in self._schema)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Frame) and other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name, _, _ in self._schema
-        )
-        return f"{type(self).__qualname__}({fields})"
 
 
 _Fr = TypeVar("_Fr", bound=Frame)
@@ -242,7 +221,7 @@ def _frame(op: str, registry: dict[str, type]) -> Callable[[_F], _F]:
 
 
 @_frame("hello", REQUEST_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class Hello(Frame):
     """Connection opener; must be the first frame on the wire.
 
@@ -266,7 +245,7 @@ class Hello(Frame):
 
 
 @_frame("update", REQUEST_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class LocationUpdate(Frame):
     """A location update that is not a service request (Section 6.1).
 
@@ -293,7 +272,7 @@ class LocationUpdate(Frame):
 
 
 @_frame("request", REQUEST_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class ServiceRequest(Frame):
     """A service request at an exact ``⟨x, y, t⟩``.
 
@@ -313,7 +292,7 @@ class ServiceRequest(Frame):
 
 
 @_frame("stats", REQUEST_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class StatsRequest(Frame):
     """Ask the server for its live serving counters."""
 
@@ -321,7 +300,7 @@ class StatsRequest(Frame):
 
 
 @_frame("drain", REQUEST_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class DrainRequest(Frame):
     """Ask the server to drain: stop admitting, flush, final audit."""
 
@@ -329,7 +308,7 @@ class DrainRequest(Frame):
 
 
 @_frame("metrics", REQUEST_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class MetricsRequest(Frame):
     """Ask for the full metrics registry in an exposition format.
 
@@ -343,7 +322,7 @@ class MetricsRequest(Frame):
 
 
 @_frame("health", REQUEST_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class HealthRequest(Frame):
     """One-frame liveness/readiness probe."""
 
@@ -351,7 +330,7 @@ class HealthRequest(Frame):
 
 
 @_frame("traces", REQUEST_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class TracesRequest(Frame):
     """Ask for the server's ring of recently completed traces.
 
@@ -364,7 +343,7 @@ class TracesRequest(Frame):
 
 
 @_frame("profile", REQUEST_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class ProfileRequest(Frame):
     """Control or inspect the server's sampling profiler.
 
@@ -389,7 +368,7 @@ class ProfileRequest(Frame):
 
 
 @_frame("welcome", REPLY_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class Welcome(Frame):
     """Successful hello: negotiated version plus admission limits."""
 
@@ -402,7 +381,7 @@ class Welcome(Frame):
 
 
 @_frame("ack", REPLY_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class UpdateAck(Frame):
     """A location update was ingested.
 
@@ -415,7 +394,7 @@ class UpdateAck(Frame):
 
 
 @_frame("decision", REPLY_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class DecisionReply(Frame):
     """The Trusted Server's decision on one service request.
 
@@ -438,7 +417,7 @@ class DecisionReply(Frame):
 
 
 @_frame("error", REPLY_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class ErrorReply(Frame):
     """Anything that is not a successful reply.
 
@@ -460,7 +439,7 @@ class ErrorReply(Frame):
 
 
 @_frame("stats_reply", REPLY_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class StatsReply(Frame):
     """Live serving counters (one gauge sample, not a stream)."""
 
@@ -475,7 +454,7 @@ class StatsReply(Frame):
 
 
 @_frame("drained", REPLY_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class DrainReply(Frame):
     """Drain finished: totals at the moment the queue emptied."""
 
@@ -487,7 +466,7 @@ class DrainReply(Frame):
 
 
 @_frame("metrics_reply", REPLY_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class MetricsReply(Frame):
     """The metrics registry rendered in the requested format.
 
@@ -501,7 +480,7 @@ class MetricsReply(Frame):
 
 
 @_frame("health_reply", REPLY_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class HealthReply(Frame):
     """Liveness/readiness snapshot.
 
@@ -523,7 +502,7 @@ class HealthReply(Frame):
 
 
 @_frame("traces_reply", REPLY_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class TracesReply(Frame):
     """Recently completed request traces, most recent first.
 
@@ -537,7 +516,7 @@ class TracesReply(Frame):
 
 
 @_frame("profile_reply", REPLY_TYPES)
-@dataclasses.dataclass(frozen=True, eq=False, repr=False)
+@dataclasses.dataclass(frozen=True)
 class ProfileReply(Frame):
     """Profiler state after a ``profile`` op.
 

@@ -34,7 +34,7 @@ class TestColumnarView:
         # users so consolidation (stable re-sort) must fire.
         for i in range(view.TAIL_MAX + 10):
             view.append(0, p(i, 0, 1_000_000 - i))
-        view.append_block(1, [p(0, 0, 5.0), p(0, 0, 2.0)])
+        view.append_blocks([(1, [p(0, 0, 5.0), p(0, 0, 2.0)])])
         assert view.n_rows == view.TAIL_MAX + 12
         box = STBox(Rect(0, 0, 0, 0), Interval(0.0, 10.0))
         assert {view.uid_of(int(s)) for s in view.slots_in_box(box)} == {1}
@@ -43,7 +43,7 @@ class TestColumnarView:
     def test_ingest_is_buffered_until_a_query(self):
         view = ColumnarView()
         view.append(0, p(1, 1, 1))
-        view.append_block(1, [p(2, 2, 2), p(3, 3, 3)])
+        view.append_blocks([(1, [p(2, 2, 2), p(3, 3, 3)])])
         assert view.n_rows == 3 and view._n == 0
         assert set(view.slots_in_box(BOX).tolist()) == {0, 1}
         assert view._n == 3 and not view._pending
@@ -73,7 +73,7 @@ class TestColumnarView:
         view = ColumnarView()
         view.append(1, p(0, 0, 0))
         view.append(1, p(0, 0, 0))  # a re-sent sample is a row too
-        view.append_block(2, [p(1, 1, 1), p(2, 2, 2)])
+        view.append_blocks([(2, [p(1, 1, 1), p(2, 2, 2)])])
         assert view.n_rows == 4
         view.slots_in_box(BOX)
         assert view.n_rows == 4
@@ -82,15 +82,26 @@ class TestColumnarView:
         view = ColumnarView()
         view.append(0, p(0, 0, 500.0))
         block = [p(1, 1, float(t)) for t in range(view.BLOCK_MERGE_MIN)]
-        view.append_block(1, block)
+        view.append_blocks([(1, block)])
         assert not view._pending
         assert view._n == view._sorted_n == view.BLOCK_MERGE_MIN + 1
+
+    def test_blocks_are_merged_on_their_total(self):
+        view = ColumnarView()
+        view.append(0, p(0, 0, 500.0))
+        half = view.BLOCK_MERGE_MIN // 2
+        view.append_blocks(
+            [(1, [p(1, 1, float(t)) for t in range(half)]),
+             (2, [p(2, 2, float(t)) for t in range(half)])]
+        )
+        assert not view._pending
+        assert view._n == view._sorted_n == 2 * half + 1
 
     def test_small_out_of_order_block_waits_in_the_tail(self):
         view = ColumnarView()
         view.append(0, p(0, 0, 500.0))
         view.slots_in_box(BOX)
-        view.append_block(1, [p(1, 1, 9.0), p(1, 1, 3.0)])
+        view.append_blocks([(1, [p(1, 1, 9.0), p(1, 1, 3.0)])])
         assert view._n == 1 and view.n_rows == 3
         view.slots_in_box(BOX)
         assert view._n == 3 and view._sorted_n == 1
@@ -108,7 +119,7 @@ class TestColumnarView:
 
     def test_points_at_rows(self):
         view = ColumnarView()
-        view.append_block(3, [p(1, 2, 3), p(4, 5, 6)])
+        view.append_blocks([(3, [p(1, 2, 3), p(4, 5, 6)])])
         view.slots_in_box(BOX)
         assert view.points_at_rows([1, 0]) == [p(4, 5, 6), p(1, 2, 3)]
 
@@ -142,8 +153,8 @@ class TestColumnarView:
         view = ColumnarView()
         # slot 0: a unique nearest sample; slot 1: two samples mirrored
         # in time about the query, tied exactly.
-        view.append_block(0, [p(3, 0, 50), p(9, 0, 50)])
-        view.append_block(1, [p(0, 0, 46), p(0, 0, 54)])
+        view.append_blocks([(0, [p(3, 0, 50), p(9, 0, 50)])])
+        view.append_blocks([(1, [p(0, 0, 46), p(0, 0, 54)])])
         slots, minima, rows = view.nearest_slots(p(0, 0, 50), 2, 1.0)
         assert slots.tolist() == [0, 1]
         assert minima.tolist() == [3.0, 4.0]

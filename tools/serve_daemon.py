@@ -52,19 +52,11 @@ starting the shard engines, or spawning the workers) and ``listen``
 
 from __future__ import annotations
 
-import gc
 import time
 
 #: Taken before every other import, so ``serve.boot_ms{phase="import"}``
 #: covers what loading the daemon costs.
 BOOT_START = time.perf_counter()
-if __name__ == "__main__":
-    # Boot makes tens of thousands of long-lived objects (modules, the
-    # city, the shard engines) and almost no garbage, so cyclic
-    # collection finds nothing to free until the frontends are up.  It
-    # is off until then; :func:`serve` freezes what boot made and turns
-    # it back on.
-    gc.disable()
 
 import argparse  # noqa: E402
 import asyncio  # noqa: E402
@@ -442,11 +434,6 @@ async def serve(
     boot_ms["listen"] = _ms_since(started)
     for phase, ms in boot_ms.items():
         server.telemetry.gauge("serve.boot_ms", ms, phase=phase)
-    if not gc.isenabled():
-        # Boot's objects live as long as the daemon: move them out of
-        # the collector's generations, so no later pass walks them.
-        gc.freeze()
-        gc.enable()
     worker_index = args.worker_index
     if worker_index is not None:
         from repro.serve.supervisor import announce
