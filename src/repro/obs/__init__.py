@@ -21,6 +21,9 @@ per-request telemetry a production anonymizer needs:
 * :mod:`repro.obs.export` — Prometheus text exposition of the metrics
   registry (with OpenMetrics trace exemplars) plus the matching parser
   used by tests and the ``tools/obstop.py`` dashboard;
+* :mod:`repro.obs.aggregate` — the merge behind a supervised fleet's
+  one ``metrics`` scrape (counters and buckets summed, gauges kept per
+  worker);
 * :mod:`repro.obs.slo` — the second observability layer: a streaming
   :class:`PrivacyMonitor` consuming the engine's decision events
   and evaluating declarative :class:`SloRule` thresholds (alerting
@@ -34,7 +37,7 @@ Everything is zero-dependency stdlib Python (plus the ``repro``
 need); nothing here imports the pipeline packages (``core``, ``ts``,
 ``attack``), so any layer can be instrumented without cycles.
 Exports resolve on first use: importing :mod:`repro.obs.config` alone
-loads neither the benchmark nor the fleet modules.
+loads neither the benchmark nor the aggregation modules.
 """
 
 from repro._lazy import lazy_exports
@@ -56,21 +59,17 @@ _EXPORTS = {
         "resolve_telemetry",
     ),
     "repro.obs.aggregate": (
-        "Exemplars",
-        "FleetTrace",
-        "FleetView",
-        "MetricsCollector",
-        "WorkerScrape",
-        "assemble_traces",
         "merge_exemplars",
         "merge_rule",
         "merge_samples",
     ),
     "repro.obs.export": (
+        "Exemplars",
         "parse_exposition",
         "parse_prometheus",
         "quantile_from_buckets",
         "render_prometheus",
+        "render_samples",
     ),
     "repro.obs.metrics": (
         "DEFAULT_BUCKETS",

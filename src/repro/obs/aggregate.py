@@ -1,11 +1,11 @@
-"""Fleet-level aggregation of scraped telemetry.
+"""Merge the scrapes of one supervised fleet into one exposition.
 
-One daemon exposes its registry through the ``metrics`` protocol op;
-a sharded fleet exposes N of them.  This module merges those scrapes
-into one coherent view, operating purely on parsed Prometheus samples
-(:func:`repro.obs.export.parse_prometheus` /
-:func:`~repro.obs.export.parse_exposition`) so it works against any
-worker that speaks the exposition format:
+A :class:`~repro.serve.supervisor.WorkerSupervisor` answers the
+``metrics`` op for its whole fleet: it pulls each worker's exposition
+over the connection it already holds and merges them, together with
+its own registry, into one sample set.  This module is that merge,
+operating purely on parsed Prometheus samples
+(:func:`repro.obs.export.parse_exposition`):
 
 * **counters** (``_total``) and histogram components (``_bucket`` /
   ``_sum`` / ``_count``) *sum* across workers.  Cumulative bucket
@@ -14,31 +14,19 @@ worker that speaks the exposition format:
   is the sum of every worker's cumulative count *at* that bound, not
   a naive key-wise sum;
 * **gauges** (and summary ``quantile`` samples, which cannot be
-  combined) keep per-worker identity under an added ``worker`` label;
+  combined) keep per-worker identity under an added ``worker`` label —
+  except the frontend's own, which keep their labels as they are;
 * **exemplars** keep the worst observation per bucket across the
   fleet (the trace id most worth pulling).
 
-:class:`MetricsCollector` polls N workers concurrently through an
-injected async scrape callable (the concrete
-:class:`~repro.serve.client.ServeClient` scraper lives in
-:mod:`repro.serve.fleet` — this module imports nothing from
-``repro.serve``) and assembles the per-worker ``traces`` rings into
-cross-worker :class:`FleetTrace` entries grouped by trace id.
+The module imports nothing from ``repro.serve``.
 """
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from repro.obs.export import Samples
-
-#: One scraped sample key: ``(name, ((label, value), ...))``.
-SampleKey = tuple[str, tuple[tuple[str, str], ...]]
-
-#: Bucket exemplars per sample key: ``key -> (value, trace_id)``.
-Exemplars = dict[SampleKey, tuple[float, str]]
+from repro.obs.export import Exemplars, SampleKey, Samples
 
 
 def merge_rule(
@@ -81,52 +69,48 @@ def _cumulative_at(
     return value
 
 
-def merge_samples(
-    per_worker: Mapping[str, Samples], worker_label: str = "worker"
-) -> Samples:
+def _merged_labels(
+    labels: Sequence[tuple[str, str]],
+) -> tuple[tuple[str, str], ...]:
+    """Labels as a merged key carries them: sorted, with ``le`` last
+    (where :func:`repro.obs.export.render_prometheus` writes it)."""
+    rest = sorted(pair for pair in labels if pair[0] != "le")
+    return tuple(rest) + tuple(pair for pair in labels if pair[0] == "le")
+
+
+def merge_samples(per_worker: Mapping[str, Samples]) -> Samples:
     """Merge N workers' scrapes into one fleet sample set.
 
     Summed series come back under their (sorted) original labels;
-    per-worker series gain a ``(worker_label, <worker>)`` label.  The
-    merged output of two workers equals what one registry serving the
-    combined workload would expose (the property the aggregate tests
-    pin for counters and histogram buckets).
+    per-worker series gain a ``("worker", <worker>)`` label, except
+    those of the worker named ``""`` (the frontend's own registry),
+    which keep their labels unchanged.  The merged output of two
+    workers equals what one registry serving the combined workload
+    would expose (the property the aggregate tests pin for counters
+    and histogram buckets).
     """
     merged: Samples = {}
     sums: dict[SampleKey, float] = {}
     # (name, base labels) -> worker -> [(bound, cum)], le kept as the
     # original string so merged keys match a native exposition.
     buckets: dict[
-        tuple[str, tuple[tuple[str, str], ...]],
-        dict[str, list[tuple[float, float, str]]],
+        SampleKey, dict[str, list[tuple[float, float, str]]]
     ] = {}
     for worker in sorted(per_worker):
+        identity = (("worker", worker),) if worker else ()
         for (name, labels), value in per_worker[worker].items():
             rule = merge_rule(name, labels)
             if rule == "sum":
-                key = (name, tuple(sorted(labels)))
+                key = (name, _merged_labels(labels))
                 sums[key] = sums.get(key, 0.0) + value
             elif rule == "bucket":
-                base = tuple(
-                    sorted(
-                        (k, v) for k, v in labels if k != "le"
-                    )
-                )
-                le = dict(labels)["le"]
-                buckets.setdefault((name, base), {}).setdefault(
+                *base, le_pair = _merged_labels(labels)
+                le = le_pair[1]
+                buckets.setdefault((name, tuple(base)), {}).setdefault(
                     worker, []
                 ).append((float(le), value, le))
             else:
-                key = (
-                    name,
-                    tuple(
-                        sorted(
-                            tuple(labels)
-                            + ((worker_label, worker),)
-                        )
-                    ),
-                )
-                merged[key] = value
+                merged[(name, _merged_labels(labels + identity))] = value
     merged.update(sums)
     for (name, base), by_worker in buckets.items():
         series: dict[str, list[tuple[float, float]]] = {}
@@ -153,16 +137,17 @@ def merge_exemplars(
 ) -> Exemplars:
     """Keep the fleet-wide worst exemplar per bucket series.
 
-    Keys are normalised to sorted labels so they line up with
-    :func:`merge_samples` output; on a value tie the lexically first
-    trace id wins, keeping the merge order-independent.
+    Keys are normalised as :func:`merge_samples` normalises bucket
+    keys (sorted labels, ``le`` last), so each exemplar lines up with
+    its merged bucket; on a value tie the lexically first trace id
+    wins, keeping the merge order-independent.
     """
     merged: Exemplars = {}
     for worker in sorted(per_worker):
         for (name, labels), (value, trace_id) in (
             per_worker[worker].items()
         ):
-            key = (name, tuple(sorted(labels)))
+            key = (name, _merged_labels(labels))
             kept = merged.get(key)
             if (
                 kept is None
@@ -171,216 +156,3 @@ def merge_exemplars(
             ):
                 merged[key] = (value, trace_id)
     return merged
-
-
-@dataclass(frozen=True)
-class FleetTrace:
-    """One trace id's activity across the fleet."""
-
-    trace_id: str
-    workers: tuple[str, ...]
-    op: str | None
-    decision: str | None
-    queue_ms: float
-    total_ms: float
-    shed: bool
-    #: The raw per-worker ring entries (each with a ``worker`` key).
-    entries: tuple[dict, ...]
-
-
-def assemble_traces(
-    per_worker: Mapping[str, Sequence[Mapping]],
-) -> list[FleetTrace]:
-    """Group per-worker ``traces`` ring entries by trace id.
-
-    A request that touched several workers (fan-out, retry on another
-    shard) collapses into one :class:`FleetTrace` listing every worker
-    that saw it; ``total_ms``/``queue_ms`` take the worst observation
-    and ``shed`` is true if any worker shed it.  Sorted slowest first.
-    """
-    grouped: dict[str, list[tuple[str, dict]]] = {}
-    for worker in sorted(per_worker):
-        for entry in per_worker[worker]:
-            trace_id = entry.get("trace_id")
-            if not isinstance(trace_id, str):
-                continue
-            grouped.setdefault(trace_id, []).append(
-                (worker, dict(entry))
-            )
-    fleet: list[FleetTrace] = []
-    for trace_id, entries in grouped.items():
-        op = next(
-            (e.get("op") for _w, e in entries if e.get("op")), None
-        )
-        decision = next(
-            (
-                e.get("decision")
-                for _w, e in entries
-                if e.get("decision")
-            ),
-            None,
-        )
-        fleet.append(
-            FleetTrace(
-                trace_id=trace_id,
-                workers=tuple(
-                    sorted({worker for worker, _e in entries})
-                ),
-                op=op,
-                decision=decision,
-                queue_ms=max(
-                    float(e.get("queue_ms") or 0.0)
-                    for _w, e in entries
-                ),
-                total_ms=max(
-                    float(e.get("total_ms") or 0.0)
-                    for _w, e in entries
-                ),
-                shed=any(bool(e.get("shed")) for _w, e in entries),
-                entries=tuple(
-                    {**e, "worker": worker} for worker, e in entries
-                ),
-            )
-        )
-    fleet.sort(key=lambda t: (-t.total_ms, t.trace_id))
-    return fleet
-
-
-@dataclass
-class WorkerScrape:
-    """Everything one polling round pulled from one worker."""
-
-    worker: str
-    samples: Samples = field(default_factory=dict)
-    exemplars: Exemplars = field(default_factory=dict)
-    #: ``health`` op fields (``status``/``slo_ok``/…), None if not
-    #: fetched.
-    health: dict | None = None
-    traces: list[dict] = field(default_factory=list)
-
-
-def _shard_sort_key(shard: str) -> tuple[int, object]:
-    """Numeric shard ids sort numerically, everything else after."""
-    try:
-        return (0, int(shard))
-    except ValueError:
-        return (1, shard)
-
-
-@dataclass
-class FleetView:
-    """One merged snapshot of the whole fleet."""
-
-    workers: tuple[str, ...]
-    scrapes: dict[str, WorkerScrape]
-    #: target -> error string for workers that failed to scrape.
-    errors: dict[str, str]
-    samples: Samples
-    exemplars: Exemplars
-    traces: list[FleetTrace]
-
-    @property
-    def healthy(self) -> bool:
-        """Every worker reachable, ``status=="ok"``, and SLOs green."""
-        if self.errors or not self.scrapes:
-            return False
-        for scrape in self.scrapes.values():
-            health = scrape.health
-            if health is None:
-                continue
-            if health.get("status") != "ok":
-                return False
-            if not health.get("slo_ok", True):
-                return False
-        return True
-
-    @property
-    def shards(self) -> tuple[str, ...]:
-        """Distinct ``shard`` label values in the merged samples.
-
-        Sharded serving (:class:`~repro.serve.shard.ShardRouter`)
-        labels its per-request series with the owning shard id; an
-        unsharded fleet has no such labels and this is empty.
-        """
-        found: set[str] = set()
-        for (_name, labels), _value in self.samples.items():
-            for key, value in labels:
-                if key == "shard":
-                    found.add(value)
-        return tuple(sorted(found, key=_shard_sort_key))
-
-    def shard_series(self, name: str) -> dict[str, float]:
-        """One merged counter's totals grouped by ``shard`` label.
-
-        Sums every ``name`` sample carrying a ``shard`` label over its
-        remaining label dimensions, so e.g.
-        ``shard_series("serve_served_total")`` is the per-shard served
-        count across the whole fleet.  Meaningful for counters (which
-        merge by sum); samples without a ``shard`` label are ignored.
-        """
-        totals: dict[str, float] = {}
-        for (sample_name, labels), value in self.samples.items():
-            if sample_name != name:
-                continue
-            shard = next(
-                (v for k, v in labels if k == "shard"), None
-            )
-            if shard is None:
-                continue
-            totals[shard] = totals.get(shard, 0.0) + value
-        return totals
-
-
-class MetricsCollector:
-    """Poll N workers and merge their scrapes into one fleet view.
-
-    ``scrape`` is an async callable ``target -> WorkerScrape`` — the
-    injection point that keeps this module free of any transport
-    dependency (see :func:`repro.serve.fleet.scrape_worker` for the
-    wire implementation).  Unreachable workers land in
-    :attr:`FleetView.errors` instead of failing the round, so one dead
-    shard cannot blind the dashboard to the rest of the fleet.
-    """
-
-    def __init__(
-        self,
-        scrape: Callable[[str], Awaitable[WorkerScrape]],
-        targets: Sequence[str],
-    ) -> None:
-        if not targets:
-            raise ValueError("MetricsCollector needs >= 1 target")
-        self.scrape = scrape
-        self.targets = tuple(targets)
-
-    async def collect(self) -> FleetView:
-        """One concurrent polling round over every target."""
-        results = await asyncio.gather(
-            *(self.scrape(target) for target in self.targets),
-            return_exceptions=True,
-        )
-        scrapes: dict[str, WorkerScrape] = {}
-        errors: dict[str, str] = {}
-        for target, result in zip(self.targets, results):
-            if isinstance(result, BaseException):
-                errors[target] = (
-                    f"{type(result).__name__}: {result}"
-                )
-                continue
-            worker = result.worker
-            if worker in scrapes:
-                worker = f"{worker}#{target}"
-            scrapes[worker] = result
-        return FleetView(
-            workers=tuple(sorted(scrapes)),
-            scrapes=scrapes,
-            errors=errors,
-            samples=merge_samples(
-                {w: s.samples for w, s in scrapes.items()}
-            ),
-            exemplars=merge_exemplars(
-                {w: s.exemplars for w, s in scrapes.items()}
-            ),
-            traces=assemble_traces(
-                {w: s.traces for w, s in scrapes.items()}
-            ),
-        )

@@ -98,21 +98,17 @@ class Telemetry:
         trace_sample_rate: float = 1.0,
         trace_seed: int | None = None,
         worker: str | None = None,
-        shard: str | None = None,
     ) -> None:
         self.enabled = enabled
         self.sinks: tuple[TelemetrySink, ...] = tuple(sinks)
         self.metrics = MetricsRegistry(default_buckets=buckets)
-        common: dict[str, object] = {}
-        if worker is not None:
-            common["worker"] = worker
-        if shard is not None:
-            common["shard"] = shard
         self.tracer = Tracer(
             sinks=self.sinks,
             sample_rate=trace_sample_rate,
             seed=trace_seed,
-            common_attributes=common,
+            common_attributes=(
+                {"worker": worker} if worker is not None else None
+            ),
         )
         #: True only while a profiler is attached and running; the
         #: engine guards its activity-slot writes on this plain bool,
@@ -352,9 +348,9 @@ class TelemetryConfig:
 
     ``trace_sample_rate`` is the head-sampling probability applied when
     a new distributed trace is minted (1.0 = trace every request);
-    ``trace_seed`` makes trace/span ids reproducible.  ``worker`` and
-    ``shard`` are stamped onto every span record — the identity slot
-    the sharded multi-worker serving arc fills in.
+    ``trace_seed`` makes trace/span ids reproducible.  ``worker`` is
+    stamped onto every span record: a supervised worker process sets
+    it to its index.
     """
 
     enabled: bool = False
@@ -366,7 +362,6 @@ class TelemetryConfig:
     trace_sample_rate: float = 1.0
     trace_seed: int | None = None
     worker: str | None = None
-    shard: str | None = None
 
     def build(self) -> Telemetry:
         """Wire sinks, registry, and tracer per this configuration."""
@@ -390,7 +385,6 @@ class TelemetryConfig:
             trace_sample_rate=self.trace_sample_rate,
             trace_seed=self.trace_seed,
             worker=self.worker,
-            shard=self.shard,
         )
 
 

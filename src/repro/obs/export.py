@@ -23,7 +23,9 @@ charset (dots become underscores: ``serve.request_ms`` →
 ``tools/obstop.py`` — it returns every sample as ``(name, labels) →
 value`` and raises ``ValueError`` on any malformed line, so a test
 parsing the server's ``metrics`` reply genuinely validates the
-exposition.  :func:`quantile_from_buckets` recovers percentiles from a
+exposition.  :func:`render_samples` writes parsed (and merged) samples
+back as exposition text — the body of a supervised fleet's ``metrics``
+reply.  :func:`quantile_from_buckets` recovers percentiles from a
 scraped cumulative bucket series (the same in-bucket linear
 interpolation the registry itself uses).
 """
@@ -56,8 +58,14 @@ _LABEL_RE = re.compile(
     r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"'
 )
 
+#: One scraped sample key: ``(name, ((label, value), ...))``.
+SampleKey = tuple[str, tuple[tuple[str, str], ...]]
+
 #: ``(name, ((label, value), ...)) -> float`` — one scraped sample.
-Samples = dict[tuple[str, tuple[tuple[str, str], ...]], float]
+Samples = dict[SampleKey, float]
+
+#: Bucket exemplars per sample key: ``key -> (value, trace_id)``.
+Exemplars = dict[SampleKey, tuple[float, str]]
 
 
 def sanitize_name(name: str) -> str:
@@ -187,23 +195,18 @@ def render_prometheus(
     return "\n".join(lines) + "\n"
 
 
-def parse_exposition(
-    text: str,
-) -> tuple[Samples, dict[tuple[str, tuple[tuple[str, str], ...]],
-                         tuple[float, str]]]:
+def parse_exposition(text: str) -> tuple[Samples, Exemplars]:
     """Parse text exposition, keeping OpenMetrics exemplars.
 
     Returns ``(samples, exemplars)``: the same ``(name, labels) →
     value`` map :func:`parse_prometheus` yields, plus ``(name,
     labels) → (value, trace_id)`` for every bucket line that carried a
     ``# {trace_id="..."} value`` exemplar — the raw material of the
-    fleet-level worst-exemplar merge in :mod:`repro.obs.aggregate`.
+    worst-exemplar merge in :mod:`repro.obs.aggregate`.
     Raises ``ValueError`` on any malformed line.
     """
     samples: Samples = {}
-    exemplars: dict[
-        tuple[str, tuple[tuple[str, str], ...]], tuple[float, str]
-    ] = {}
+    exemplars: Exemplars = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -244,6 +247,40 @@ def parse_exposition(
                     ) from None
                 exemplars[key] = (exemplar_value, trace_id)
     return samples, exemplars
+
+
+def render_samples(
+    samples: Samples, exemplars: "Exemplars | None" = None
+) -> str:
+    """Render parsed samples back as text exposition.
+
+    The inverse of :func:`parse_exposition`: one line per sample,
+    grouped by name, each bucket series in ascending ``le`` order, with
+    its exemplar (if any) appended.  Label values and trace ids are
+    written as parsed — still in their escaped wire form.  Instrument
+    types are not carried by ``Samples``, so no ``# TYPE`` comments are
+    written.
+    """
+
+    def order(key: SampleKey) -> tuple:
+        name, labels = key
+        le = [float(value) for label, value in labels if label == "le"]
+        rest = [pair for pair in labels if pair[0] != "le"]
+        return (name, rest, le)
+
+    exemplars = exemplars or {}
+    lines: list[str] = []
+    for key in sorted(samples, key=order):
+        name, labels = key
+        text = ",".join(f'{label}="{value}"' for label, value in labels)
+        line = f"{name}{{{text}}}" if text else name
+        line += f" {_format_value(samples[key])}"
+        exemplar = exemplars.get(key)
+        if exemplar is not None:
+            value, trace_id = exemplar
+            line += f' # {{trace_id="{trace_id}"}} {_format_value(value)}'
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def parse_prometheus(text: str) -> Samples:

@@ -20,10 +20,8 @@ Layers (bottom-up):
   transport runs, under the TCP daemon (plaintext or TLS) and the
   in-process loopback;
 * :mod:`repro.serve.http` — the HTTP/1.1 binding of the same
-  protocol (``POST /v1/frame``) plus its client;
-* :mod:`repro.serve.fleet` — :func:`dial` (the socket client of a
-  transport name) and wire-level scraping behind the
-  :mod:`repro.obs.aggregate` fleet view;
+  protocol (``POST /v1/frame``), its client, and :func:`dial` (the
+  socket client of a transport name);
 * :mod:`repro.serve.city` — the city a daemon serves and
   :func:`build_engine`, the warm-store engine every shard starts from;
 * :mod:`repro.serve.loadgen` — open-loop load generation and
@@ -36,8 +34,8 @@ Layers (bottom-up):
   snapshots with deterministic replay;
 * :mod:`repro.serve.supervisor` — :class:`WorkerSupervisor`: the same
   frontend over shards in token-gated worker subprocesses
-  (:class:`RemoteShard`), with WAL-backed respawn and pending-op
-  re-send.
+  (:class:`RemoteShard`), with WAL-backed respawn, pending-op re-send,
+  and one ``metrics`` scrape merged over the whole fleet.
 
 Exports resolve on first use, so importing one submodule (as the
 daemon does) loads no sibling.
@@ -52,12 +50,6 @@ _EXPORTS = {
         "ServeClient",
         "ServeClientError",
     ),
-    "repro.serve.fleet": (
-        "collect_fleet",
-        "dial",
-        "parse_target",
-        "scrape_worker",
-    ),
     "repro.serve.gate": (
         "ConnectionGate",
         "GateConfig",
@@ -68,6 +60,7 @@ _EXPORTS = {
     "repro.serve.http": (
         "HttpServeClient",
         "HttpTransport",
+        "dial",
     ),
     "repro.serve.city": (
         "WorkloadConfig",

@@ -35,6 +35,9 @@ a safe resynchronization point at the next newline.  Control ops
 (``stats``, ``drain``, …) are answered in line order, not in a task
 each.
 
+:func:`dial` picks the socket client of a transport name (``"tcp"``,
+``"tls"`` or ``"http"``) for loadgen and ``obstop``.
+
 HTTP status codes are reserved for *transport* misuse — ``404``/``405``
 for the wrong target or method, ``411`` for a missing Content-Length,
 ``413`` for an oversized body, ``400`` for unparseable framing — and
@@ -46,10 +49,15 @@ from __future__ import annotations
 
 import asyncio
 import ssl
-from typing import Callable, Set
+from typing import Any, Callable, Set
 
 from repro.obs.config import Telemetry
-from repro.serve.client import FrameClient, ServeClientError, welcomed
+from repro.serve.client import (
+    FrameClient,
+    ServeClient,
+    ServeClientError,
+    welcomed,
+)
 from repro.serve.gate import ConnectionGate
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -365,8 +373,8 @@ class HttpServeClient(FrameClient):
 
     The shared :class:`~repro.serve.client.FrameClient` surface —
     ``post`` returns a reply future, ``send`` waits for it, plus the
-    awaitable introspection wrappers — so loadgen and the fleet scraper
-    drive every transport alike.  Batching is automatic: one background
+    awaitable introspection wrappers — so loadgen and ``obstop`` drive
+    every transport alike.  Batching is automatic: one background
     sender runs one POST at a time and sweeps everything posted in the
     meantime (up to :data:`MAX_BATCH_FRAMES`) into the next body.
     """
@@ -532,6 +540,22 @@ class HttpServeClient(FrameClient):
             await self._writer.wait_closed()
         except (ConnectionError, OSError):
             pass
+
+
+async def dial(
+    host: str, port: int, transport: str = "tcp", **options: Any
+) -> "ServeClient | HttpServeClient":
+    """Connect the socket client of ``transport``.
+
+    ``"http"`` dials an :class:`HttpServeClient`; ``"tcp"`` and
+    ``"tls"`` dial a :class:`~repro.serve.client.ServeClient` (TLS when
+    ``options`` carry an ``ssl`` context).  ``options`` go to the
+    client's ``connect``.
+    """
+    client_class: "type[ServeClient] | type[HttpServeClient]" = (
+        HttpServeClient if transport == "http" else ServeClient
+    )
+    return await client_class.connect(host, port, **options)
 
 
 def _post_bytes(

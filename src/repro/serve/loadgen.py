@@ -43,9 +43,8 @@ from repro.serve.city import (
     build_engine,
 )
 from repro.serve.client import FrameClient, backoff_s
-from repro.serve.fleet import dial
 from repro.serve.gate import ConnectionGate, GateConfig
-from repro.serve.http import HttpTransport
+from repro.serve.http import HttpTransport, dial
 from repro.serve.protocol import (
     DecisionReply,
     DrainRequest,

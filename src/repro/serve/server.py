@@ -142,9 +142,16 @@ class ServeConfig:
 
 
 def render_metrics_reply(
-    telemetry: Telemetry, max_frame_bytes: int, frame: MetricsRequest
+    telemetry: Telemetry,
+    max_frame_bytes: int,
+    frame: MetricsRequest,
+    body: str | None = None,
 ) -> Frame:
-    """The ``metrics`` op: the registry as Prometheus text."""
+    """The ``metrics`` op: the registry as Prometheus text.
+
+    ``body`` replaces the registry's own exposition (a supervisor's
+    merged fleet scrape); it passes the same frame-size guard.
+    """
     if frame.format != "prometheus":
         return ErrorReply(
             id=frame.id,
@@ -160,7 +167,8 @@ def render_metrics_reply(
             code="no_telemetry",
             message="telemetry is disabled on this server",
         )
-    body = render_prometheus(telemetry.metrics)
+    if body is None:
+        body = render_prometheus(telemetry.metrics)
     # The exposition must fit one frame; refuse rather than hand
     # the transport an encode-time frame_too_large surprise.
     if len(body.encode("utf-8")) > max_frame_bytes - 256:

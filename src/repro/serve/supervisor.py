@@ -36,10 +36,17 @@ user can read); the worker serves behind a
 :class:`~repro.serve.gate.ConnectionGate` admitting only that token.
 Worker limits derive from the frontend's so a worker never refuses
 what the frontend admitted: ``max_queue_depth`` as given,
-``max_inflight`` = ``max_queue_depth`` × its shard count.  ``metrics``,
-``profile`` and ``traces`` are answered from the frontend's own
-registry; a worker's registry sits behind the token, out of reach of
-:mod:`repro.serve.fleet` scrapes.
+``max_inflight`` = ``max_queue_depth`` × its shard count.
+
+**One scrape for the fleet.**  A worker's registry sits behind the
+token, so the supervisor answers ``metrics`` for all of them: it pulls
+each connected worker's exposition over the hop and merges it with its
+own registry (:mod:`repro.obs.aggregate`: counters and histogram
+buckets summed, worker gauges labelled ``worker="<index>"``, the
+frontend's own unlabelled).  The workers' sequencers count
+``serve.served`` and time ``serve.request_ms``, so the frontend does
+not, and the merged series mean what they mean in-process.
+``traces`` and ``profile`` answer from the frontend alone.
 """
 
 from __future__ import annotations
@@ -53,15 +60,30 @@ import time
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.obs.aggregate import merge_exemplars, merge_samples
 from repro.obs.config import Telemetry, TelemetryConfig, resolve_telemetry
+from repro.obs.export import (
+    Exemplars,
+    Samples,
+    parse_exposition,
+    render_prometheus,
+    render_samples,
+)
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.protocol import (
     DrainReply,
     ErrorReply,
     Frame,
+    MetricsRequest,
     clone_frame,
 )
-from repro.serve.server import ServeConfig, ShardJob, TrustedServer
+from repro.serve.server import (
+    ClientSession,
+    ServeConfig,
+    ShardJob,
+    TrustedServer,
+    render_metrics_reply,
+)
 
 #: How long to wait for a worker's announcement line before giving up.
 ANNOUNCE_TIMEOUT_S = 60.0
@@ -100,7 +122,6 @@ class RemoteShard:
         self.worker = worker
         #: The worker's service time is out of sight: hint the floor.
         self.retry_after_s = frontend.config.retry_after_floor_s
-        self.telemetry = frontend.telemetry
         #: Completed traced requests (the frontend's ``traces`` ring).
         self.recent_traces = frontend.recent_traces
         self.labels: dict[str, Any] = (
@@ -170,27 +191,22 @@ class RemoteShard:
         job.session.inflight -= 1
         reply = future.result()
         frame = job.frame
-        ctx = job.trace
-        trace_id = ctx.trace_id if ctx is not None else None
-        total_ms = (time.perf_counter() - job.enqueued_at) * 1000.0
         if not isinstance(reply, ErrorReply):
+            # Counted here for stats and health; the worker's sequencer
+            # counts ``serve.served`` and times ``serve.request_ms``.
             self.served += 1
-            telemetry = self.telemetry
-            if telemetry.enabled:
-                telemetry.count("serve.served", kind=frame.op, **self.labels)
-                telemetry.observe(
-                    "serve.request_ms", total_ms, trace_id, **self.labels
-                )
+        ctx = job.trace
         if ctx is None:
             job.respond(clone_frame(reply, id=frame.id))
             return
+        # The worker's queue is out of sight from here: the frontend's
+        # wait is the whole round trip.
+        total_ms = (time.perf_counter() - job.enqueued_at) * 1000.0
         self.recent_traces.append(
             (
-                trace_id,
+                ctx.trace_id,
                 frame.op,
                 getattr(reply, "decision", None),
-                # The worker's queue is out of sight from here: the
-                # frontend's wait is the whole round trip.
                 total_ms,
                 total_ms,
                 False,
@@ -308,6 +324,50 @@ class WorkerSupervisor(TrustedServer):
             except asyncio.TimeoutError:
                 process.kill()
                 await process.wait()
+
+    # -- the fleet's metrics -------------------------------------------
+
+    async def _control(self, session: ClientSession, frame: Frame) -> Frame:
+        """Answer ``metrics`` for the whole fleet; every other control
+        op (``traces`` and ``profile`` included) as the frontend."""
+        if isinstance(frame, MetricsRequest) and self.telemetry.enabled:
+            return render_metrics_reply(
+                self.telemetry,
+                self.config.max_frame_bytes,
+                frame,
+                body=await self._fleet_exposition(),
+            )
+        return await super()._control(session, frame)
+
+    async def _fleet_exposition(self) -> str:
+        """The frontend's registry merged with every connected worker's.
+
+        Each worker's ``metrics`` body comes over its authenticated
+        connection; a worker that is mid-respawn (no connection) or
+        whose connection fails is left out of this scrape.  The
+        frontend's own samples merge unlabelled, each worker's gauges
+        under ``worker="<index>"``.
+        """
+        scrapes: "dict[str, tuple[Samples, Exemplars]]" = {
+            "": parse_exposition(render_prometheus(self.telemetry.metrics))
+        }
+        for worker in self.workers:
+            client = worker.client
+            if client is None:
+                continue
+            try:
+                reply = await client.metrics()
+            except OSError:  # ServeClientError included
+                continue
+            scrapes[str(worker.index)] = parse_exposition(reply.body)
+        return render_samples(
+            merge_samples(
+                {name: samples for name, (samples, _) in scrapes.items()}
+            ),
+            merge_exemplars(
+                {name: marks for name, (_, marks) in scrapes.items()}
+            ),
+        )
 
     # -- worker process management -------------------------------------
 

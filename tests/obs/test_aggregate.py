@@ -1,21 +1,20 @@
-"""Fleet aggregation: merge semantics, trace assembly, the collector."""
+"""Fleet aggregation: the merge behind a supervised fleet's scrape."""
 
-import asyncio
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.obs.aggregate import (
-    FleetView,
-    MetricsCollector,
-    WorkerScrape,
-    assemble_traces,
     merge_exemplars,
     merge_rule,
     merge_samples,
 )
-from repro.obs.export import parse_prometheus, render_prometheus
+from repro.obs.export import (
+    parse_exposition,
+    parse_prometheus,
+    render_prometheus,
+    render_samples,
+)
 from repro.obs.metrics import MetricsRegistry
 
 HIST_BOUNDS = (1.0, 2.0, 5.0, 10.0)
@@ -55,12 +54,22 @@ class TestMergeSamples:
         ] == 7.0
         assert key not in merged
 
-    def test_worker_label_name_is_configurable(self):
-        key = ("g", ())
+    def test_frontend_samples_keep_their_labels(self):
+        """The worker named "" is the frontend's own registry: its
+        gauges stay unlabelled, its counters sum with the workers'."""
+        gauge = ("serve_connections", ())
+        served = ("serve_shed_total", (("reason", "queue"),))
         merged = merge_samples(
-            {"a": {key: 1.0}}, worker_label="shard"
+            {
+                "": {gauge: 2.0, served: 1.0},
+                "0": {gauge: 1.0, served: 4.0},
+            }
         )
-        assert merged[("g", (("shard", "a"),))] == 1.0
+        assert merged == {
+            gauge: 2.0,
+            ("serve_connections", (("worker", "0"),)): 1.0,
+            served: 5.0,
+        }
 
     def test_elided_buckets_merge_as_step_functions(self):
         # Worker a elided the 5.0 bound (its cumulative count did not
@@ -165,6 +174,22 @@ class TestMergeExemplars:
         )
         assert merged[key] == (9.0, "bbbb")
 
+    def test_keys_line_up_with_merged_buckets(self):
+        """A rendered bucket line carries ``le`` after its other labels;
+        the merged exemplar sits on the merged bucket's key."""
+        labels = (("stage", "audit"), ("le", "1.0"))
+        key = ("engine_stage_ms_bucket", labels)
+        merged = merge_samples({"0": {key: 2.0}, "1": {key: 1.0}})
+        exemplars = merge_exemplars(
+            {"0": {key: (0.7, "aaaa")}, "1": {key: (0.9, "bbbb")}}
+        )
+        assert merged == {key: 3.0}
+        assert exemplars == {key: (0.9, "bbbb")}
+        assert parse_exposition(render_samples(merged, exemplars)) == (
+            merged,
+            exemplars,
+        )
+
     def test_value_tie_breaks_to_lexically_first_trace(self):
         key = ("lat_ms_bucket", (("le", "+Inf"),))
         forward = merge_exemplars(
@@ -174,174 +199,3 @@ class TestMergeExemplars:
             {"a": {key: (5.0, "aaaa")}, "b": {key: (5.0, "zzzz")}}
         )
         assert forward[key] == backward[key] == (5.0, "aaaa")
-
-
-class TestAssembleTraces:
-    def test_cross_worker_grouping(self):
-        fleet = assemble_traces(
-            {
-                "a": [
-                    {
-                        "trace_id": "t1",
-                        "op": "request",
-                        "total_ms": 4.0,
-                        "queue_ms": 1.0,
-                    },
-                    {"trace_id": "t2", "total_ms": 9.0, "shed": True},
-                ],
-                "b": [
-                    {
-                        "trace_id": "t1",
-                        "decision": "forwarded",
-                        "total_ms": 6.0,
-                        "queue_ms": 0.5,
-                    },
-                ],
-            }
-        )
-        assert [t.trace_id for t in fleet] == ["t2", "t1"]  # slowest 1st
-        t1 = fleet[1]
-        assert t1.workers == ("a", "b")
-        assert t1.op == "request"
-        assert t1.decision == "forwarded"
-        assert t1.total_ms == 6.0  # worst observation wins
-        assert t1.queue_ms == 1.0
-        assert not t1.shed
-        assert fleet[0].shed
-        assert {e["worker"] for e in t1.entries} == {"a", "b"}
-
-    def test_entries_without_trace_ids_are_dropped(self):
-        assert assemble_traces({"a": [{"op": "request"}]}) == []
-
-
-def _scrape_fn(data):
-    async def scrape(target):
-        result = data[target]
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    return scrape
-
-
-def _worker(name, samples=None, health=None, traces=None):
-    return WorkerScrape(
-        worker=name,
-        samples=samples or {},
-        health=health,
-        traces=traces or [],
-    )
-
-
-class TestMetricsCollector:
-    def test_rejects_empty_targets(self):
-        with pytest.raises(ValueError, match="target"):
-            MetricsCollector(_scrape_fn({}), [])
-
-    def test_merges_reachable_and_records_failures(self):
-        served = ("serve_served_total", ())
-        collector = MetricsCollector(
-            _scrape_fn(
-                {
-                    "h:1": _worker(
-                        "w0",
-                        samples={served: 7.0},
-                        health={"status": "ok", "slo_ok": True},
-                        traces=[{"trace_id": "t1", "total_ms": 3.0}],
-                    ),
-                    "h:2": _worker(
-                        "w1",
-                        samples={served: 5.0},
-                        health={"status": "ok", "slo_ok": True},
-                        traces=[{"trace_id": "t1", "total_ms": 8.0}],
-                    ),
-                    "h:3": ConnectionError("refused"),
-                }
-            ),
-            ["h:1", "h:2", "h:3"],
-        )
-        view = asyncio.run(collector.collect())
-        assert view.workers == ("w0", "w1")
-        assert view.samples[served] == 12.0
-        assert "h:3" in view.errors
-        assert "refused" in view.errors["h:3"]
-        assert not view.healthy  # an unreachable worker is unhealthy
-        [trace] = view.traces
-        assert trace.workers == ("w0", "w1")
-        assert trace.total_ms == 8.0
-
-    def test_duplicate_worker_names_are_disambiguated(self):
-        collector = MetricsCollector(
-            _scrape_fn(
-                {"h:1": _worker("w0"), "h:2": _worker("w0")}
-            ),
-            ["h:1", "h:2"],
-        )
-        view = asyncio.run(collector.collect())
-        assert set(view.scrapes) == {"w0", "w0#h:2"}
-
-    def test_healthy_requires_ok_status_and_green_slos(self):
-        def view_with(health):
-            scrape = _worker("w0", health=health)
-            return FleetView(
-                workers=("w0",),
-                scrapes={"w0": scrape},
-                errors={},
-                samples={},
-                exemplars={},
-                traces=[],
-            )
-
-        assert view_with({"status": "ok", "slo_ok": True}).healthy
-        assert not view_with({"status": "ok", "slo_ok": False}).healthy
-        assert not view_with({"status": "draining"}).healthy
-        # Health not fetched at all: reachability alone decides.
-        assert view_with(None).healthy
-
-
-class TestShardDimension:
-    def view_with(self, samples):
-        return FleetView(
-            workers=("w0",),
-            scrapes={"w0": _worker("w0", samples=samples)},
-            errors={},
-            samples=samples,
-            exemplars={},
-            traces=[],
-        )
-
-    def test_shards_enumerated_numerically(self):
-        view = self.view_with(
-            {
-                ("serve_served_total", (("shard", "10"),)): 1.0,
-                ("serve_served_total", (("shard", "2"),)): 2.0,
-                ("serve_shed_total", (("shard", "0"),)): 3.0,
-                ("other_total", ()): 4.0,  # unlabelled: no shard
-            }
-        )
-        assert view.shards == ("0", "2", "10")
-
-    def test_shard_series_sums_over_other_labels(self):
-        view = self.view_with(
-            {
-                (
-                    "serve_served_total",
-                    (("op", "request"), ("shard", "0")),
-                ): 5.0,
-                (
-                    "serve_served_total",
-                    (("op", "update"), ("shard", "0")),
-                ): 7.0,
-                ("serve_served_total", (("shard", "1"),)): 11.0,
-                ("serve_served_total", ()): 99.0,  # unsharded: ignored
-            }
-        )
-        assert view.shard_series("serve_served_total") == {
-            "0": 12.0,
-            "1": 11.0,
-        }
-
-    def test_unsharded_fleet_has_no_shards(self):
-        view = self.view_with({("serve_served_total", ()): 3.0})
-        assert view.shards == ()
-        assert view.shard_series("serve_served_total") == {}

@@ -9,6 +9,7 @@ from repro.obs.export import (
     parse_prometheus,
     quantile_from_buckets,
     render_prometheus,
+    render_samples,
     sanitize_name,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -124,6 +125,37 @@ def test_label_values_are_escaped():
     assert '\\"' in text and "\\\\" in text
     samples = parse_prometheus(text)  # escapes must not break parsing
     assert len(samples) == 1 and list(samples.values()) == [1.0]
+
+
+def test_render_samples_round_trips_a_registry_scrape():
+    """Samples and exemplars parsed from a registry render back into
+    text that parses to the same samples and exemplars."""
+    registry = populated_registry()
+    registry.counter("c", path='a"b\\c').inc()
+    registry.histogram("lat_ms", bounds=(1.0, 10.0)).record(
+        9.0, trace_id="cccccccccccccccc"
+    )
+    samples, exemplars = parse_exposition(render_prometheus(registry))
+    text = render_samples(samples, exemplars)
+    assert parse_exposition(text) == (samples, exemplars)
+    assert '# {trace_id="cccccccccccccccc"} 9.0' in text
+
+
+def test_render_samples_orders_each_bucket_series_by_bound():
+    samples = {
+        ("h_bucket", (("le", "+Inf"),)): 3.0,
+        ("h_bucket", (("le", "10.0"),)): 2.0,
+        ("h_bucket", (("le", "2.0"),)): 1.0,
+        ("h_count", ()): 3.0,
+        ("g", (("worker", "1"),)): 4.0,
+    }
+    assert render_samples(samples).splitlines() == [
+        'g{worker="1"} 4.0',
+        'h_bucket{le="2.0"} 1.0',
+        'h_bucket{le="10.0"} 2.0',
+        'h_bucket{le="+Inf"} 3.0',
+        "h_count 3.0",
+    ]
 
 
 def test_quantile_from_buckets_interpolates():

@@ -1,5 +1,6 @@
 """Span nesting, timing monotonicity, and the decorator API."""
 
+from repro.obs.config import TelemetryConfig
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracing import SpanRecord, Tracer
 
@@ -220,3 +221,17 @@ def test_common_attributes_stamp_every_record():
     assert event["attributes"]["worker"] == "w0"
     assert event["attributes"]["shard"] == "2"
     assert event["attributes"]["op"] == "request"
+
+
+def test_config_worker_is_stamped_on_every_record():
+    """A supervised worker's index (``TelemetryConfig.worker``) rides
+    every span record it emits; without one, nothing is stamped."""
+    worker = TelemetryConfig(enabled=True, ring_buffer=8, worker="1").build()
+    plain = TelemetryConfig(enabled=True, ring_buffer=8).build()
+    for telemetry in (worker, plain):
+        with telemetry.tracer.span("x"):
+            pass
+    (stamped,) = worker.sinks[0].spans()
+    (bare,) = plain.sinks[0].spans()
+    assert stamped["attributes"]["worker"] == "1"
+    assert "worker" not in bare["attributes"]

@@ -25,22 +25,27 @@ DAEMON = REPO / "tools" / "serve_daemon.py"
 #: assignment.
 HEAVY = ("networkx", "scipy")
 #: What the daemon never loads: the client half of the load harness
-#: (``repro.serve.city`` is its serving half), the fleet view, the
-#: simulation and mining layers, benchmark artifacts and rendering.
+#: (``repro.serve.city`` is its serving half), the simulation and
+#: mining layers, benchmark artifacts and rendering.
 CLIENT_SIDE = (
     "repro.serve.loadgen",
-    "repro.serve.fleet",
     "repro.experiments",
     "repro.ts",
     "repro.mining",
     "repro.obs.bench",
-    "repro.obs.aggregate",
     "repro.obs.render",
 )
 #: Loaded only by the flag that needs them: ``--http-port``,
-#: ``--workers`` and ``--slo``.  No ``hello``, ``update``, ``request``
-#: or ``metrics`` op may load one.
-BY_FLAG = ("repro.serve.http", "repro.serve.supervisor", "repro.obs.slo")
+#: ``--workers`` (the supervisor and the merge behind its fleet-wide
+#: ``metrics`` scrape) and ``--slo``.  No ``hello``, ``update``,
+#: ``request`` or ``metrics`` op of a plain or ``--shards`` daemon may
+#: load one.
+BY_FLAG = (
+    "repro.serve.http",
+    "repro.serve.supervisor",
+    "repro.obs.aggregate",
+    "repro.obs.slo",
+)
 #: Loaded by the first ``profile`` op, which starts the sampler.
 BY_PROFILE = ("repro.obs.profile",)
 LOAD_DAEMON = f"""
@@ -103,40 +108,52 @@ class TestImportGraph:
     def test_serving_ops_load_no_flag_module(self):
         """A booted default daemon answers hello, update, request and
         metrics without importing anything it left out at boot."""
-        script = LOAD_DAEMON + textwrap.dedent(
-            f"""
-            import asyncio
+        assert _loaded_by_serving_ops([]) == "[]"
 
-            from repro.serve.client import ServeClient
+    def test_sharded_serving_ops_load_no_flag_module(self):
+        """So does a ``--shards`` daemon: its ``metrics`` op renders its
+        one registry and loads no fleet merge."""
+        assert _loaded_by_serving_ops(["--shards", "2"]) == "[]"
 
-            async def main():
-                args = daemon.parse_args(["--port", "0"])
-                server = daemon._build_server(args, {{}})
-                await server.start()
-                transports = await daemon._start_frontends(
-                    args, server, None
-                )
-                client = await ServeClient.connect(
-                    "127.0.0.1", transports[0].port
-                )
-                await client.update(0, 100.0, 100.0, 3600.0)
-                await client.request(0, 100.0, 100.0, 3700.0, service="poi")
-                await client.metrics()
-                await client.close()
-                for transport in transports:
-                    await transport.stop()
-                await server.close()
 
-            asyncio.run(main())
-            print(sorted(
-                name
-                for name in sys.modules
-                for banned in {CLIENT_SIDE + BY_FLAG + BY_PROFILE!r}
-                if name == banned or name.startswith(banned + ".")
-            ))
-            """
-        )
-        assert _run(script) == "[]"
+def _loaded_by_serving_ops(shape: "list[str]") -> str:
+    """Boot a daemon of ``shape`` in a fresh interpreter, serve one
+    update, request and metrics op, and list the left-out modules it
+    loaded."""
+    script = LOAD_DAEMON + textwrap.dedent(
+        f"""
+        import asyncio
+
+        from repro.serve.client import ServeClient
+
+        async def main():
+            args = daemon.parse_args(["--port", "0", *{shape!r}])
+            server = daemon._build_server(args, {{}})
+            await server.start()
+            transports = await daemon._start_frontends(
+                args, server, None
+            )
+            client = await ServeClient.connect(
+                "127.0.0.1", transports[0].port
+            )
+            await client.update(0, 100.0, 100.0, 3600.0)
+            await client.request(0, 100.0, 100.0, 3700.0, service="poi")
+            await client.metrics()
+            await client.close()
+            for transport in transports:
+                await transport.stop()
+            await server.close()
+
+        asyncio.run(main())
+        print(sorted(
+            name
+            for name in sys.modules
+            for banned in {CLIENT_SIDE + BY_FLAG + BY_PROFILE!r}
+            if name == banned or name.startswith(banned + ".")
+        ))
+        """
+    )
+    return _run(script)
 
 
 class TestBootGauges:

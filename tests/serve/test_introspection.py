@@ -7,6 +7,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.obs.config import TelemetryConfig
 from repro.obs.export import parse_prometheus
 from repro.serve.client import ServeClient
@@ -20,7 +22,11 @@ from repro.serve.protocol import (
     TracesReply,
     TracesRequest,
 )
-from repro.serve.server import ServeConfig, TrustedServer
+from repro.serve.server import (
+    ServeConfig,
+    TrustedServer,
+    render_metrics_reply,
+)
 from repro.serve.transports import LoopbackTransport, TcpTransport
 
 from tests.serve.test_server import request_frames, update_frame
@@ -96,6 +102,33 @@ def test_metrics_op_rejects_unknown_format_and_no_telemetry(
     assert bad_format.code == "bad_field"
     assert isinstance(disabled, ErrorReply)
     assert disabled.code == "no_telemetry"
+
+
+def test_metrics_body_over_the_frame_budget_is_refused():
+    """The exposition must fit one frame: the registry's own body and a
+    supplied one (a supervisor's merged scrape) pass one guard."""
+    telemetry = TelemetryConfig(enabled=True).build()
+    telemetry.count("serve.served", kind="request")
+    frame = MetricsRequest(id=7)
+    assert isinstance(
+        render_metrics_reply(telemetry, 4096, frame), MetricsReply
+    )
+    for reply in (
+        render_metrics_reply(telemetry, 300, frame),
+        render_metrics_reply(telemetry, 4096, frame, body="x" * 4096),
+    ):
+        assert isinstance(reply, ErrorReply)
+        assert reply.code == "frame_too_large"
+
+
+def test_obstop_dials_one_daemon():
+    """obstop has one mode: the daemon at ``--port`` (a supervised
+    fleet's frontend serves the whole fleet's scrape)."""
+    obstop = load_obstop()
+    assert obstop.parse_args(["--port", "7411"]).port == 7411
+    for argv in ([], ["--target", "127.0.0.1:7411"]):
+        with pytest.raises(SystemExit):
+            obstop.parse_args(argv)
 
 
 def test_health_op_reports_lifecycle(workload, workload_config):

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs.config import TelemetryConfig
+from repro.obs.export import parse_prometheus
+from repro.serve.city import build_city
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.loadgen import (
     LoadgenConfig,
@@ -24,6 +26,8 @@ from repro.serve.loadgen import (
 from repro.serve.protocol import (
     ErrorReply,
     Hello,
+    MetricsReply,
+    MetricsRequest,
     ServiceRequest,
     StatsRequest,
     TracesRequest,
@@ -372,3 +376,197 @@ class TestWorkerHop:
         assert [(t["trace_id"], t["decision"]) for t in traces] == [
             (wire.split("-")[0], reply.decision)
         ]
+
+
+def _total(samples, name):
+    return sum(
+        value for (sample, _labels), value in samples.items()
+        if sample == name
+    )
+
+
+def _gauge_workers(samples, name):
+    return {
+        dict(labels).get("worker")
+        for sample, labels in samples
+        if sample == name
+    }
+
+
+#: One traced, verified pass, fed alike to both fleets below.
+SCRAPE_PASS = LoadgenConfig(
+    workload=WorkloadConfig(),
+    serve=WIDE_OPEN,
+    requests=120,
+    clients=4,
+    transport="loopback",
+    verify=True,
+    trace=True,
+)
+
+
+async def _scrape(server):
+    reply = await server.submit(
+        server.open_session("scraper"), MetricsRequest(id=1)
+    )
+    assert isinstance(reply, MetricsReply), reply
+    return parse_prometheus(reply.body)
+
+
+@pytest.fixture(scope="module")
+def fleet_scrapes(tmp_path_factory):
+    """The same pass through an in-process 4-shard router and a 2x4
+    supervised fleet, and each one's ``metrics`` scrape after it; the
+    supervised fleet is scraped again with worker 1's connection gone,
+    as while it respawns."""
+
+    async def in_process():
+        router = ShardRouter(
+            build_city(WorkloadConfig()),
+            WorkloadConfig(),
+            n_shards=4,
+            config=WIDE_OPEN,
+            telemetry=TelemetryConfig(enabled=True),
+        )
+        await router.start()
+        try:
+            report = await run_loadgen(SCRAPE_PASS, server=router)
+            return report, await _scrape(router)
+        finally:
+            await router.close()
+
+    async def supervised():
+        supervisor = WorkerSupervisor(
+            2,
+            4,
+            tmp_path_factory.mktemp("fleet"),
+            config=WIDE_OPEN,
+            telemetry=TelemetryConfig(enabled=True),
+            worker_args=["--seed", "11"],
+            daemon_path=DAEMON,
+        )
+        await supervisor.start()
+        try:
+            report = await run_loadgen(SCRAPE_PASS, server=supervisor)
+            merged = await _scrape(supervisor)
+            worker = supervisor.workers[1]
+            client, worker.client = worker.client, None
+            partial = await _scrape(supervisor)
+            worker.client = client
+            return report, merged, partial
+        finally:
+            await supervisor.close()
+
+    local_report, local = asyncio.run(in_process())
+    report, merged, partial = asyncio.run(supervised())
+    for run in (local_report, report):
+        assert run.ok and run.mismatches == 0, run.to_dict()
+        assert run.decisions == SCRAPE_PASS.requests
+    return {
+        "local": local,
+        "merged": merged,
+        "partial": partial,
+        "decisions": report.decisions,
+        "served": report.decisions + report.acks,
+    }
+
+
+class TestFleetScrape:
+    """The supervisor's ``metrics`` op is the whole fleet's scrape."""
+
+    def test_refusals_match_the_in_process_frontend(self, tmp_path):
+        """Without telemetry, or for an unknown format, the supervisor
+        refuses ``metrics`` as an in-process frontend does."""
+
+        async def ask(telemetry, frame):
+            supervisor = WorkerSupervisor(
+                2, 4, tmp_path, telemetry=telemetry
+            )
+            session = supervisor.open_session("scraper")
+            return await supervisor.submit(session, frame)
+
+        disabled = asyncio.run(ask(None, MetricsRequest(id=1)))
+        bad_format = asyncio.run(
+            ask(
+                TelemetryConfig(enabled=True),
+                MetricsRequest(id=2, format="protobuf"),
+            )
+        )
+        assert isinstance(disabled, ErrorReply)
+        assert disabled.code == "no_telemetry"
+        assert isinstance(bad_format, ErrorReply)
+        assert bad_format.code == "bad_field"
+
+    def test_families_cover_the_in_process_fleet(self, fleet_scrapes):
+        names = {name for name, _labels in fleet_scrapes["merged"]}
+        assert {name for name, _labels in fleet_scrapes["local"]} <= names
+        assert {
+            "ts_decisions_total",
+            "engine_stage_ms_bucket",
+            "store_query_ms_bucket",
+        } <= names
+
+    def test_each_decision_is_counted_once(self, fleet_scrapes):
+        assert _total(fleet_scrapes["merged"], "ts_decisions_total") == (
+            fleet_scrapes["decisions"]
+        )
+
+    def test_each_op_is_served_once(self, fleet_scrapes):
+        """The workers' sequencers count ``serve.served``; the frontend
+        does not count the same ops again."""
+        served = fleet_scrapes["served"]
+        assert _total(fleet_scrapes["local"], "serve_served_total") == (
+            served
+        )
+        assert _total(fleet_scrapes["merged"], "serve_served_total") == (
+            served
+        )
+
+    def test_worker_gauges_carry_the_worker_index(self, fleet_scrapes):
+        merged = fleet_scrapes["merged"]
+        assert _gauge_workers(merged, "serve_queue_depth") == {"0", "1"}
+        # The frontend's own gauge stays unlabelled.
+        assert _gauge_workers(merged, "serve_connections") == {
+            None, "0", "1"
+        }
+
+    def test_a_failing_worker_scrape_is_left_out(self, tmp_path):
+        """A worker whose connection fails mid-scrape is left out; the
+        op still answers with the frontend and the other workers."""
+
+        class FakeWorkerClient:
+            def __init__(self, body):
+                self.body = body
+
+            async def metrics(self):
+                if self.body is None:
+                    raise ServeClientError("connection lost")
+                return MetricsReply(id=1, format="prometheus", body=self.body)
+
+        async def run():
+            supervisor = WorkerSupervisor(
+                2, 4, tmp_path, telemetry=TelemetryConfig(enabled=True)
+            )
+            supervisor.workers[0].client = FakeWorkerClient(None)
+            supervisor.workers[1].client = FakeWorkerClient(
+                'serve_queue_depth{shard="1"} 3\n'
+                'ts_decisions_total{decision="forwarded"} 5\n'
+            )
+            return await _scrape(supervisor)
+
+        samples = asyncio.run(run())
+        assert samples[
+            ("serve_queue_depth", (("shard", "1"), ("worker", "1")))
+        ] == 3.0
+        assert samples[
+            ("ts_decisions_total", (("decision", "forwarded"),))
+        ] == 5.0
+        # The frontend's own gauge is there, unlabelled.
+        assert _gauge_workers(samples, "serve_connections") == {None}
+
+    def test_a_worker_without_connection_is_left_out(self, fleet_scrapes):
+        partial = fleet_scrapes["partial"]
+        assert _gauge_workers(partial, "serve_queue_depth") == {"0"}
+        assert 0 < _total(partial, "ts_decisions_total") < (
+            fleet_scrapes["decisions"]
+        )

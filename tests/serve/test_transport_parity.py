@@ -13,9 +13,8 @@ import asyncio
 import pytest
 
 from repro.serve.client import ServeClientError
-from repro.serve.fleet import dial
 from repro.serve.gate import ConnectionGate, GateConfig
-from repro.serve.http import HttpTransport
+from repro.serve.http import HttpTransport, dial
 from repro.serve.protocol import (
     ErrorReply,
     Hello,

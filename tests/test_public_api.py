@@ -193,3 +193,14 @@ class TestReadme:
             exec(compile(block, str(README), "exec"), namespace)
         assert namespace["event"].request.context is not None
         assert len(namespace["events"]) == 1
+
+
+class TestServeExports:
+    def test_dial_lives_beside_the_http_client(self):
+        """``dial`` picks a socket client for loadgen and obstop; it
+        sits in :mod:`repro.serve.http` with the client it can pick."""
+        import repro.serve
+        import repro.serve.http
+
+        assert repro.serve.dial is repro.serve.http.dial
+        assert "dial" in repro.serve.__all__

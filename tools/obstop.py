@@ -14,17 +14,16 @@ Usage::
     PYTHONPATH=src python tools/serve_daemon.py --port 7411 &
     PYTHONPATH=src python tools/obstop.py --port 7411 --interval 2
     PYTHONPATH=src python tools/obstop.py --port 7411 --once
-    PYTHONPATH=src python tools/obstop.py \
-        --target 127.0.0.1:7411 --target 127.0.0.1:7412 --once
 
-Repeatable ``--target host:port`` flags switch to fleet mode: every
-round scrapes all workers concurrently and renders one merged view
-(:mod:`repro.obs.aggregate` semantics — counters and histogram buckets
-summed, gauges per-worker, traces grouped across workers by trace id).
+Pointed at a supervised daemon's port (``serve_daemon.py --workers``),
+the dashboard shows the whole fleet: the supervisor answers ``metrics``
+with its workers' registries merged into its own
+(:mod:`repro.obs.aggregate` — counters and histogram buckets summed,
+worker gauges labelled ``worker="<index>"``).
 
 ``--once`` doubles as a CI/cron health probe: exit 0 when the server
-(or every fleet worker) reports ``status=="ok"`` with SLOs green,
-exit 1 otherwise, exit 2 when the target cannot be reached at all.
+reports ``status=="ok"`` with SLOs green, exit 1 otherwise, exit 2
+when it cannot be reached at all.
 
 The per-stage percentiles come from
 :func:`repro.obs.export.quantile_from_buckets` over the
@@ -45,13 +44,12 @@ from typing import Any, Mapping
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.obs.aggregate import FleetView  # noqa: E402
 from repro.obs.export import (  # noqa: E402
     parse_prometheus,
     quantile_from_buckets,
 )
 from repro.serve.client import ServeClientError  # noqa: E402
-from repro.serve.fleet import collect_fleet, dial  # noqa: E402
+from repro.serve.http import dial  # noqa: E402
 from repro.serve.transports import client_ssl_context  # noqa: E402
 
 #: Canonical engine stage order (the pipeline's six stages) — stages
@@ -194,90 +192,7 @@ def render_dashboard(
     return lines
 
 
-def render_fleet(view: FleetView) -> list[str]:
-    """Fixed-width text block for one fleet polling round."""
-    served = sum(
-        value
-        for (name, _labels), value in view.samples.items()
-        if name == "serve_served_total"
-    )
-    lines = [
-        (
-            f"repro-ts fleet — {len(view.workers)} workers  "
-            f"healthy {view.healthy}  served {served:.0f}"
-        )
-    ]
-    for worker in view.workers:
-        health = view.scrapes[worker].health or {}
-        slo = "ok" if health.get("slo_ok", True) else "BREACH"
-        lines.append(
-            f"  {worker:<20} status {health.get('status', '?'):<8} "
-            f"queue {health.get('queue_depth', 0):4d}  "
-            f"served {health.get('served', 0):6d}  "
-            f"shed {health.get('shed', 0):4d}  slo {slo}"
-        )
-    for target, error in sorted(view.errors.items()):
-        lines.append(f"  {target:<20} UNREACHABLE: {error}")
-    if view.shards:
-        served_by = view.shard_series("serve_served_total")
-        shed_by = view.shard_series("serve_shed_total")
-        lines.append("per shard        served      shed")
-        for shard in view.shards:
-            lines.append(
-                f"  shard {shard:<8} "
-                f"{served_by.get(shard, 0.0):8.0f}  "
-                f"{shed_by.get(shard, 0.0):8.0f}"
-            )
-    rows = stage_latencies(view.samples)
-    if rows:
-        lines.append("fleet stage      p50 ms    p99 ms     count")
-        for stage, p50, p99, count in rows:
-            lines.append(
-                f"  {stage:<14} {p50:8.3f}  {p99:8.3f}  {count:8d}"
-            )
-    slow = view.traces[:5]
-    if slow:
-        lines.append("slowest fleet traces:")
-        for trace in slow:
-            decision = trace.decision or (
-                "shed" if trace.shed else "-"
-            )
-            lines.append(
-                f"  {trace.trace_id:<16}  {trace.op or '-':<7}  "
-                f"{decision:<10}  {trace.total_ms:8.2f}ms  "
-                f"workers={','.join(trace.workers)}"
-            )
-    return lines
-
-
-async def run_fleet(args: argparse.Namespace) -> int:
-    """Fleet mode: merged view over every ``--target`` per round."""
-    rounds = 1 if args.once else args.count
-    i = 0
-    healthy = True
-    while rounds <= 0 or i < rounds:
-        view = await collect_fleet(
-            list(args.target),
-            trace_limit=args.traces,
-            transport=args.transport,
-            tls_ca=args.tls_ca,
-            token=args.token,
-        )
-        print("\n".join(render_fleet(view)), flush=True)
-        healthy = view.healthy
-        i += 1
-        if not (rounds <= 0 or i < rounds):
-            break
-        await asyncio.sleep(args.interval)
-        print(flush=True)
-    if args.once:
-        return 0 if healthy else 1
-    return 0
-
-
 async def run(args: argparse.Namespace) -> int:
-    if args.target:
-        return await run_fleet(args)
     ssl_context = (
         client_ssl_context(args.tls_ca)
         if args.tls_ca is not None
@@ -321,17 +236,7 @@ def parse_args(argv: "list[str] | None" = None) -> argparse.Namespace:
         description="Polling dashboard for the Trusted Server daemon"
     )
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=None)
-    parser.add_argument(
-        "--target",
-        action="append",
-        default=None,
-        metavar="HOST:PORT",
-        help=(
-            "fleet mode: scrape this worker each round (repeatable); "
-            "replaces --host/--port"
-        ),
-    )
+    parser.add_argument("--port", type=int, required=True)
     parser.add_argument(
         "--interval",
         type=float,
@@ -357,7 +262,7 @@ def parse_args(argv: "list[str] | None" = None) -> argparse.Namespace:
         "--transport",
         choices=("tcp", "tls", "http"),
         default="tcp",
-        help="how to dial the daemon(s) (default: tcp)",
+        help="how to dial the daemon (default: tcp)",
     )
     parser.add_argument(
         "--tls-ca",
@@ -370,10 +275,7 @@ def parse_args(argv: "list[str] | None" = None) -> argparse.Namespace:
         default=None,
         help="bearer token for gated daemons",
     )
-    args = parser.parse_args(argv)
-    if not args.target and args.port is None:
-        parser.error("either --port or at least one --target is required")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv: "list[str] | None" = None) -> int:

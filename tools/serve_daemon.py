@@ -165,16 +165,6 @@ def parse_args(argv: "list[str] | None" = None) -> argparse.Namespace:
         help="append span/event records to this JSONL sink",
     )
     parser.add_argument(
-        "--worker",
-        default=None,
-        help="worker identity stamped onto every span record",
-    )
-    parser.add_argument(
-        "--shard",
-        default=None,
-        help="shard identity stamped onto every span record",
-    )
-    parser.add_argument(
         "--tls-cert",
         default=None,
         metavar="PEM",
@@ -273,8 +263,7 @@ def _telemetry_config(
         enabled=True,
         jsonl_path=args.trace_jsonl,
         trace_sample_rate=args.trace_sample_rate,
-        worker=worker if worker is not None else args.worker,
-        shard=args.shard,
+        worker=worker,
     )
 
 
