@@ -61,7 +61,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import ServeConfig, shard_of
 from repro.serve.shard import ShardRouter
-from repro.serve.wal import WalConfig
 
 SERVING_WORKLOAD = WorkloadConfig()  # seed 11, 12 commuters, 6 wanderers
 WIDE_OPEN = ServeConfig(max_queue_depth=1 << 17, max_inflight=1 << 17)
@@ -135,7 +134,6 @@ def _router(workload, n_shards, data_dir=None):
         n_shards=n_shards,
         config=WIDE_OPEN,
         data_dir=data_dir,
-        wal_config=WalConfig(fsync="batch"),
     )
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from collections import deque
 from pathlib import Path
 from typing import IO, Iterator, Mapping
@@ -66,47 +67,30 @@ class JsonlSink(TelemetrySink):
     sink flushes to the OS, so at most ``N - 1`` events (plus one
     possibly truncated line, which :func:`read_jsonl` tolerates) are at
     risk.  The default 0 flushes only on explicit :meth:`flush`/
-    :meth:`close` — fastest, but an abrupt exit loses whatever the
-    stdio buffer held.
+    :meth:`sync`/:meth:`close` — fastest, but an abrupt exit loses
+    whatever the stdio buffer held.
 
-    ``max_bytes`` enables size-based rotation for long daemon runs:
-    once the live file reaches that size it is renamed to
-    ``<path>.<n>`` with an increasing suffix (``.1`` oldest) and a
-    fresh live file opened, so a traced daemon never grows one
-    unbounded file.  The default 0 never rotates.  Rotated segments
-    are closed cleanly; only the live file can end in a truncated
-    line, and :func:`read_jsonl_rotated` chains all segments back in
-    write order with the same per-file tolerance.
+    Several processes may append to one path at once (a supervised
+    fleet's shared trace file): the file is opened in append mode and
+    every write the stdio buffer hands the OS ends on a line boundary,
+    so records do not interleave mid-line.  A live file that a crash
+    left without its final newline is sealed aside as ``<path>.<n>``
+    on open (:meth:`_seal_torn_tail`); :func:`read_jsonl_rotated`
+    chains those segments back in write order.  The WAL
+    (:class:`repro.serve.wal.ShardWal`) is this sink.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        flush_every: int = 0,
-        max_bytes: int = 0,
-    ) -> None:
+    def __init__(self, path: str | Path, flush_every: int = 0) -> None:
         if flush_every < 0:
             raise ValueError(
                 f"flush_every must be non-negative, got {flush_every}"
             )
-        if max_bytes < 0:
-            raise ValueError(
-                f"max_bytes must be non-negative, got {max_bytes}"
-            )
         self.path = Path(path)
         self.flush_every = flush_every
-        self.max_bytes = max_bytes
-        existing = [
-            int(p.suffix[1:]) for p in _rotated_segments(self.path)
-        ]
-        self._next_suffix = max(existing, default=0) + 1
         self.written = 0
         self.rotations = 0
         self._seal_torn_tail()
         self._file: IO[str] | None = self.path.open("a", encoding="utf-8")
-        self._size = (
-            self.path.stat().st_size if self.path.exists() else 0
-        )
 
     def _seal_torn_tail(self) -> None:
         """Quarantine a crash-truncated live file before appending.
@@ -116,59 +100,46 @@ class JsonlSink(TelemetrySink):
         record onto the torn one, turning a tolerated segment-final
         truncation into an interior corrupt line that
         :func:`read_jsonl` correctly refuses.  Instead the damaged file
-        is rotated aside as its own segment, so the torn record stays
-        segment-final (where :func:`read_jsonl_rotated` tolerates it)
-        and new writes start a clean live file.
+        is renamed to the next free ``<path>.<n>`` segment, so the torn
+        record stays segment-final (where :func:`read_jsonl_rotated`
+        tolerates it) and new writes start a clean live file.  A file
+        that ends in a newline is appended to as is: no record can be
+        joined, and a file other writers share is never renamed.
         """
         try:
             with self.path.open("rb") as handle:
                 handle.seek(0, 2)
-                size = handle.tell()
-                if size == 0:
+                if handle.tell() == 0:
                     return
                 handle.seek(-1, 2)
-                torn = handle.read(1) != b"\n"
+                if handle.read(1) == b"\n":
+                    return
         except FileNotFoundError:
             return
-        if torn:
-            self.path.rename(
-                self.path.with_name(
-                    f"{self.path.name}.{self._next_suffix}"
-                )
-            )
-            self._next_suffix += 1
-            self.rotations += 1
+        suffix = 1 + max(
+            (int(p.suffix[1:]) for p in _rotated_segments(self.path)),
+            default=0,
+        )
+        self.path.rename(self.path.with_name(f"{self.path.name}.{suffix}"))
+        self.rotations += 1
 
     def emit(self, event: Mapping[str, object]) -> None:
         if self._file is None:
             raise ValueError(f"JsonlSink({self.path}) is closed")
-        # json with ensure_ascii (the default) emits pure ASCII, so
-        # character count == byte count and rotation bookkeeping needs
-        # no encode pass.
-        line = json.dumps(event, separators=(",", ":")) + "\n"
-        self._file.write(line)
-        self._size += len(line)
+        self._file.write(json.dumps(event, separators=(",", ":")) + "\n")
         self.written += 1
         if self.flush_every and self.written % self.flush_every == 0:
             self._file.flush()
-        if self.max_bytes and self._size >= self.max_bytes:
-            self._rotate()
-
-    def _rotate(self) -> None:
-        """Close and suffix the live file; open a fresh one."""
-        assert self._file is not None
-        self._file.close()
-        self.path.rename(
-            self.path.with_name(f"{self.path.name}.{self._next_suffix}")
-        )
-        self._next_suffix += 1
-        self.rotations += 1
-        self._file = self.path.open("a", encoding="utf-8")
-        self._size = 0
 
     def flush(self) -> None:
         if self._file is not None:
             self._file.flush()
+
+    def sync(self) -> None:
+        """Flush, then ``fsync``: everything emitted so far is on disk."""
+        if self._file is not None:
+            self._file.flush()
+            os.fsync(self._file.fileno())
 
     def close(self) -> None:
         if self._file is not None:
@@ -244,11 +215,10 @@ def _rotated_segments(path: Path) -> list[Path]:
 
 
 def rotated_paths(path: str | Path) -> list[Path]:
-    """Every segment of a (possibly rotated) JSONL sink, write order.
+    """Every segment of a JSONL sink's log, write order.
 
-    Rotated segments first (``.1`` oldest), the live file last.  Works
-    unchanged for an unrotated sink (one path) and for a sink whose
-    live file was rotated away but not yet re-created.
+    Sealed ``<path>.<n>`` segments first (``.1`` oldest), the live file
+    last.  A log that never sealed a torn tail is one path.
     """
     base = Path(path)
     segments = _rotated_segments(base)
@@ -260,15 +230,15 @@ def rotated_paths(path: str | Path) -> list[Path]:
 def read_jsonl_rotated(
     path: str | Path, strict: bool = False
 ) -> Iterator[dict]:
-    """Yield a rotated :class:`JsonlSink`'s events across all segments.
+    """Yield a :class:`JsonlSink`'s events across all its segments.
 
     Chains :func:`read_jsonl` over :func:`rotated_paths`, so events
-    come back in write order and *every* segment — rotated or live —
-    tolerates a truncated final record (a crashed writer's torn tail
-    is sealed into its own rotated segment on restart, see
-    :meth:`JsonlSink._seal_torn_tail`, so truncation always lands
-    segment-final where this tolerance applies; WAL recovery depends
-    on it).  A corrupt line in a segment's interior still raises.
+    come back in write order and *every* segment tolerates a truncated
+    final record: a crashed writer's torn tail is sealed into its own
+    segment on reopen (:meth:`JsonlSink._seal_torn_tail`), so
+    truncation always lands segment-final.  A corrupt line in a
+    segment's interior still raises.  WAL recovery
+    (:meth:`repro.serve.wal.ShardWal.recover`) reads through this.
     """
     for segment in rotated_paths(path):
         yield from read_jsonl(segment, strict=strict)

@@ -34,7 +34,6 @@ recording at the next operation; nothing is renegotiated.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 import re
@@ -492,18 +491,3 @@ class Tracer:
             }
             for sink in self.sinks:
                 sink.emit(event)
-
-    def wrap(self, name: str | None = None, **attributes: object):
-        """Decorator form: trace every call of the wrapped function."""
-
-        def decorator(fn):
-            span_name = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args, **kwargs):
-                with self.span(span_name, **attributes):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorator

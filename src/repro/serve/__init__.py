@@ -30,8 +30,8 @@ Layers (bottom-up):
   over N shared-nothing shard engines built from a served city (one by
   default), with WAL crash/restore; decision-equivalent to the single
   engine;
-* :mod:`repro.serve.wal` — per-shard JSONL write-ahead log and
-  snapshots with deterministic replay;
+* :mod:`repro.serve.wal` — per-shard JSONL write-ahead log with
+  deterministic replay;
 * :mod:`repro.serve.supervisor` — :class:`WorkerSupervisor`: the same
   frontend over shards in token-gated worker subprocesses
   (:class:`RemoteShard`), with WAL-backed respawn, pending-op re-send,
@@ -127,7 +127,6 @@ _EXPORTS = {
     ),
     "repro.serve.wal": (
         "ShardWal",
-        "WalConfig",
         "WalCorruptionError",
     ),
 }

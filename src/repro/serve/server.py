@@ -94,12 +94,7 @@ from repro.serve.protocol import (
     clip_echo,
     clone_frame,
 )
-from repro.serve.wal import (
-    ShardWal,
-    WalConfig,
-    frame_of_record,
-    op_record,
-)
+from repro.serve.wal import ShardWal, frame_of_record, op_record
 
 if TYPE_CHECKING:
     from repro.obs.slo import PrivacyMonitor, SloRule
@@ -110,6 +105,11 @@ if TYPE_CHECKING:
 TRACE_ENTRY_FIELDS = (
     "trace_id", "op", "decision", "queue_ms", "total_ms", "shed",
 )
+
+#: Advertised in the Welcome frame.
+SERVER_NAME = "repro-ts"
+#: Decision replies each shard keeps for crash-resend deduplication.
+REPLY_CACHE_SIZE = 1024
 
 #: The state-mutating frame types the data plane serves.
 _SERVABLE = (LocationUpdate, ServiceRequest)
@@ -127,8 +127,6 @@ class ServeConfig:
     max_frame_bytes: int = MAX_FRAME_BYTES
     #: Lower bound of the ``retry_after`` backoff hint (seconds).
     retry_after_floor_s: float = 0.01
-    #: Advertised in the Welcome frame.
-    server_name: str = "repro-ts"
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -351,8 +349,7 @@ class ShardRuntime:
         shard_id: int = 0,
         n_shards: int = 1,
         wal_dir: "str | Path | None" = None,
-        wal_config: WalConfig | None = None,
-        reply_cache_size: int = 1024,
+        wal_fsync: str = "batch",
     ) -> None:
         if not 0 <= shard_id < n_shards:
             raise ValueError(
@@ -371,17 +368,13 @@ class ShardRuntime:
         self.applied_seq = -1
         #: LRU of ``seq -> reply`` for crash-resend deduplication.
         self.replies: "OrderedDict[int, Frame]" = OrderedDict()
-        self.reply_cache_size = reply_cache_size
         self.replayed = 0
         self.wal: ShardWal | None = None
         if wal_dir is not None:
             wal_dir = Path(wal_dir)
-            # Replay precedes the writer: ShardWal seals the previous
-            # incarnation's live segment on open, and recovery must
-            # read that data as it was left.
             for record in ShardWal.recover(wal_dir):
                 self._replay(record)
-            self.wal = ShardWal(wal_dir, wal_config)
+            self.wal = ShardWal(wal_dir, wal_fsync)
 
     # -- op execution --------------------------------------------------
 
@@ -446,7 +439,7 @@ class ShardRuntime:
         if type(reply) is UpdateAck:  # re-synthesized on duplicates
             return
         self.replies[seq] = reply
-        if len(self.replies) > self.reply_cache_size:
+        if len(self.replies) > REPLY_CACHE_SIZE:
             self.replies.popitem(last=False)
 
     def sync(self) -> None:
@@ -973,7 +966,7 @@ class TrustedServer:
         session.trace = bool(hello.trace and self.telemetry.enabled)
         return Welcome(
             version=PROTOCOL_VERSION,
-            server=self.config.server_name,
+            server=SERVER_NAME,
             session=session.session_id,
             max_inflight=self.config.max_inflight,
             max_queue_depth=self.config.max_queue_depth,

@@ -25,11 +25,12 @@ decision streams are identical to the single-engine offline replay —
 ``loadgen --verify`` passes against a sharded frontend with zero
 changes, and the determinism tests pin it.
 
-**Durability.**  The WAL records op *commands* in dispatch order;
-recovery rebuilds the warm engine from the served city (itself a
-function of the seeded workload config) and replays the log,
-reconstructing sessions, pseudonyms, and trajectory columns
-byte-equivalently
+**Durability.**  Each shard's WAL (one
+:class:`~repro.obs.sinks.JsonlSink` at ``shard-<i>/wal.jsonl``)
+records op *commands* in dispatch order; recovery rebuilds the warm
+engine from the served city (itself a function of the seeded workload
+config) and replays the whole log, reconstructing sessions,
+pseudonyms, and trajectory columns byte-equivalently
 (:meth:`~repro.serve.server.ShardRuntime.fingerprint`).  The router
 stamps each forwarded op with a per-shard monotonic ``seq``; a worker
 restored mid-stream answers already-applied seqs from its reply cache,
@@ -57,7 +58,6 @@ from repro.serve.server import (
     ShardSequencer,
     TrustedServer,
 )
-from repro.serve.wal import WalConfig
 
 if TYPE_CHECKING:
     from repro.obs.slo import SloRule
@@ -84,7 +84,7 @@ class ShardRouter(TrustedServer):
         config: ServeConfig | None = None,
         telemetry: "Telemetry | TelemetryConfig | None" = None,
         data_dir: "str | Path | None" = None,
-        wal_config: WalConfig | None = None,
+        wal_fsync: str = "batch",
         shard_ids: "Sequence[int] | None" = None,
         slo_rules: "Iterable[SloRule | str] | None" = None,
         slo_window_s: float = 2 * 3600.0,
@@ -96,7 +96,7 @@ class ShardRouter(TrustedServer):
         self.city = city
         self.workload_config = workload_config
         self.data_dir = Path(data_dir) if data_dir is not None else None
-        self.wal_config = wal_config
+        self.wal_fsync = wal_fsync
         self.trusts_seq = shard_ids is not None
         #: ``next_seq`` of killed shards, carried over to their restore.
         self._killed_next_seq: dict[int, int] = {}
@@ -129,7 +129,7 @@ class ShardRouter(TrustedServer):
                 if self.data_dir is not None
                 else None
             ),
-            wal_config=self.wal_config,
+            wal_fsync=self.wal_fsync,
         )
 
     def applied_seqs(self) -> dict[int, int]:

@@ -1,4 +1,4 @@
-"""Per-shard durability: a JSONL command log with compacting snapshots.
+"""Per-shard durability: a JSONL command log.
 
 A shard's mutable state — sessions, pseudonyms, trajectory columns — is
 a pure function of the operations it applied, in order: the engine is
@@ -20,40 +20,31 @@ Records are compact::
 monotonic, which recovery verifies; ``k`` discriminates location
 updates from service requests.
 
-File layout inside one shard directory::
-
-    snapshot.jsonl   # compacted op prefix (may be absent)
-    wal.jsonl.<n>    # sealed segments, oldest first
-    wal.jsonl        # the live segment
-
-A "snapshot" here is log *compaction*: sealed segments are merged into
-``snapshot.jsonl`` and deleted, bounding the file count without ever
-losing an op (replay time stays proportional to total ops — the honest
-cost of command logging; the op records are ~90 bytes each and replay
-runs at memory speed).  On restart the writer never appends to a
-pre-crash file: the previous live segment is sealed aside first, so a
-crash-torn final record is always segment-final, exactly where
-:func:`repro.obs.sinks.read_jsonl` tolerates it.
+The log is a :class:`repro.obs.sinks.JsonlSink` at ``wal.jsonl`` in the
+shard directory, read back with
+:func:`repro.obs.sinks.read_jsonl_rotated`: a crash-torn final record
+is sealed aside into its own segment when the next incarnation opens
+the log, so it stays segment-final, where the reader tolerates it.
+Replay time is proportional to the ops logged (the honest cost of
+command logging; records are ~90 bytes and replay runs at memory
+speed).
 
 ``fsync`` policy trades durability for latency:
 
 * ``"always"`` — fsync after every append; survives power loss.
-* ``"batch"`` — flush to the OS per append, fsync on rotation and
-  :meth:`ShardWal.sync`; survives process crashes (SIGKILL), may lose
-  the OS cache on power loss.  The default: the kill/restore
+* ``"batch"`` — flush to the OS per append, fsync on
+  :meth:`ShardWal.sync` (drain); survives process crashes (SIGKILL),
+  may lose the OS cache on power loss.  The default: the kill/restore
   acceptance bar is process death.
 * ``"never"`` — stdio buffering only; fastest, bench-only.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator
+from typing import Iterator
 
-from repro.obs.sinks import read_jsonl
+from repro.obs.sinks import JsonlSink, read_jsonl_rotated
 from repro.serve.protocol import (
     Frame,
     LocationUpdate,
@@ -62,40 +53,8 @@ from repro.serve.protocol import (
 
 FSYNC_POLICIES = ("always", "batch", "never")
 
-#: Live-segment filename inside a shard directory.
+#: Log filename inside a shard directory.
 WAL_NAME = "wal.jsonl"
-#: Compacted-prefix filename inside a shard directory.
-SNAPSHOT_NAME = "snapshot.jsonl"
-
-
-@dataclass(frozen=True)
-class WalConfig:
-    """Durability knobs of one shard's write-ahead log."""
-
-    #: One of :data:`FSYNC_POLICIES`; see the module doc.
-    fsync: str = "batch"
-    #: Live segment is sealed once it reaches this size (bytes).
-    segment_max_bytes: int = 1 << 22
-    #: Compact sealed segments into the snapshot every N appended ops;
-    #: 0 compacts only on explicit :meth:`ShardWal.compact`.
-    snapshot_every: int = 0
-
-    def __post_init__(self) -> None:
-        if self.fsync not in FSYNC_POLICIES:
-            raise ValueError(
-                f"fsync must be one of {FSYNC_POLICIES}, "
-                f"got {self.fsync!r}"
-            )
-        if self.segment_max_bytes < 1:
-            raise ValueError(
-                "segment_max_bytes must be >= 1, got "
-                f"{self.segment_max_bytes}"
-            )
-        if self.snapshot_every < 0:
-            raise ValueError(
-                "snapshot_every must be non-negative, got "
-                f"{self.snapshot_every}"
-            )
 
 
 def op_record(frame: Frame, seq: int) -> dict:
@@ -154,164 +113,50 @@ class ShardWal:
     """The durable command log of one shard (see module doc)."""
 
     def __init__(
-        self,
-        directory: "str | Path",
-        config: WalConfig | None = None,
+        self, directory: "str | Path", fsync: str = "batch"
     ) -> None:
-        self.directory = Path(directory)
-        self.config = config or WalConfig()
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self._live = self.directory / WAL_NAME
-        self._next_suffix = max(
-            (s for _p, s in self._sealed_segments()), default=0
-        ) + 1
-        # Never append to a pre-crash file: seal whatever live segment
-        # the previous incarnation left (torn tail and all), so its
-        # last record stays segment-final and tolerated on read.
-        if self._live.exists():
-            self._seal_live()
-        self._file: IO[str] = self._live.open("a", encoding="utf-8")
-        self._size = 0
-        self.appended = 0
-        self._since_compact = 0
-        #: Highest sequence number appended by this incarnation (the
-        #: recovery side tracks its own; -1 means none yet).
-        self.last_seq = -1
-
-    # -- write path ----------------------------------------------------
+        if fsync not in FSYNC_POLICIES:
+            raise ValueError(
+                f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}"
+            )
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        self._sink = JsonlSink(
+            directory / WAL_NAME,
+            flush_every=1 if fsync == "batch" else 0,
+        )
+        self._sync_each = fsync == "always"
 
     def append(self, record: dict) -> None:
         """Append one op record; durability per the fsync policy."""
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        self._file.write(line)
-        policy = self.config.fsync
-        if policy == "always":
-            self._file.flush()
-            os.fsync(self._file.fileno())
-        elif policy == "batch":
-            self._file.flush()
-        self._size += len(line)
-        self.appended += 1
-        self._since_compact += 1
-        seq = record.get("s")
-        if isinstance(seq, int):
-            self.last_seq = seq
-        if self._size >= self.config.segment_max_bytes:
-            self._rotate()
-        if (
-            self.config.snapshot_every
-            and self._since_compact >= self.config.snapshot_every
-        ):
-            self.compact()
+        self._sink.emit(record)
+        if self._sync_each:
+            self._sink.sync()
 
     def sync(self) -> None:
         """Force everything appended so far onto the disk."""
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        self._sink.sync()
 
     def close(self) -> None:
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
-
-    def _seal_live(self) -> None:
-        self._live.rename(
-            self._live.with_name(f"{WAL_NAME}.{self._next_suffix}")
-        )
-        self._next_suffix += 1
-
-    def _rotate(self) -> None:
-        """Seal the live segment and open a fresh one."""
-        self._file.flush()
-        if self.config.fsync != "never":
-            os.fsync(self._file.fileno())
-        self._file.close()
-        self._seal_live()
-        self._file = self._live.open("a", encoding="utf-8")
-        self._size = 0
-
-    # -- compaction ----------------------------------------------------
-
-    def _sealed_segments(self) -> "list[tuple[Path, int]]":
-        """Sealed ``wal.jsonl.<n>`` segments with suffix, oldest first."""
-        segments = []
-        for path in self.directory.glob(WAL_NAME + ".*"):
-            suffix = path.suffix[1:]
-            if suffix.isdigit():
-                segments.append((path, int(suffix)))
-        segments.sort(key=lambda pair: pair[1])
-        return segments
-
-    def compact(self) -> int:
-        """Merge sealed segments into the snapshot; returns ops merged.
-
-        Only *sealed* segments are compacted — the live segment keeps
-        its torn-tail guarantees.  The merge is crash-safe: the new
-        snapshot is written beside the old one and renamed into place
-        before any segment is deleted, so every op exists in at least
-        one file at every instant.
-        """
-        segments = self._sealed_segments()
-        if not segments:
-            return 0
-        snapshot = self.directory / SNAPSHOT_NAME
-        staging = self.directory / (SNAPSHOT_NAME + ".tmp")
-        merged = 0
-        with staging.open("w", encoding="utf-8") as out:
-            if snapshot.exists():
-                for record in read_jsonl(snapshot):
-                    out.write(
-                        json.dumps(record, separators=(",", ":")) + "\n"
-                    )
-            for path, _suffix in segments:
-                for record in read_jsonl(path):
-                    out.write(
-                        json.dumps(record, separators=(",", ":")) + "\n"
-                    )
-                    merged += 1
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(staging, snapshot)
-        for path, _suffix in segments:
-            path.unlink()
-        self._since_compact = 0
-        return merged
-
-    # -- recovery ------------------------------------------------------
+        self._sink.close()
 
     @staticmethod
     def recover(directory: "str | Path") -> Iterator[dict]:
         """Yield every logged op of a shard directory, in seq order.
 
-        Reads the snapshot, then the sealed segments, then the live
-        segment; each file tolerates one torn final record.  Sequence
+        Each segment tolerates one torn final record.  Sequence
         numbers must be strictly increasing across the whole stream —
         anything else means file-level damage beyond a crashed writer
         and raises :class:`WalCorruptionError`.
         """
-        directory = Path(directory)
-        paths: list[Path] = []
-        snapshot = directory / SNAPSHOT_NAME
-        if snapshot.exists():
-            paths.append(snapshot)
-        sealed = []
-        for path in directory.glob(WAL_NAME + ".*"):
-            suffix = path.suffix[1:]
-            if suffix.isdigit():
-                sealed.append((int(suffix), path))
-        paths.extend(path for _s, path in sorted(sealed))
-        live = directory / WAL_NAME
-        if live.exists():
-            paths.append(live)
+        path = Path(directory) / WAL_NAME
         last_seq = -1
-        for path in paths:
-            for record in read_jsonl(path):
-                seq = record.get("s")
-                if not isinstance(seq, int) or seq <= last_seq:
-                    raise WalCorruptionError(
-                        f"{path}: op sequence went {last_seq} -> "
-                        f"{seq!r}; the log is damaged beyond a "
-                        "crashed writer"
-                    )
-                last_seq = seq
-                yield record
+        for record in read_jsonl_rotated(path):
+            seq = record.get("s")
+            if not isinstance(seq, int) or seq <= last_seq:
+                raise WalCorruptionError(
+                    f"{path}: op sequence went {last_seq} -> {seq!r}; "
+                    "the log is damaged beyond a crashed writer"
+                )
+            last_seq = seq
+            yield record

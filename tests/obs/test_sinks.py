@@ -1,6 +1,10 @@
 """Ring buffer, JSONL round-trip, console logging routing."""
 
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,77 +113,6 @@ class TestJsonl:
         telemetry.close()
 
 
-class TestRotation:
-    def test_rotates_at_max_bytes(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = JsonlSink(path, max_bytes=200)
-        for i in range(50):
-            sink.emit({"type": "span", "i": i})
-        sink.close()
-        segments = rotated_paths(path)
-        assert len(segments) > 2
-        assert segments[-1] == path
-        # Rotated segments carry increasing numeric suffixes in write
-        # order and each respects the size bound.
-        for segment in segments[:-1]:
-            assert int(segment.suffix[1:]) >= 1
-            assert segment.stat().st_size >= 200
-        assert sink.rotations == len(segments) - 1
-
-    def test_read_rotated_preserves_order_and_count(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = JsonlSink(path, max_bytes=150)
-        n = 40
-        for i in range(n):
-            sink.emit({"i": i})
-        sink.close()
-        events = list(read_jsonl_rotated(path))
-        assert [e["i"] for e in events] == list(range(n))
-
-    def test_reopen_continues_suffix_sequence(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        for _round in range(2):
-            sink = JsonlSink(path, max_bytes=100)
-            for i in range(10):
-                sink.emit({"i": i})
-            sink.close()
-        suffixes = [
-            int(p.suffix[1:]) for p in rotated_paths(path)[:-1]
-        ]
-        assert suffixes == sorted(suffixes)
-        assert len(set(suffixes)) == len(suffixes)
-        assert [e["i"] for e in read_jsonl_rotated(path)] == (
-            list(range(10)) * 2
-        )
-
-    def test_truncated_live_file_tolerated_across_rotation(
-        self, tmp_path
-    ):
-        path = tmp_path / "t.jsonl"
-        sink = JsonlSink(path, max_bytes=120)
-        for i in range(20):
-            sink.emit({"i": i})
-        sink.close()
-        # Simulate a writer dying mid-line on the live file only.
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"i": 99')
-        events = list(read_jsonl_rotated(path))
-        assert [e["i"] for e in events] == list(range(20))
-
-    def test_zero_max_bytes_never_rotates(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        sink = JsonlSink(path)
-        for i in range(100):
-            sink.emit({"i": i})
-        sink.close()
-        assert rotated_paths(path) == [path]
-        assert sink.rotations == 0
-
-    def test_rejects_negative_max_bytes(self, tmp_path):
-        with pytest.raises(ValueError, match="max_bytes"):
-            JsonlSink(tmp_path / "t.jsonl", max_bytes=-1)
-
-
 class TestReadJsonlCorruption:
     def _write(self, path, lines):
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -264,22 +197,37 @@ class TestTornTailSeal:
         self, tmp_path
     ):
         path = tmp_path / "t.jsonl"
-        sink = JsonlSink(path, max_bytes=40)
-        for i in range(6):
-            sink.emit({"i": i})
-        sink.close()
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('{"i": 99')
-        reopened = JsonlSink(path, max_bytes=40)
+        for crash in range(3):
+            sink = JsonlSink(path)
+            for i in range(2):
+                sink.emit({"i": 10 * crash + i})
+            sink.close()
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write('{"i": 99')
+        reopened = JsonlSink(path)
         reopened.emit({"i": 100})
         reopened.close()
-        suffixes = [
-            int(p.suffix[1:]) for p in rotated_paths(path)[:-1]
+        segments = rotated_paths(path)
+        assert [p.name for p in segments] == [
+            "t.jsonl.1", "t.jsonl.2", "t.jsonl.3", "t.jsonl",
         ]
-        assert suffixes == sorted(suffixes)
-        assert len(set(suffixes)) == len(suffixes)
         events = [e["i"] for e in read_jsonl_rotated(path)]
-        assert events == [0, 1, 2, 3, 4, 5, 100]
+        assert events == [0, 1, 10, 11, 20, 21, 100]
+
+    def test_truncated_live_file_tolerated_across_segments(
+        self, tmp_path
+    ):
+        path = tmp_path / "t.jsonl"
+        for i in range(2):
+            sink = JsonlSink(path)
+            sink.emit({"i": i})
+            sink.close()
+            # Simulate a writer dying mid-line: the first torn tail is
+            # sealed by the reopen, the second stays on the live file.
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write('{"i": 99')
+        assert len(rotated_paths(path)) == 2
+        assert [e["i"] for e in read_jsonl_rotated(path)] == [0, 1]
 
     def test_truncated_record_in_rotated_segment_tolerated(
         self, tmp_path
@@ -307,6 +255,69 @@ class TestTornTailSeal:
         sink.emit({"i": 0})
         sink.close()
         assert rotated_paths(path) == [path]
+
+
+#: One writer of the shared-file test: opens the sink, reports ready,
+#: waits for "go" on stdin, then emits its events as fast as it can.
+_WRITER = """
+import sys
+from repro.obs.sinks import JsonlSink
+writer, n = int(sys.argv[1]), int(sys.argv[2])
+sink = JsonlSink(sys.argv[3])
+print("ready", flush=True)
+sys.stdin.readline()
+for i in range(n):
+    sink.emit({"type": "span", "w": writer, "i": i, "pad": "x" * (i % 97)})
+sink.close()
+"""
+
+
+class TestSharedFile:
+    """A supervised fleet's processes all append to one trace file."""
+
+    def test_concurrent_writers_keep_every_record(self, tmp_path):
+        path = tmp_path / "fleet.jsonl"
+        n, writers = 20_000, 3
+        # The supervisor has written before its workers open the file:
+        # a reopen must append to it, never seal it aside.
+        supervisor = JsonlSink(path)
+        supervisor.emit({"type": "span", "w": -1, "i": 0})
+        supervisor.flush()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).parents[2] / "src")
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _WRITER, str(w), str(n), str(path)],
+                env=env,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+            )
+            for w in range(writers)
+        ]
+        try:
+            for proc in procs:
+                assert proc.stdout.readline().strip() == "ready"
+            for proc in procs:
+                proc.stdin.write("go\n")
+                proc.stdin.flush()
+            for proc in procs:
+                assert proc.wait(timeout=120) == 0
+        finally:
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+            supervisor.close()
+        before = JSONL_READ_STATS.skipped
+        events = list(read_jsonl_rotated(path))
+        assert JSONL_READ_STATS.skipped == before
+        assert rotated_paths(path) == [path]
+        for w in range(writers):
+            # Each writer's records arrive whole and in its own order.
+            assert [e["i"] for e in events if e["w"] == w] == list(
+                range(n)
+            )
+        assert len(events) == 1 + writers * n
 
 
 class TestConsole:

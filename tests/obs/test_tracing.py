@@ -1,4 +1,4 @@
-"""Span nesting, timing monotonicity, and the decorator API."""
+"""Span nesting, timing monotonicity, and the span record round trip."""
 
 from repro.obs.config import TelemetryConfig
 from repro.obs.sinks import RingBufferSink
@@ -66,21 +66,6 @@ def test_exception_closes_span_and_tags_error():
     assert tracer.depth == 0
     assert span.record is not None
     assert span.record.attributes["error"] == "RuntimeError"
-
-
-def test_decorator_traces_each_call():
-    sink = RingBufferSink()
-    tracer = Tracer(sinks=[sink])
-
-    @tracer.wrap("compute", kind="test")
-    def compute(x):
-        return x * 2
-
-    assert compute(21) == 42
-    assert compute(1) == 2
-    names = [event["name"] for event in sink.spans()]
-    assert names == ["compute", "compute"]
-    assert sink.spans()[0]["attributes"] == {"kind": "test"}
 
 
 def test_record_round_trip():

@@ -23,6 +23,7 @@ from repro.serve.protocol import (
     clone_frame,
 )
 from repro.serve.server import (
+    SERVER_NAME,
     ServeConfig,
     ShardRuntime,
     TrustedServer,
@@ -222,7 +223,7 @@ class TestShardRouter:
             session = router.open_session("t")
             welcome = await router.submit(session, Hello(client="t"))
             assert isinstance(welcome, Welcome)
-            assert welcome.server == WIDE_OPEN.server_name
+            assert welcome.server == SERVER_NAME
             health = await router.submit(session, HealthRequest(id=2))
             assert health.status == "ok"
             metrics = await router.submit(

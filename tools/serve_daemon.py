@@ -82,7 +82,6 @@ from repro.serve.transports import (  # noqa: E402
     TcpTransport,
     server_ssl_context,
 )
-from repro.serve.wal import WalConfig  # noqa: E402
 
 if TYPE_CHECKING:
     from repro.serve.http import HttpTransport
@@ -398,7 +397,7 @@ def _build_server(
         config=_serve_config(args),
         telemetry=_telemetry_config(args, worker=worker_label),
         data_dir=args.data_dir,
-        wal_config=WalConfig(fsync=args.wal_fsync),
+        wal_fsync=args.wal_fsync,
         shard_ids=shard_ids,
         slo_rules=args.slo,
     )
