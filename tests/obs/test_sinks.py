@@ -103,6 +103,36 @@ class TestJsonl:
         with pytest.raises(ValueError, match="flush_every"):
             JsonlSink(tmp_path / "t.jsonl", flush_every=-1)
 
+    def test_sync_flushes_and_fsyncs(self, tmp_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        path = tmp_path / "t.jsonl"
+        sink = JsonlSink(path)
+        sink.emit({"i": 0})
+        assert list(read_jsonl(path)) == []
+        sink.sync()
+        assert list(read_jsonl(path)) == [{"i": 0}]
+        assert synced == [sink._file.fileno()]
+        sink.close()
+
+    def test_emit_after_close_raises(self, tmp_path):
+        sink = JsonlSink(tmp_path / "t.jsonl")
+        sink.close()
+        with pytest.raises(ValueError, match="closed"):
+            sink.emit({"i": 0})
+
+    def test_flush_sync_close_after_close_are_noops(
+        self, tmp_path, monkeypatch
+    ):
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        sink = JsonlSink(tmp_path / "t.jsonl")
+        sink.close()
+        sink.flush()
+        sink.sync()
+        sink.close()
+        assert synced == []
+
     def test_config_passes_flush_every_through(self, tmp_path):
         path = tmp_path / "t.jsonl"
         telemetry = TelemetryConfig(
@@ -255,6 +285,59 @@ class TestTornTailSeal:
         sink.emit({"i": 0})
         sink.close()
         assert rotated_paths(path) == [path]
+
+
+class TestSegments:
+    """Sealed ``<path>.<n>`` segments are read back in numeric order."""
+
+    def test_read_rotated_preserves_order_and_count(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        n, per_life = 40, 8
+        for start in range(0, n, per_life):
+            sink = JsonlSink(path)
+            for i in range(start, start + per_life):
+                sink.emit({"i": i})
+            sink.close()
+            with path.open("a", encoding="utf-8") as handle:
+                handle.write('{"i": -1')
+        assert len(rotated_paths(path)) == n // per_life
+        events = list(read_jsonl_rotated(path))
+        assert [e["i"] for e in events] == list(range(n))
+
+    def test_reopen_continues_suffix_sequence(self, tmp_path):
+        # Suffixes sort as numbers: a seal after ``.9`` is ``.10``, and
+        # ``.10`` is read after ``.2`` and ``.9``, not between them.
+        path = tmp_path / "t.jsonl"
+        (tmp_path / "t.jsonl.2").write_text('{"i": 0}\n', encoding="utf-8")
+        (tmp_path / "t.jsonl.9").write_text('{"i": 1}\n', encoding="utf-8")
+        path.write_text('{"i": 2}\n{"i": 99', encoding="utf-8")
+        sink = JsonlSink(path)
+        sink.emit({"i": 3})
+        sink.close()
+        assert [p.name for p in rotated_paths(path)] == [
+            "t.jsonl.2", "t.jsonl.9", "t.jsonl.10", "t.jsonl",
+        ]
+        assert [e["i"] for e in read_jsonl_rotated(path)] == [0, 1, 2, 3]
+
+    def test_rotated_paths_ignores_non_numeric_suffixes(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        for name in ("t.jsonl.bak", "t.jsonl.1x", "t.jsonl.tmp"):
+            (tmp_path / name).write_text('{"i": 99}\n', encoding="utf-8")
+        (tmp_path / "t.jsonl.1").write_text('{"i": 0}\n', encoding="utf-8")
+        path.write_text('{"i": 1}\n', encoding="utf-8")
+        assert rotated_paths(path) == [tmp_path / "t.jsonl.1", path]
+        assert [e["i"] for e in read_jsonl_rotated(path)] == [0, 1]
+
+    def test_sealed_segments_without_live_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        (tmp_path / "t.jsonl.1").write_text('{"i": 0}\n', encoding="utf-8")
+        assert rotated_paths(path) == [tmp_path / "t.jsonl.1"]
+        assert [e["i"] for e in read_jsonl_rotated(path)] == [0]
+
+    def test_missing_log_reads_empty(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        assert rotated_paths(path) == []
+        assert list(read_jsonl_rotated(path)) == []
 
 
 #: One writer of the shared-file test: opens the sink, reports ready,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -91,6 +92,17 @@ class TestAppendRecover:
         restarted.close()
         assert list(ShardWal.recover(tmp_path)) == records(5)
 
+    def test_recover_of_empty_directory_is_empty(self, tmp_path):
+        assert list(ShardWal.recover(tmp_path)) == []
+        assert list(ShardWal.recover(tmp_path / "never-made")) == []
+
+    def test_creates_missing_directory(self, tmp_path):
+        directory = tmp_path / "shards" / "0"
+        wal = ShardWal(directory)
+        wal.append(records(1)[0])
+        wal.close()
+        assert list(ShardWal.recover(directory)) == records(1)
+
     def test_non_monotonic_seq_raises(self, tmp_path):
         wal = ShardWal(tmp_path)
         wal.append({"s": 3, "k": "u", "u": 1, "x": 0.0, "y": 0.0,
@@ -98,6 +110,37 @@ class TestAppendRecover:
         wal.append({"s": 2, "k": "u", "u": 1, "x": 0.0, "y": 0.0,
                     "t": 0.0})
         wal.close()
+        with pytest.raises(WalCorruptionError):
+            list(ShardWal.recover(tmp_path))
+
+    def test_repeated_seq_raises(self, tmp_path):
+        wal = ShardWal(tmp_path)
+        for record in records(2) + records(1, start=1):
+            wal.append(record)
+        wal.close()
+        with pytest.raises(WalCorruptionError):
+            list(ShardWal.recover(tmp_path))
+
+    def test_record_without_integer_seq_raises(self, tmp_path):
+        wal = ShardWal(tmp_path)
+        wal.append(records(1)[0])
+        wal.append({**records(1, start=1)[0], "s": "1"})
+        wal.close()
+        with pytest.raises(WalCorruptionError):
+            list(ShardWal.recover(tmp_path))
+
+    def test_seq_regression_across_segments_raises(self, tmp_path):
+        # The seq check spans the whole chained stream, not one segment.
+        wal = ShardWal(tmp_path)
+        for record in records(4):
+            wal.append(record)
+        wal.close()
+        live = tmp_path / WAL_NAME
+        live.write_bytes(live.read_bytes()[:-5])
+        restarted = ShardWal(tmp_path)
+        restarted.append(records(1, start=1)[0])
+        restarted.close()
+        assert len(rotated_paths(live)) == 2
         with pytest.raises(WalCorruptionError):
             list(ShardWal.recover(tmp_path))
 
@@ -112,7 +155,6 @@ class TestAppendRecover:
         live.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError):
             list(ShardWal.recover(tmp_path))
-
 
     def test_repeated_crashes_recover_in_segment_order(self, tmp_path):
         # Every crash-torn tail is sealed into its own numbered segment
@@ -140,6 +182,43 @@ class TestAppendRecover:
         for record in records(3):
             wal.append(record)
         assert list(read_jsonl(tmp_path / WAL_NAME)) == records(3)
+        wal.close()
+
+
+class TestFsyncPolicy:
+    def test_always_fsyncs_every_append(self, tmp_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        wal = ShardWal(tmp_path, "always")
+        for record in records(3):
+            wal.append(record)
+        assert len(synced) == 3
+        assert list(read_jsonl(tmp_path / WAL_NAME)) == records(3)
+        wal.close()
+
+    def test_batch_fsyncs_only_on_sync(self, tmp_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        wal = ShardWal(tmp_path, "batch")
+        for record in records(3):
+            wal.append(record)
+        assert synced == []
+        wal.sync()
+        assert len(synced) == 1
+        wal.close()
+
+    def test_never_buffers_until_sync(self, tmp_path, monkeypatch):
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        wal = ShardWal(tmp_path, "never")
+        for record in records(3):
+            wal.append(record)
+        # Small records stay in the stdio buffer until the drain.
+        assert list(read_jsonl(tmp_path / WAL_NAME)) == []
+        assert synced == []
+        wal.sync()
+        assert list(read_jsonl(tmp_path / WAL_NAME)) == records(3)
+        assert len(synced) == 1
         wal.close()
 
 
